@@ -167,9 +167,7 @@ class ConcurrentProvenanceGraph:
         b = self.subcomputation(second)
         if a.tid == b.tid:
             return a.index < b.index
-        return a.clock.happens_before(b.clock) or (
-            a.clock.dominated_by(b.clock) and a.clock != b.clock
-        )
+        return a.clock.happens_before(b.clock)
 
     def concurrent(self, first: NodeId, second: NodeId) -> bool:
         """Whether two sub-computations are unordered by happens-before."""

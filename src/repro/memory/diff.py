@@ -12,6 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+#: ``bytes.translate`` table that maps 0x00 to 0x01 and every other byte to
+#: 0x00.  Applied to the XOR of twin and page, it turns "the next changed
+#: byte" into ``find(0)``, a memchr.  A regular-expression scan for the
+#: non-zero runs steps through every unchanged byte in the pattern matcher
+#: instead, which is several times slower on the mostly unchanged pages a
+#: commit diffs.
+_CHANGED_TO_ZERO = b"\x01" + bytes(255)
+
 
 @dataclass(frozen=True)
 class Delta:
@@ -62,7 +70,9 @@ def diff_page(page: int, twin: bytes, current: bytes) -> PageDiff:
         current: The process-private copy at commit time.
 
     Returns:
-        A :class:`PageDiff` containing maximal runs of modified bytes.
+        A :class:`PageDiff` containing maximal runs of modified bytes: the
+        maximal non-zero runs of ``twin`` XOR ``current``, found with
+        C-speed byte searches.
 
     Raises:
         ValueError: If the two buffers have different lengths.
@@ -71,17 +81,19 @@ def diff_page(page: int, twin: bytes, current: bytes) -> PageDiff:
         raise ValueError(
             f"twin and current page must be the same size ({len(twin)} != {len(current)})"
         )
+    # Scan the XOR, not ``current``: a byte changed *to* zero is a change.
+    changed = (int.from_bytes(twin, "little") ^ int.from_bytes(current, "little")).to_bytes(
+        len(current), "little"
+    )
+    run_starts = changed.translate(_CHANGED_TO_ZERO)
     deltas: List[Delta] = []
-    run_start = -1
-    for index, (old, new) in enumerate(zip(twin, current)):
-        if old != new:
-            if run_start < 0:
-                run_start = index
-        elif run_start >= 0:
-            deltas.append(Delta(run_start, bytes(current[run_start:index])))
-            run_start = -1
-    if run_start >= 0:
-        deltas.append(Delta(run_start, bytes(current[run_start:])))
+    start = run_starts.find(0)
+    while start >= 0:
+        end = changed.find(0, start)
+        if end < 0:
+            end = len(changed)
+        deltas.append(Delta(start, bytes(current[start:end])))
+        start = run_starts.find(0, end)
     return PageDiff(page=page, deltas=deltas)
 
 

@@ -1,2 +1,3 @@
-"""Shared test fixtures: fault injection (:mod:`helpers.faults`) and
-cluster builders (:mod:`helpers.clusters`)."""
+"""Shared test fixtures: fault injection (:mod:`helpers.faults`), cluster
+builders (:mod:`helpers.clusters`) and random recorded executions
+(:mod:`helpers.executions`)."""

@@ -16,12 +16,9 @@ requires, and a valid ``manual`` table too.
 from __future__ import annotations
 
 import os
-import random
 import shutil
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.algorithm import ProvenanceTracker
-from repro.core.dependencies import derive_data_edges
 from repro.store import (
     ClusterManifest,
     Endpoint,
@@ -32,43 +29,7 @@ from repro.store import (
     StoreServer,
 )
 
-
-def random_cpg(seed: int):
-    """Record a random 3-thread mostly-lock-ordered execution.
-
-    Same generator as the store round-trip property suite: sync, control,
-    and data edges all appear, pages are drawn from 0..7, and pages 0 and
-    1 are registered inputs.
-    """
-    rng = random.Random(seed)
-    tracker = ProvenanceTracker()
-    tracker.register_input_pages({0, 1})
-    threads = [1, 2, 3]
-    lock = 99
-    holder = None
-    for tid in threads:
-        tracker.on_thread_start(tid)
-    for _ in range(rng.randint(5, 40)):
-        tid = rng.choice(threads)
-        if rng.random() < 0.2:
-            tracker.on_memory_access(tid, rng.randint(0, 7), is_write=bool(rng.getrandbits(1)))
-            continue
-        if holder is None:
-            tracker.on_sync_boundary(tid, "mutex_lock")
-            tracker.on_acquire(tid, lock)
-            tracker.begin_next(tid)
-            tracker.on_memory_access(tid, rng.randint(0, 7), is_write=bool(rng.getrandbits(1)))
-            holder = tid
-        elif holder == tid:
-            tracker.on_sync_boundary(tid, "mutex_unlock")
-            tracker.on_release(tid, lock)
-            tracker.begin_next(tid)
-            holder = None
-    for tid in threads:
-        tracker.on_thread_end(tid)
-    cpg = tracker.finalize()
-    derive_data_edges(cpg)
-    return cpg
+from helpers.executions import random_cpg
 
 
 def build_multirun_store(

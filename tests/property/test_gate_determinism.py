@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.store import ProvenanceStore, bless_baseline, check_against_baseline, drift_report
 
-from tests.property.test_store_roundtrip import random_cpg
+from helpers.executions import random_cpg
 
 
 def store_with_runs(seeds, segment_nodes=3):

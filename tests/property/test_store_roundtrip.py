@@ -9,15 +9,12 @@ query functions return on the same graph.
 """
 
 import os
-import random
 import tempfile
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.algorithm import ProvenanceTracker
 from repro.core.cpg import EdgeKind
-from repro.core.dependencies import derive_data_edges
 from repro.core.queries import (
     DEFAULT_SLICE_KINDS,
     backward_slice,
@@ -27,39 +24,7 @@ from repro.core.queries import (
 )
 from repro.store import ProvenanceStore, StoreQueryEngine
 
-
-def random_cpg(seed: int):
-    """Record a random 3-thread mostly-lock-ordered execution."""
-    rng = random.Random(seed)
-    tracker = ProvenanceTracker()
-    tracker.register_input_pages({0, 1})
-    threads = [1, 2, 3]
-    lock = 99
-    holder = None
-    for tid in threads:
-        tracker.on_thread_start(tid)
-    for _ in range(rng.randint(5, 40)):
-        tid = rng.choice(threads)
-        if rng.random() < 0.2:
-            # Unsynchronized access: may race, exercises concurrency paths.
-            tracker.on_memory_access(tid, rng.randint(0, 7), is_write=bool(rng.getrandbits(1)))
-            continue
-        if holder is None:
-            tracker.on_sync_boundary(tid, "mutex_lock")
-            tracker.on_acquire(tid, lock)
-            tracker.begin_next(tid)
-            tracker.on_memory_access(tid, rng.randint(0, 7), is_write=bool(rng.getrandbits(1)))
-            holder = tid
-        elif holder == tid:
-            tracker.on_sync_boundary(tid, "mutex_unlock")
-            tracker.on_release(tid, lock)
-            tracker.begin_next(tid)
-            holder = None
-    for tid in threads:
-        tracker.on_thread_end(tid)
-    cpg = tracker.finalize()
-    derive_data_edges(cpg)
-    return cpg
+from helpers.executions import random_cpg
 
 
 def canonical_edges(cpg):

@@ -18,9 +18,9 @@ from helpers.clusters import (
     build_multirun_store,
     hash_partition,
     manual_manifest,
-    random_cpg,
     split_store,
 )
+from helpers.executions import random_cpg
 from helpers.faults import ChaosProxy, crashable_server
 
 from repro.errors import StoreError, StoreUnreachableError

@@ -18,7 +18,8 @@ import zlib
 
 import pytest
 
-from helpers.clusters import build_multirun_store, random_cpg
+from helpers.clusters import build_multirun_store
+from helpers.executions import random_cpg
 from helpers.faults import ChaosProxy, delete_file, flip_bytes, truncate_file
 
 from repro.errors import CorruptSegmentError, StoreError, StoreReadOnlyError
