@@ -9,10 +9,10 @@ Two wire formats exist:
 
 * **v1** is the original whole-graph JSON document: edge endpoints are
   ``[tid, index]`` lists.
-* **v2** is the format the persistent store (:mod:`repro.store`) writes:
-  edge endpoints are compact ``"tid:index"`` keys and the document may
-  carry a ``meta`` object (segment metadata).  Node payloads are identical
-  in both versions.
+* **v2** is the compact form (the persistent store's compaction spills
+  edges in it): edge endpoints are ``"tid:index"`` keys and the document
+  may carry a ``meta`` object.  Node payloads are identical in both
+  versions.
 
 :func:`cpg_from_dict` accepts either version and raises
 :class:`~repro.errors.ProvenanceError` (never ``KeyError``) for unknown

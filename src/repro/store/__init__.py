@@ -9,10 +9,9 @@ happened in this run", "what happened in every run", and "what changed
 between these two runs".  It provides:
 
 * :class:`~repro.store.store.ProvenanceStore` -- an append-only, segmented
-  on-disk format (format 6) whose segment payloads go through a pluggable
-  codec (:mod:`repro.store.codecs`; zlib-compressed columnar binary by
-  default, uncompressed binary and JSON for back-compat), with per-run
-  page/thread/sync secondary indexes flushed as
+  on-disk format (format 7) whose segments are checksummed, zlib-compressed
+  columnar frames (:mod:`repro.store.segment`, :mod:`repro.store.codecs`),
+  with per-run page/thread/sync secondary indexes flushed as
   append-only delta files and every flush committed as one O(epoch)
   record appended to the segment log (:mod:`repro.store.log`; the
   manifest is a periodic checkpoint replayed over on open), plus
@@ -79,16 +78,11 @@ from repro.store.cluster import (
     ShardDownError,
     StoreCluster,
 )
-from repro.store.codecs import CODECS, DEFAULT_CODEC, SegmentCodec
 from repro.store.format import (
     DEFAULT_CHECKPOINT_INTERVAL,
     DEFAULT_SEGMENT_NODES,
     SEGMENT_LOG_NAME,
     STORE_FORMAT_VERSION,
-    STORE_FORMAT_VERSION_V2,
-    STORE_FORMAT_VERSION_V3,
-    STORE_FORMAT_VERSION_V4,
-    STORE_FORMAT_VERSION_V5,
     RunInfo,
     SegmentInfo,
     StoreManifest,
@@ -111,17 +105,11 @@ from repro.store.sink import RemoteStoreSink, StoreSink
 from repro.store.store import MaintenanceStats, ProvenanceStore, StoreReadStats
 
 __all__ = [
-    "CODECS",
     "DEFAULT_CACHE_BYTES",
     "DEFAULT_CHECKPOINT_INTERVAL",
-    "DEFAULT_CODEC",
     "DEFAULT_SEGMENT_NODES",
     "SEGMENT_LOG_NAME",
     "STORE_FORMAT_VERSION",
-    "STORE_FORMAT_VERSION_V2",
-    "STORE_FORMAT_VERSION_V3",
-    "STORE_FORMAT_VERSION_V4",
-    "STORE_FORMAT_VERSION_V5",
     "PAGE_HASH_BUCKETS",
     "Autopilot",
     "AutopilotDaemon",
@@ -141,7 +129,6 @@ __all__ = [
     "PinnerStats",
     "ReadScope",
     "SegmentCache",
-    "SegmentCodec",
     "SegmentLog",
     "MaintenanceStats",
     "ProvenanceBaseline",

@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.store ingest <store> <cpg.json> [--segment-nodes N] \\
-        [--workload NAME] [--codec binary-z|binary|json] [--compress-level 1-9]
+        [--workload NAME]
     python -m repro.store info <store> [--stats] [--json]
     python -m repro.store runs <store> [--json]
     python -m repro.store slice <store> (--node TID:IDX | --pages 1,2) \\
@@ -12,8 +12,7 @@ Usage::
         [--parallelism N] [--json]
     python -m repro.store taint <store> --pages 1,2 \\
         [--run R] [--through-thread-state] [--parallelism N] [--json]
-    python -m repro.store compact <store> [--run R] [--segment-nodes N] \\
-        [--codec binary-z|binary|json] [--compress-level 1-9] [--json]
+    python -m repro.store compact <store> [--run R] [--segment-nodes N] [--json]
     python -m repro.store gc <store> (--keep-last N | --runs 1,2) [--json]
     python -m repro.store bless <store> [--run R] [--pages 1,2]... \\
         [--name NAME] [--no-racy] [--json]
@@ -44,11 +43,10 @@ older spelling ``slice --pages``) answers the debugging case study's "why
 is this page in that state" as the lineage of the pages.  A store holds
 many runs: ``runs`` lists them, ``--run`` scopes a query to one (optional
 while the store holds exactly one run), ``compact`` merges a run's small
-segments (transcoding them to ``--codec``, by default the store's
-compressed columnar default), and ``gc`` drops superseded runs and
-reclaims their disk space.  ``fsck`` is the structural integrity check
-(manifest/log/files agreement plus orphan detection; ``--repair`` removes
-the orphans) and ``scrub`` re-reads and re-checksums every store file,
+segments, and ``gc`` drops superseded runs and reclaims their disk
+space.  ``fsck`` is the structural integrity check (manifest/log/files
+agreement plus orphan detection; ``--repair`` removes the orphans) and
+``scrub`` re-reads and re-checksums every store file,
 quarantining damaged segments (:mod:`repro.store.integrity`); both print
 machine-readable reports with ``--json`` and exit non-zero on damage.
 ``bless`` snapshots a run's lineage/taint/racy-pair fingerprints as a
@@ -58,9 +56,8 @@ drift (:mod:`repro.store.gate`) -- the CI shape.  ``autopilot`` runs the
 declarative maintenance daemon (:mod:`repro.store.autopilot`): it plans
 and executes ``compact``/``gc``/``scrub`` from size, age, fragmentation,
 and quarantine thresholds, ``--once``/``--dry-run`` for auditing; the
-same policy rides along inside a server via ``serve --maintenance``.  ``--compress-level`` tunes the zlib level of
-the ``binary-z`` codec; ``info`` breaks the stored-vs-raw bytes down per
-codec.  Every query prints how many segments it read out of how many the
+same policy rides along inside a server via ``serve --maintenance``.
+Every query prints how many segments it read out of how many the
 store holds, making the out-of-core behaviour visible; ``--parallelism``
 fans multi-segment scans out over the store's shared decode pools.
 ``serve`` keeps one warm
@@ -81,7 +78,7 @@ into degraded reads that skip dead shards and report them).  ``cluster
 repair`` runs anti-entropy: each shard's local replicas are diffed
 against the primary's per-file checksum table and exactly the missing or
 damaged files are streamed over and installed atomically.  ``info --stats`` reports the read-path cache
-configuration, and plain ``info`` includes the v5 segment-log state (log
+configuration, and plain ``info`` includes the segment-log state (log
 records and bytes, last checkpoint sequence, uncheckpointed records).
 """
 
@@ -101,7 +98,6 @@ from repro.errors import InspectorError
 from repro.store.autopilot import Autopilot, AutopilotDaemon, AutopilotPolicy
 from repro.store.cache import DEFAULT_CACHE_BYTES
 from repro.store.cluster import ClusterService, StoreCluster
-from repro.store.codecs import CODECS, DEFAULT_CODEC
 from repro.store.gate import bless_baseline, check_against_baseline
 from repro.store.integrity import scrub, verify_store
 from repro.store.query import StoreQueryEngine
@@ -126,33 +122,6 @@ def _add_parallelism(parser: argparse.ArgumentParser) -> None:
         default=1,
         help="worker threads for multi-segment scans (default: 1, sequential)",
     )
-
-
-def _compress_level(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from exc
-    if not 1 <= value <= 9:
-        raise argparse.ArgumentTypeError(f"compress level must be 1-9, got {value}")
-    return value
-
-
-def _add_compress_level(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--compress-level",
-        type=_compress_level,
-        default=None,
-        help="zlib level for the binary-z codec (1-9; default: 6)",
-    )
-
-
-def _apply_compress_level(level: Optional[int]) -> None:
-    """Point the compressing codec at ``level`` for this process."""
-    if level is None:
-        return
-    codec = CODECS["binary-z"]
-    codec.compress_level = level
 
 
 def _parse_pages(text: str) -> List[int]:
@@ -202,13 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--segment-nodes", type=int, default=None, help="sub-computations per segment"
     )
     ingest.add_argument("--workload", default="", help="workload name recorded for the run")
-    ingest.add_argument(
-        "--codec",
-        choices=sorted(CODECS),
-        default=None,
-        help=f"segment payload codec (default: {DEFAULT_CODEC})",
-    )
-    _add_compress_level(ingest)
 
     info = commands.add_parser("info", help="print the store summary")
     info.add_argument("store", help="store directory")
@@ -273,13 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     compact.add_argument(
         "--segment-nodes", type=int, default=None, help="sub-computations per rewritten segment"
     )
-    compact.add_argument(
-        "--codec",
-        choices=sorted(CODECS),
-        default=None,
-        help=f"transcode rewritten segments to this codec (default: {DEFAULT_CODEC})",
-    )
-    _add_compress_level(compact)
     compact.add_argument("--json", action="store_true", help="machine-readable output")
 
     gc = commands.add_parser("gc", help="drop superseded runs and reclaim disk space")
@@ -530,13 +485,10 @@ def _print_read_footer(engine: StoreQueryEngine) -> None:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
-    _apply_compress_level(args.compress_level)
     store = ProvenanceStore.open_or_create(args.store)
     kwargs = {}
     if args.segment_nodes is not None:
         kwargs["segment_nodes"] = args.segment_nodes
-    if args.codec is not None:
-        kwargs["codec"] = args.codec
     segments = store.ingest_json_file(args.cpg, workload=args.workload, **kwargs)
     run_id = store.manifest.runs[-1].run_id
     print(
@@ -595,14 +547,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
         f"  segment bytes:    {summary['stored_bytes']} on disk "
         f"({summary['raw_bytes']} raw, {summary['compression_ratio']}x)"
     )
-    codecs = " ".join(f"{name}={count}" for name, count in sorted(summary["codecs"].items()))
-    print(f"  segment codecs:   {codecs or 'none'}")
-    for name, per in sorted(summary["codec_bytes"].items()):
-        ratio = per["raw_bytes"] / per["stored_bytes"] if per["stored_bytes"] else 1.0
-        print(
-            f"    {name}: {per['segments']} segment(s), "
-            f"{per['stored_bytes']} stored / {per['raw_bytes']} raw ({ratio:.2f}x)"
-        )
     print(
         f"  index deltas:     {summary['index_delta_files']} pending file(s), "
         f"{summary['index_delta_bytes']} byte(s)"
@@ -614,13 +558,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
         f"{log['uncheckpointed_records']} uncheckpointed)"
     )
     for run in summary["runs"]:
-        run_codecs = " ".join(
-            f"{name}={count}" for name, count in sorted(run["codecs"].items())
-        )
         print(
             f"  run {run['id']:4d}:         {run['workload'] or '?'} "
             f"[{run['status']}] {run['nodes']} node(s), {run['segments']} segment(s) "
-            f"({run_codecs or 'no segments'}; index base gen {run['index_base_gen']}, "
+            f"(index base gen {run['index_base_gen']}, "
             f"{run['index_delta_files']} delta(s), {run['index_delta_bytes']} byte(s) pending)"
         )
     if args.stats:
@@ -723,13 +664,10 @@ def _cmd_taint(args: argparse.Namespace) -> int:
 
 
 def _cmd_compact(args: argparse.Namespace) -> int:
-    _apply_compress_level(args.compress_level)
     store = ProvenanceStore.open(args.store)
     kwargs = {}
     if args.segment_nodes is not None:
         kwargs["segment_nodes"] = args.segment_nodes
-    if args.codec is not None:
-        store.default_codec = args.codec  # compaction re-encodes with this
     stats = store.compact(run=args.run, **kwargs)
     if args.json:
         print(json.dumps(stats.to_dict(), sort_keys=True))
@@ -904,8 +842,7 @@ def _cmd_scrub(args: argparse.Namespace) -> int:
         f"({report['mb_per_s']} MB/s)"
     )
     print(
-        f"  segments:    {segments['verified']} verified, "
-        f"{segments['unverified']} unverified, {segments['damaged']} damaged"
+        f"  segments:    {segments['verified']} verified, {segments['damaged']} damaged"
     )
     print(
         f"  index files: {index_files['verified']} verified, "

@@ -3,8 +3,8 @@
 Every store query pays the same two costs before it can answer: decoding
 segment files into :class:`~repro.store.segment.SegmentPayload` objects,
 and merging a run's index base + delta generations into a
-:class:`~repro.store.indexes.StoreIndexes`.  The write path (format 4)
-made both cheap to *produce*; this module makes them cheap to *reuse*, the
+:class:`~repro.store.indexes.StoreIndexes`.  The write path makes both
+cheap to *produce*; this module makes them cheap to *reuse*, the
 same way LSM stores reuse work through block caches and pinned
 filter/index blocks:
 

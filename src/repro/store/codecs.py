@@ -1,40 +1,15 @@
-"""Segment payload codecs: how a batch of nodes+edges becomes bytes.
+"""The segment payload: how a batch of nodes+edges becomes bytes.
 
-Store format 4 makes the payload encoding pluggable: every sealed segment
-records which :class:`SegmentCodec` produced it (in its frame byte *and*
-in the manifest), so one store can hold segments in different encodings
-and still decode each one correctly -- the upgrade path that lets v2/v3
-stores keep their JSON segments while new writes use the binary codec.
-
-Three codecs exist:
-
-* :class:`JsonSegmentCodec` (``"json"``) -- the v2/v3 payload: the v2 CPG
-  serialization as JSON, lz-compressed inside the frame.  Readable and
-  diffable, but decoding pays for lz decompression, JSON parsing, and
-  dict-keyed field access on every node.
-* :class:`BinarySegmentCodec` (``"binary"``, the v4 default) -- columnar
-  struct-packed records: every integer column (thread ids, clocks, page
-  sets, branch sites, edge endpoints) is one ``array('q')`` blob decoded
-  with a single C call, and the few strings (sync operation names,
-  ``started_by``/``ended_by``) go through an interned string table.
-  Variable-length columns (clock entries, page sets, thunks, data-edge
-  page lists) are length-prefixed per record.  The payload is *not*
-  compressed: the store's lz codec is pure Python, and for this layout
-  skipping it is both smaller on the encode path and much faster to
-  decode -- the benchmark (``benchmarks/bench_store_queries.py``) keeps
-  the decode-speed claim honest.
-* :class:`ZlibBinarySegmentCodec` (``"binary-z"``, the v6 default) -- the
-  same columnar payload with the plane block ``zlib``-compressed inside
-  the frame.  The 8-byte integer columns are mostly small magnitudes, so
-  DEFLATE wins the disk back from the uncompressed binary layout (below
-  lz+JSON's footprint), and unlike the pure-Python lz codec ``zlib``
-  releases the GIL and decompresses in C -- decode stays within a few
-  milliseconds of the raw binary codec and parallel multi-segment sweeps
-  can actually overlap.
-
-Frame-level compression is a codec property (:meth:`SegmentCodec.compress_frame`
-/ :meth:`SegmentCodec.decompress_frame`), so the framing layer in
-:mod:`repro.store.segment` never special-cases a codec.
+Every segment stores its sub-computations and edges as one **columnar**
+payload (:func:`encode_payload` / :func:`decode_payload`): every integer
+column (thread ids, clocks, page sets, branch sites, edge endpoints) is
+one ``array('q')`` blob decoded with a single C call, and the few strings
+(sync operation names, ``started_by``/``ended_by``) go through an
+interned string table.  Variable-length columns (clock entries, page
+sets, thunks, data-edge page lists) are length-prefixed per record.  The
+framing layer (:mod:`repro.store.segment`) zlib-compresses the payload
+inside a checksummed frame; the 8-byte integer columns are mostly small
+magnitudes, so DEFLATE shrinks them well and decompresses in C.
 
 The module also provides the little-endian varint helpers the index
 delta/base files (:mod:`repro.store.indexes`) share; those files are tiny,
@@ -43,21 +18,12 @@ so compactness wins over bulk decode speed there.
 
 from __future__ import annotations
 
-import json
 import struct
 import sys
-import zlib
 from array import array
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.cpg import EdgeKind
-from repro.core.serialization import (
-    FORMAT_VERSION_V2,
-    edge_from_dict,
-    edge_to_dict,
-    subcomputation_from_dict,
-    subcomputation_to_dict,
-)
 from repro.core.thunk import BranchRecord, NodeId, SubComputation, Thunk
 from repro.core.vector_clock import VectorClock
 from repro.errors import StoreError
@@ -176,7 +142,7 @@ def deref(strings: Sequence[str], ref: int):
 
 
 # ---------------------------------------------------------------------- #
-# Bulk int columns (the binary codec's workhorse)
+# Bulk int columns (the payload's workhorse)
 # ---------------------------------------------------------------------- #
 
 _NEEDS_SWAP = sys.byteorder != "little"
@@ -212,106 +178,15 @@ def _unpack_u32(data: memoryview, pos: int) -> Tuple[int, int]:
 
 
 # ---------------------------------------------------------------------- #
-# The codec interface
+# The columnar payload
 # ---------------------------------------------------------------------- #
 
-
-class SegmentCodec:
-    """Encode/decode one segment payload (the bytes inside the frame).
-
-    Attributes:
-        name: Codec name recorded in the manifest's segment table.
-        frame_byte: Byte following the ``ISEG`` magic in the segment file;
-            identifies the codec without consulting the manifest.
-        framed_lz: Whether the frame stores the payload lz-compressed
-            (the legacy JSON framing) or raw.  Kept for introspection;
-            the framing layer goes through :meth:`compress_frame` /
-            :meth:`decompress_frame` instead of consulting this flag.
-    """
-
-    name: str = ""
-    frame_byte: int = 0
-    framed_lz: bool = False
-
-    def encode_payload(
-        self, nodes: Sequence[SubComputation], edges: Sequence[EdgeTuple]
-    ) -> bytes:
-        raise NotImplementedError
-
-    def decode_payload(self, raw: bytes) -> Tuple[List[SubComputation], List[EdgeTuple]]:
-        raise NotImplementedError
-
-    def compress_frame(self, raw: bytes) -> bytes:
-        """Bytes stored inside the frame for the ``raw`` encoded payload.
-
-        The base codec stores the payload verbatim; compressing codecs
-        override this (and :meth:`decompress_frame`) as a pair.
-        """
-        return raw
-
-    def decompress_frame(self, body: bytes) -> bytes:
-        """Invert :meth:`compress_frame`.
-
-        Raises:
-            StoreError: If the stored body is corrupt.
-        """
-        return body
-
-
-class JsonSegmentCodec(SegmentCodec):
-    """The v2/v3 payload: the v2 CPG serialization as sorted-key JSON."""
-
-    name = "json"
-    frame_byte = 0x02  # the historical "ISEG\x02" frame
-    framed_lz = True
-
-    def compress_frame(self, raw: bytes) -> bytes:
-        from repro.compression.lz import compress
-
-        return compress(raw)
-
-    def decompress_frame(self, body: bytes) -> bytes:
-        from repro.compression.lz import decompress
-
-        try:
-            return decompress(body)
-        except ValueError as exc:
-            raise StoreError(f"corrupt segment payload: {exc}") from exc
-
-    def encode_payload(
-        self, nodes: Sequence[SubComputation], edges: Sequence[EdgeTuple]
-    ) -> bytes:
-        document = {
-            "format_version": FORMAT_VERSION_V2,
-            "kind": "cpg-segment",
-            "nodes": [subcomputation_to_dict(node) for node in nodes],
-            "edges": [
-                edge_to_dict(source, target, {"kind": kind, **attrs}, version=FORMAT_VERSION_V2)
-                for source, target, kind, attrs in edges
-            ],
-        }
-        return json.dumps(document, sort_keys=True).encode("utf-8")
-
-    def decode_payload(self, raw: bytes) -> Tuple[List[SubComputation], List[EdgeTuple]]:
-        try:
-            document = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise StoreError(f"segment payload is not valid JSON: {exc}") from exc
-        if document.get("format_version") != FORMAT_VERSION_V2:
-            raise StoreError(
-                f"unsupported segment format version {document.get('format_version')!r}"
-            )
-        nodes = [subcomputation_from_dict(entry) for entry in document.get("nodes", ())]
-        edges = [edge_from_dict(entry) for entry in document.get("edges", ())]
-        return nodes, edges
-
-
-#: Version byte heading the binary payload (bump on layout changes).
+#: Version byte heading the payload (bump on layout changes).
 _BINARY_PAYLOAD_VERSION = 1
 
 
-class BinarySegmentCodec(SegmentCodec):
-    """Columnar struct-packed payload (the store format 4 default).
+def encode_payload(nodes: Sequence[SubComputation], edges: Sequence[EdgeTuple]) -> bytes:
+    """Encode one segment's nodes and edges as the columnar payload.
 
     Layout (all integer columns are little-endian 8-byte signed arrays)::
 
@@ -334,333 +209,242 @@ class BinarySegmentCodec(SegmentCodec):
         per data edge (in edge order):  q page count     | q[...] pages, sorted
 
     Branch flags: bit 0 = thunk has a start branch, bit 1 = taken,
-    bit 2 = indirect.  Sync object ids must be integers (or None); the
-    JSON codec remains available for exotic payloads.
-    """
-
-    name = "binary"
-    frame_byte = 0x03
-    framed_lz = False
-
-    def encode_payload(
-        self, nodes: Sequence[SubComputation], edges: Sequence[EdgeTuple]
-    ) -> bytes:
-        interner = StringInterner()
-        started = [interner.ref(node.started_by) for node in nodes]
-        ended = [interner.ref(node.ended_by) for node in nodes]
-
-        clock_sizes: List[int] = []
-        clock_pairs: List[int] = []
-        read_sizes: List[int] = []
-        read_pages: List[int] = []
-        write_sizes: List[int] = []
-        write_pages: List[int] = []
-        thunk_counts: List[int] = []
-        thunk_indexes: List[int] = []
-        thunk_instructions: List[int] = []
-        thunk_flags = bytearray()
-        thunk_sites: List[int] = []
-        for node in nodes:
-            clock = sorted(node.clock.as_dict().items())
-            clock_sizes.append(len(clock))
-            for tid, value in clock:
-                clock_pairs.append(int(tid))
-                clock_pairs.append(int(value))
-            reads = sorted(node.read_set)
-            read_sizes.append(len(reads))
-            read_pages.extend(int(page) for page in reads)
-            writes = sorted(node.write_set)
-            write_sizes.append(len(writes))
-            write_pages.extend(int(page) for page in writes)
-            thunk_counts.append(len(node.thunks))
-            for thunk in node.thunks:
-                thunk_indexes.append(int(thunk.index))
-                thunk_instructions.append(int(thunk.instructions))
-                branch = thunk.start_branch
-                if branch is None:
-                    thunk_flags.append(0)
-                    thunk_sites.append(0)
-                else:
-                    thunk_flags.append(
-                        1 | (2 if branch.taken else 0) | (4 if branch.is_indirect else 0)
-                    )
-                    thunk_sites.append(int(branch.site))
-
-        endpoint_pairs: List[int] = []
-        target_pairs: List[int] = []
-        kind_codes = bytearray()
-        sync_block = bytearray()
-        data_sizes: List[int] = []
-        data_pages: List[int] = []
-        for source, target, kind, attrs in edges:
-            try:
-                kind_codes.append(KIND_TO_CODE[kind])
-            except KeyError as exc:
-                raise StoreError(f"unknown edge kind {kind!r}") from exc
-            endpoint_pairs.extend((int(source[0]), int(source[1])))
-            target_pairs.extend((int(target[0]), int(target[1])))
-            if kind is EdgeKind.SYNC:
-                object_id = attrs.get("object_id")
-                if object_id is None:
-                    sync_block += b"\x00" + _pack_q((0,))
-                elif isinstance(object_id, int) and not isinstance(object_id, bool):
-                    sync_block += b"\x01" + _pack_q((object_id,))
-                else:
-                    raise StoreError(
-                        f"binary codec requires integer sync object ids, got {object_id!r} "
-                        f"(use the json codec for this payload)"
-                    )
-                sync_block += _pack_q((interner.ref(attrs.get("operation", "")),))
-            elif kind is EdgeKind.DATA:
-                pages = sorted(attrs.get("pages", ()))
-                data_sizes.append(len(pages))
-                data_pages.extend(int(page) for page in pages)
-
-        out = bytearray()
-        out.append(_BINARY_PAYLOAD_VERSION)
-        write_string_table(out, interner.strings)
-        out += _pack_u32(len(nodes))
-        out += _pack_q(node.tid for node in nodes)
-        out += _pack_q(node.index for node in nodes)
-        out += _pack_q(node.faults for node in nodes)
-        out += _pack_q(started)
-        out += _pack_q(ended)
-        out += _pack_q(clock_sizes)
-        out += _pack_q(clock_pairs)
-        out += _pack_q(read_sizes)
-        out += _pack_q(read_pages)
-        out += _pack_q(write_sizes)
-        out += _pack_q(write_pages)
-        out += _pack_q(thunk_counts)
-        out += _pack_q(thunk_indexes)
-        out += _pack_q(thunk_instructions)
-        out += bytes(thunk_flags)
-        out += _pack_q(thunk_sites)
-        out += _pack_u32(len(edges))
-        out += _pack_q(endpoint_pairs)
-        out += _pack_q(target_pairs)
-        out += bytes(kind_codes)
-        out += bytes(sync_block)
-        out += _pack_q(data_sizes)
-        out += _pack_q(data_pages)
-        return bytes(out)
-
-    def decode_payload(self, raw: bytes) -> Tuple[List[SubComputation], List[EdgeTuple]]:
-        data = memoryview(raw)
-        if len(data) < 1:
-            raise StoreError("empty binary segment payload")
-        if data[0] != _BINARY_PAYLOAD_VERSION:
-            raise StoreError(f"unsupported binary segment payload version {data[0]}")
-        strings, pos = read_string_table(data, 1)
-
-        node_count, pos = _unpack_u32(data, pos)
-        tids, pos = _unpack_q(data, pos, node_count)
-        indexes, pos = _unpack_q(data, pos, node_count)
-        faults, pos = _unpack_q(data, pos, node_count)
-        started, pos = _unpack_q(data, pos, node_count)
-        ended, pos = _unpack_q(data, pos, node_count)
-        clock_sizes, pos = _unpack_q(data, pos, node_count)
-        clock_pairs, pos = _unpack_q(data, pos, 2 * sum(clock_sizes))
-        read_sizes, pos = _unpack_q(data, pos, node_count)
-        read_pages, pos = _unpack_q(data, pos, sum(read_sizes))
-        write_sizes, pos = _unpack_q(data, pos, node_count)
-        write_pages, pos = _unpack_q(data, pos, sum(write_sizes))
-        thunk_counts, pos = _unpack_q(data, pos, node_count)
-        thunk_total = sum(thunk_counts)
-        thunk_indexes, pos = _unpack_q(data, pos, thunk_total)
-        thunk_instructions, pos = _unpack_q(data, pos, thunk_total)
-        if pos + thunk_total > len(data):
-            raise StoreError("truncated branch flags (corrupt binary segment)")
-        thunk_flags = bytes(data[pos : pos + thunk_total])
-        pos += thunk_total
-        thunk_sites, pos = _unpack_q(data, pos, thunk_total)
-
-        nodes: List[SubComputation] = []
-        clock_at = read_at = write_at = thunk_at = 0
-        for position in range(node_count):
-            size = clock_sizes[position]
-            clock = {
-                clock_pairs[2 * (clock_at + entry)]: clock_pairs[2 * (clock_at + entry) + 1]
-                for entry in range(size)
-            }
-            clock_at += size
-            node = SubComputation(
-                tid=tids[position],
-                index=indexes[position],
-                clock=VectorClock(clock),
-                started_by=deref(strings, started[position]),
-                ended_by=deref(strings, ended[position]),
-                faults=faults[position],
-            )
-            size = read_sizes[position]
-            node.read_set.update(read_pages[read_at : read_at + size])
-            read_at += size
-            size = write_sizes[position]
-            node.write_set.update(write_pages[write_at : write_at + size])
-            write_at += size
-            for entry in range(thunk_counts[position]):
-                flags = thunk_flags[thunk_at + entry]
-                branch = (
-                    BranchRecord(
-                        site=thunk_sites[thunk_at + entry],
-                        taken=bool(flags & 2),
-                        is_indirect=bool(flags & 4),
-                    )
-                    if flags & 1
-                    else None
-                )
-                node.thunks.append(
-                    Thunk(
-                        index=thunk_indexes[thunk_at + entry],
-                        start_branch=branch,
-                        instructions=thunk_instructions[thunk_at + entry],
-                    )
-                )
-            thunk_at += thunk_counts[position]
-            nodes.append(node)
-
-        edge_count, pos = _unpack_u32(data, pos)
-        sources, pos = _unpack_q(data, pos, 2 * edge_count)
-        targets, pos = _unpack_q(data, pos, 2 * edge_count)
-        if pos + edge_count > len(data):
-            raise StoreError("truncated edge kinds (corrupt binary segment)")
-        kind_codes = bytes(data[pos : pos + edge_count])
-        pos += edge_count
-        sync_fields: List[Tuple[object, str]] = []
-        for code in kind_codes:
-            if code == KIND_TO_CODE[EdgeKind.SYNC]:
-                if pos + 17 > len(data):
-                    raise StoreError("truncated sync edge block (corrupt binary segment)")
-                has_object = data[pos]
-                object_column, next_pos = _unpack_q(data, pos + 1, 1)
-                ref_column, next_pos = _unpack_q(data, next_pos, 1)
-                operation = deref(strings, ref_column[0])
-                sync_fields.append(
-                    (object_column[0] if has_object else None, operation if operation is not None else "")
-                )
-                pos = next_pos
-        data_count = sum(1 for code in kind_codes if code == KIND_TO_CODE[EdgeKind.DATA])
-        data_sizes, pos = _unpack_q(data, pos, data_count)
-        data_pages, pos = _unpack_q(data, pos, sum(data_sizes))
-
-        edges: List[EdgeTuple] = []
-        sync_at = data_at = page_at = 0
-        for position, code in enumerate(kind_codes):
-            try:
-                kind = CODE_TO_KIND[code]
-            except KeyError as exc:
-                raise StoreError(f"unknown edge kind code {code}") from exc
-            source = (sources[2 * position], sources[2 * position + 1])
-            target = (targets[2 * position], targets[2 * position + 1])
-            attrs: dict = {}
-            if kind is EdgeKind.SYNC:
-                object_id, operation = sync_fields[sync_at]
-                sync_at += 1
-                attrs = {"object_id": object_id, "operation": operation}
-            elif kind is EdgeKind.DATA:
-                size = data_sizes[data_at]
-                data_at += 1
-                attrs = {"pages": frozenset(data_pages[page_at : page_at + size])}
-                page_at += size
-            edges.append((source, target, kind, attrs))
-        return nodes, edges
-
-
-class ZlibBinarySegmentCodec(BinarySegmentCodec):
-    """The columnar payload with its plane block zlib-compressed (v6 default).
-
-    The payload layout is byte-for-byte :class:`BinarySegmentCodec`'s; only
-    the frame body differs: the whole columnar plane block goes through one
-    ``zlib.compress`` call.  DEFLATE over the mostly-small-magnitude 8-byte
-    columns wins back the disk the uncompressed binary layout gave up
-    (below the lz+JSON footprint on the bench workload), and the single C
-    call releases the GIL -- so multi-segment sweeps can overlap decodes
-    across threads, which the pure-Python lz codec never could.
-
-    Attributes:
-        compress_level: zlib level used for new frames (1-9; default 6).
-            Mutable so the CLI's ``--compress-level`` can trade encode
-            time for disk without a new codec registration; decoding is
-            level-agnostic.
-    """
-
-    name = "binary-z"
-    frame_byte = 0x04
-    framed_lz = False
-
-    def __init__(self, compress_level: int = 6) -> None:
-        self.compress_level = compress_level
-
-    def compress_frame(self, raw: bytes) -> bytes:
-        return zlib.compress(raw, self.compress_level)
-
-    def decompress_frame(self, body: bytes) -> bytes:
-        try:
-            return zlib.decompress(body)
-        except zlib.error as exc:
-            raise StoreError(f"corrupt compressed segment payload: {exc}") from exc
-
-
-#: The codecs this build can read and write, by name.
-CODECS: Dict[str, SegmentCodec] = {
-    codec.name: codec
-    for codec in (JsonSegmentCodec(), BinarySegmentCodec(), ZlibBinarySegmentCodec())
-}
-
-#: What new segments are encoded with unless the caller overrides it.
-DEFAULT_CODEC = ZlibBinarySegmentCodec.name
-
-_BY_FRAME_BYTE = {codec.frame_byte: codec for codec in CODECS.values()}
-
-#: High bit of the frame byte: the frame carries a CRC32 of the codec body
-#: between the raw-length field and the body (verified on decode).  Frames
-#: without the flag -- everything written before the integrity layer --
-#: stay readable and are reported as ``unverified`` by fsck/scrub.
-CRC_FRAME_FLAG = 0x80
-
-
-def codec_by_name(name: str) -> SegmentCodec:
-    """The codec registered as ``name``.
+    bit 2 = indirect.
 
     Raises:
-        StoreError: For a codec this build does not know.
+        StoreError: For an unknown edge kind or a sync object id that is
+            not an integer (or None).
     """
-    try:
-        return CODECS[name]
-    except KeyError as exc:
-        known = ", ".join(sorted(CODECS))
-        raise StoreError(f"unknown segment codec {name!r} (known codecs: {known})") from exc
+    interner = StringInterner()
+    started = [interner.ref(node.started_by) for node in nodes]
+    ended = [interner.ref(node.ended_by) for node in nodes]
+
+    clock_sizes: List[int] = []
+    clock_pairs: List[int] = []
+    read_sizes: List[int] = []
+    read_pages: List[int] = []
+    write_sizes: List[int] = []
+    write_pages: List[int] = []
+    thunk_counts: List[int] = []
+    thunk_indexes: List[int] = []
+    thunk_instructions: List[int] = []
+    thunk_flags = bytearray()
+    thunk_sites: List[int] = []
+    for node in nodes:
+        clock = sorted(node.clock.as_dict().items())
+        clock_sizes.append(len(clock))
+        for tid, value in clock:
+            clock_pairs.append(int(tid))
+            clock_pairs.append(int(value))
+        reads = sorted(node.read_set)
+        read_sizes.append(len(reads))
+        read_pages.extend(int(page) for page in reads)
+        writes = sorted(node.write_set)
+        write_sizes.append(len(writes))
+        write_pages.extend(int(page) for page in writes)
+        thunk_counts.append(len(node.thunks))
+        for thunk in node.thunks:
+            thunk_indexes.append(int(thunk.index))
+            thunk_instructions.append(int(thunk.instructions))
+            branch = thunk.start_branch
+            if branch is None:
+                thunk_flags.append(0)
+                thunk_sites.append(0)
+            else:
+                thunk_flags.append(
+                    1 | (2 if branch.taken else 0) | (4 if branch.is_indirect else 0)
+                )
+                thunk_sites.append(int(branch.site))
+
+    endpoint_pairs: List[int] = []
+    target_pairs: List[int] = []
+    kind_codes = bytearray()
+    sync_block = bytearray()
+    data_sizes: List[int] = []
+    data_pages: List[int] = []
+    for source, target, kind, attrs in edges:
+        try:
+            kind_codes.append(KIND_TO_CODE[kind])
+        except KeyError as exc:
+            raise StoreError(f"unknown edge kind {kind!r}") from exc
+        endpoint_pairs.extend((int(source[0]), int(source[1])))
+        target_pairs.extend((int(target[0]), int(target[1])))
+        if kind is EdgeKind.SYNC:
+            object_id = attrs.get("object_id")
+            if object_id is None:
+                sync_block += b"\x00" + _pack_q((0,))
+            elif isinstance(object_id, int) and not isinstance(object_id, bool):
+                sync_block += b"\x01" + _pack_q((object_id,))
+            else:
+                raise StoreError(f"sync object ids must be integers, got {object_id!r}")
+            sync_block += _pack_q((interner.ref(attrs.get("operation", "")),))
+        elif kind is EdgeKind.DATA:
+            pages = sorted(attrs.get("pages", ()))
+            data_sizes.append(len(pages))
+            data_pages.extend(int(page) for page in pages)
+
+    out = bytearray()
+    out.append(_BINARY_PAYLOAD_VERSION)
+    write_string_table(out, interner.strings)
+    out += _pack_u32(len(nodes))
+    out += _pack_q(node.tid for node in nodes)
+    out += _pack_q(node.index for node in nodes)
+    out += _pack_q(node.faults for node in nodes)
+    out += _pack_q(started)
+    out += _pack_q(ended)
+    out += _pack_q(clock_sizes)
+    out += _pack_q(clock_pairs)
+    out += _pack_q(read_sizes)
+    out += _pack_q(read_pages)
+    out += _pack_q(write_sizes)
+    out += _pack_q(write_pages)
+    out += _pack_q(thunk_counts)
+    out += _pack_q(thunk_indexes)
+    out += _pack_q(thunk_instructions)
+    out += bytes(thunk_flags)
+    out += _pack_q(thunk_sites)
+    out += _pack_u32(len(edges))
+    out += _pack_q(endpoint_pairs)
+    out += _pack_q(target_pairs)
+    out += bytes(kind_codes)
+    out += bytes(sync_block)
+    out += _pack_q(data_sizes)
+    out += _pack_q(data_pages)
+    return bytes(out)
 
 
-def codec_by_frame_byte(frame_byte: int) -> SegmentCodec:
-    """The codec whose segments carry ``frame_byte`` after the magic.
+def decode_payload(raw: bytes) -> Tuple[List[SubComputation], List[EdgeTuple]]:
+    """Invert :func:`encode_payload`.
 
-    The :data:`CRC_FRAME_FLAG` bit is not part of the codec identity and
-    is masked off before the lookup.
+    Raises:
+        StoreError: If the payload is truncated or malformed.
     """
-    base = frame_byte & ~CRC_FRAME_FLAG
-    try:
-        return _BY_FRAME_BYTE[base]
-    except KeyError as exc:
-        known = ", ".join(f"0x{byte:02x}" for byte in sorted(_BY_FRAME_BYTE))
-        raise StoreError(
-            f"unknown segment frame byte 0x{frame_byte:02x} (known: {known})"
-        ) from exc
+    data = memoryview(raw)
+    if len(data) < 1:
+        raise StoreError("empty binary segment payload")
+    if data[0] != _BINARY_PAYLOAD_VERSION:
+        raise StoreError(f"unsupported binary segment payload version {data[0]}")
+    strings, pos = read_string_table(data, 1)
+
+    node_count, pos = _unpack_u32(data, pos)
+    tids, pos = _unpack_q(data, pos, node_count)
+    indexes, pos = _unpack_q(data, pos, node_count)
+    faults, pos = _unpack_q(data, pos, node_count)
+    started, pos = _unpack_q(data, pos, node_count)
+    ended, pos = _unpack_q(data, pos, node_count)
+    clock_sizes, pos = _unpack_q(data, pos, node_count)
+    clock_pairs, pos = _unpack_q(data, pos, 2 * sum(clock_sizes))
+    read_sizes, pos = _unpack_q(data, pos, node_count)
+    read_pages, pos = _unpack_q(data, pos, sum(read_sizes))
+    write_sizes, pos = _unpack_q(data, pos, node_count)
+    write_pages, pos = _unpack_q(data, pos, sum(write_sizes))
+    thunk_counts, pos = _unpack_q(data, pos, node_count)
+    thunk_total = sum(thunk_counts)
+    thunk_indexes, pos = _unpack_q(data, pos, thunk_total)
+    thunk_instructions, pos = _unpack_q(data, pos, thunk_total)
+    if pos + thunk_total > len(data):
+        raise StoreError("truncated branch flags (corrupt binary segment)")
+    thunk_flags = bytes(data[pos : pos + thunk_total])
+    pos += thunk_total
+    thunk_sites, pos = _unpack_q(data, pos, thunk_total)
+
+    nodes: List[SubComputation] = []
+    clock_at = read_at = write_at = thunk_at = 0
+    for position in range(node_count):
+        size = clock_sizes[position]
+        clock = {
+            clock_pairs[2 * (clock_at + entry)]: clock_pairs[2 * (clock_at + entry) + 1]
+            for entry in range(size)
+        }
+        clock_at += size
+        node = SubComputation(
+            tid=tids[position],
+            index=indexes[position],
+            clock=VectorClock(clock),
+            started_by=deref(strings, started[position]),
+            ended_by=deref(strings, ended[position]),
+            faults=faults[position],
+        )
+        size = read_sizes[position]
+        node.read_set.update(read_pages[read_at : read_at + size])
+        read_at += size
+        size = write_sizes[position]
+        node.write_set.update(write_pages[write_at : write_at + size])
+        write_at += size
+        for entry in range(thunk_counts[position]):
+            flags = thunk_flags[thunk_at + entry]
+            branch = (
+                BranchRecord(
+                    site=thunk_sites[thunk_at + entry],
+                    taken=bool(flags & 2),
+                    is_indirect=bool(flags & 4),
+                )
+                if flags & 1
+                else None
+            )
+            node.thunks.append(
+                Thunk(
+                    index=thunk_indexes[thunk_at + entry],
+                    start_branch=branch,
+                    instructions=thunk_instructions[thunk_at + entry],
+                )
+            )
+        thunk_at += thunk_counts[position]
+        nodes.append(node)
+
+    edge_count, pos = _unpack_u32(data, pos)
+    sources, pos = _unpack_q(data, pos, 2 * edge_count)
+    targets, pos = _unpack_q(data, pos, 2 * edge_count)
+    if pos + edge_count > len(data):
+        raise StoreError("truncated edge kinds (corrupt binary segment)")
+    kind_codes = bytes(data[pos : pos + edge_count])
+    pos += edge_count
+    sync_fields: List[Tuple[object, str]] = []
+    for code in kind_codes:
+        if code == KIND_TO_CODE[EdgeKind.SYNC]:
+            if pos + 17 > len(data):
+                raise StoreError("truncated sync edge block (corrupt binary segment)")
+            has_object = data[pos]
+            object_column, next_pos = _unpack_q(data, pos + 1, 1)
+            ref_column, next_pos = _unpack_q(data, next_pos, 1)
+            operation = deref(strings, ref_column[0])
+            sync_fields.append(
+                (object_column[0] if has_object else None, operation if operation is not None else "")
+            )
+            pos = next_pos
+    data_count = sum(1 for code in kind_codes if code == KIND_TO_CODE[EdgeKind.DATA])
+    data_sizes, pos = _unpack_q(data, pos, data_count)
+    data_pages, pos = _unpack_q(data, pos, sum(data_sizes))
+
+    edges: List[EdgeTuple] = []
+    sync_at = data_at = page_at = 0
+    for position, code in enumerate(kind_codes):
+        try:
+            kind = CODE_TO_KIND[code]
+        except KeyError as exc:
+            raise StoreError(f"unknown edge kind code {code}") from exc
+        source = (sources[2 * position], sources[2 * position + 1])
+        target = (targets[2 * position], targets[2 * position + 1])
+        attrs: dict = {}
+        if kind is EdgeKind.SYNC:
+            object_id, operation = sync_fields[sync_at]
+            sync_at += 1
+            attrs = {"object_id": object_id, "operation": operation}
+        elif kind is EdgeKind.DATA:
+            size = data_sizes[data_at]
+            data_at += 1
+            attrs = {"pages": frozenset(data_pages[page_at : page_at + size])}
+            page_at += size
+        edges.append((source, target, kind, attrs))
+    return nodes, edges
 
 
 __all__ = [
-    "CODECS",
-    "CRC_FRAME_FLAG",
-    "DEFAULT_CODEC",
-    "BinarySegmentCodec",
     "EdgeTuple",
-    "JsonSegmentCodec",
-    "SegmentCodec",
     "StringInterner",
-    "ZlibBinarySegmentCodec",
-    "codec_by_frame_byte",
-    "codec_by_name",
+    "decode_payload",
     "deref",
+    "encode_payload",
     "read_string_table",
     "read_svarint",
     "read_uvarint",

@@ -1,11 +1,11 @@
 """On-disk layout of the persistent provenance store.
 
-A store is a directory (format version 6)::
+A store is a directory (format version 7)::
 
     <store>/
         MANIFEST.json                   # periodic checkpoint: run table, segment table
         segments.log                    # append-only per-flush commit records
-        segments/seg-<id>.seg           # immutable segments (codec per segment)
+        segments/seg-<id>.seg           # immutable, checksummed segments
         index/pages_runs.json           # cross-run summary: page -> run ids
         index/run-<id>/base-<gen>.bin   # folded secondary indexes of the run
         index/run-<id>/delta-<gen>.bin  # append-only per-flush index deltas
@@ -18,15 +18,14 @@ unique *within* a run, so the run id is the namespace that lets two
 executions of the same program coexist.
 
 Segments are immutable once written; ingestion appends new segments, one
-small *index delta* file per flush, and -- since format 5 -- one framed
-commit record to the append-only **segment log** (``segments.log``, see
-:mod:`repro.store.log`), so the per-flush cost is O(epoch) instead of the
-O(#segments) whole-manifest rewrite format 4 paid.  The manifest is
-demoted to a periodic *checkpoint*: it carries ``log_seq``, the sequence
-number of the last log record folded into it, and opening a store replays
-the committed log tail (records with a higher sequence number) on top of
-the checkpoint.  A torn tail record -- the crash window of an append --
-is detected by the log's framing and simply truncated.
+small *index delta* file per flush, and one framed commit record to the
+append-only **segment log** (``segments.log``, see :mod:`repro.store.log`),
+so the per-flush cost is O(epoch), not O(#segments).  The manifest is a
+periodic *checkpoint*: it carries ``log_seq``, the sequence number of the
+last log record folded into it, and opening a store replays the committed
+log tail (records with a higher sequence number) on top of the
+checkpoint.  A torn tail record -- the crash window of an append -- is
+detected by the log's framing and simply truncated.
 Maintenance rewrites are run-scoped:
 :meth:`~repro.store.store.ProvenanceStore.compact` replaces a run's
 segments with fewer, denser ones (streaming, segment by segment) and folds
@@ -38,23 +37,13 @@ Segment ids and index generations are minted from monotonic counters and
 never reused, which is what makes "the manifest is the commit point"
 recovery sound.
 
-Segment payloads are produced by a pluggable codec
-(:mod:`repro.store.codecs`): ``"json"`` is the lz-compressed v2 CPG
-serialization every store version up to 3 wrote; ``"binary"`` is the
-columnar struct-packed encoding v4/v5 writes defaulted to; ``"binary-z"``
-(format 6) is the same columnar payload zlib-compressed inside the frame
--- the new default, winning the disk back without giving up C-speed,
-GIL-releasing decode.  The manifest records each segment's codec, so
-mixed stores decode correctly.  Older layouts remain readable: a
-version-2 store (one implicit run, flat ``index/*.json``) is mapped to a
-single run with id 1 on open, and a version-3 store (per-run
-``index/run-<id>/*.json`` rewritten wholesale per flush) loads its JSON
-indexes as each run's starting point.  A version-4 store opens unchanged
-(its manifest simply has no ``log_seq`` and no ``segments.log`` exists),
-and a version-5 store differs from 6 only in its default codec, so it
-opens -- segment log replayed and all -- without rewriting a byte.  Any
-older layout is upgraded to the version-6 layout in place by its first
-flush, which always writes a checkpoint.
+Every segment is one frame (:mod:`repro.store.segment`): the ``ISEG``
+magic, the frame byte :data:`SEGMENT_FRAME_BYTE`, the raw payload length,
+a CRC32 of the body, and the zlib-compressed columnar payload
+(:mod:`repro.store.codecs`).  The manifest records every segment's file
+CRC as well.  This build reads and writes format 7 only: a store stamped
+with any other version is refused on open, before anything is written,
+and must be re-ingested.
 """
 
 from __future__ import annotations
@@ -65,32 +54,8 @@ from typing import Dict, List, Optional
 
 from repro.errors import StoreError
 
-#: Version of the store directory layout (6 = compressed columnar
-#: ``binary-z`` default codec; layout otherwise identical to 5).
-STORE_FORMAT_VERSION = 6
-
-#: The PR-6 layout (append-only segment log; the manifest is a periodic
-#: checkpoint).  Identical to 6 on disk except for the default codec, so
-#: log replay applies to both.
-STORE_FORMAT_VERSION_V5 = 5
-
-#: The PR-3 layout (codecs + index deltas, whole-manifest rewrite per flush).
-STORE_FORMAT_VERSION_V4 = 4
-
-#: The PR-2 multi-run layout (whole-index JSON rewrites per flush).
-STORE_FORMAT_VERSION_V3 = 3
-
-#: The PR-1 single-run layout; still readable, mapped to one run on open.
-STORE_FORMAT_VERSION_V2 = 2
-
-#: Every manifest version :meth:`StoreManifest.from_dict` understands.
-SUPPORTED_STORE_VERSIONS = (
-    STORE_FORMAT_VERSION_V2,
-    STORE_FORMAT_VERSION_V3,
-    STORE_FORMAT_VERSION_V4,
-    STORE_FORMAT_VERSION_V5,
-    STORE_FORMAT_VERSION,
-)
+#: Version of the store directory layout, the only one this build reads.
+STORE_FORMAT_VERSION = 7
 
 #: Identifies a manifest as belonging to this subsystem.
 STORE_KIND = "inspector-provenance-store"
@@ -99,8 +64,8 @@ MANIFEST_NAME = "MANIFEST.json"
 SEGMENTS_DIR = "segments"
 INDEX_DIR = "index"
 
-#: The append-only segment log (format 5): one framed commit record per
-#: flush, replayed on top of the manifest checkpoint at open.
+#: The append-only segment log: one framed commit record per flush,
+#: replayed on top of the manifest checkpoint at open.
 SEGMENT_LOG_NAME = "segments.log"
 
 #: How many log records accumulate before a flush folds them into a fresh
@@ -114,24 +79,21 @@ DEFAULT_CHECKPOINT_INTERVAL = 64
 #: opening their per-run indexes.
 PAGES_RUNS_FILE = "pages_runs.json"
 
-#: Common prefix of every segment frame; the byte that follows identifies
-#: the payload codec (see :mod:`repro.store.codecs`).
+#: Magic heading every segment frame.
 SEGMENT_MAGIC_PREFIX = b"ISEG"
 
-#: The full frame magic of a JSON-codec segment (every pre-v4 segment);
-#: kept for back-compat with callers that framed segments by hand.
-SEGMENT_MAGIC = SEGMENT_MAGIC_PREFIX + b"\x02"
-
-#: The codec every pre-v4 segment was written with (manifest entries
-#: without a ``codec`` column decode as this).
-LEGACY_SEGMENT_CODEC = "json"
+#: The byte after the magic: zlib-compressed columnar payload (``0x04``)
+#: with a CRC32 of the body in the frame (``0x80``).  The only frame byte
+#: this build reads or writes.
+SEGMENT_FRAME_BYTE = 0x84
 
 #: Number of sub-computations per segment unless the caller overrides it;
 #: also the epoch length of the incremental ingest sink.
 DEFAULT_SEGMENT_NODES = 64
 
-#: The run id a version-2 (single-run) store is mapped to on open.
-LEGACY_RUN_ID = 1
+#: What parsing a malformed manifest or log record raises besides
+#: :class:`StoreError` (a wrong type, a missing key, a non-numeric id).
+MALFORMED_RECORD_ERRORS = (KeyError, TypeError, ValueError, AttributeError, IndexError)
 
 
 def segment_file_name(segment_id: int) -> str:
@@ -187,12 +149,9 @@ class SegmentInfo:
         edges: Number of edges stored in the segment.
         raw_bytes: Size of the uncompressed payload.
         stored_bytes: Size of the segment file on disk (frame + body).
-        codec: Name of the payload codec the segment was encoded with
-            (pre-v4 manifest entries default to :data:`LEGACY_SEGMENT_CODEC`).
         crc: CRC32 of the segment *file* (frame header included), recorded
             at append/compact time so fsck, scrub, and replica repair can
-            diff files without decoding them.  ``None`` for segments
-            written before the integrity layer (reported ``unverified``).
+            diff files without decoding them.
     """
 
     segment_id: int
@@ -201,8 +160,7 @@ class SegmentInfo:
     edges: int
     raw_bytes: int
     stored_bytes: int
-    codec: str = LEGACY_SEGMENT_CODEC
-    crc: Optional[int] = None
+    crc: int
 
     @property
     def file_name(self) -> str:
@@ -210,34 +168,33 @@ class SegmentInfo:
         return segment_file_name(self.segment_id)
 
     def to_dict(self) -> dict:
-        entry = {
+        return {
             "id": self.segment_id,
             "run": self.run,
             "nodes": self.nodes,
             "edges": self.edges,
             "raw_bytes": self.raw_bytes,
             "stored_bytes": self.stored_bytes,
-            "codec": self.codec,
+            "crc": self.crc,
         }
-        if self.crc is not None:
-            entry["crc"] = self.crc
-        return entry
 
     @classmethod
-    def from_dict(cls, data: dict, default_run: int = LEGACY_RUN_ID) -> "SegmentInfo":
-        missing = [key for key in ("id", "nodes", "edges") if key not in data]
+    def from_dict(cls, data: dict) -> "SegmentInfo":
+        missing = [
+            key
+            for key in ("id", "run", "nodes", "edges", "raw_bytes", "stored_bytes", "crc")
+            if key not in data
+        ]
         if missing:
             raise StoreError(f"segment entry is missing field(s) {missing}: {data!r}")
-        crc = data.get("crc")
         return cls(
             segment_id=int(data["id"]),
-            run=int(data.get("run", default_run)),
+            run=int(data["run"]),
             nodes=int(data["nodes"]),
             edges=int(data["edges"]),
-            raw_bytes=int(data.get("raw_bytes", 0)),
-            stored_bytes=int(data.get("stored_bytes", 0)),
-            codec=str(data.get("codec", LEGACY_SEGMENT_CODEC)),
-            crc=int(crc) if crc is not None else None,
+            raw_bytes=int(data["raw_bytes"]),
+            stored_bytes=int(data["stored_bytes"]),
+            crc=int(data["crc"]),
         )
 
 
@@ -273,8 +230,8 @@ class RunInfo:
             reused -- the same recovery argument as segment ids).
         index_checksums: ``(size, crc)`` per index file of the run, keyed
             by file name (``base-<gen>.bin`` / ``delta-<gen>.bin``),
-            recorded when the file is written.  Files written before the
-            integrity layer have no entry and verify as ``unverified``.
+            recorded when the file is written.  A file without an entry
+            verifies as ``unverified``.
         meta: Free-form run metadata (thread count, config, input size...).
     """
 
@@ -340,7 +297,7 @@ class RunInfo:
             next_index_gen=int(data.get("next_index_gen", 1)),
             index_checksums={
                 str(name): [int(pair[0]), int(pair[1])]
-                for name, pair in dict(data.get("index_checksums", {})).items()
+                for name, pair in data.get("index_checksums", {}).items()
             },
             meta=dict(data.get("meta", {})),
         )
@@ -350,20 +307,14 @@ class RunInfo:
 class StoreManifest:
     """The store's root metadata document (``MANIFEST.json``).
 
-    Up to format 4 the manifest was the store's sole *commit point*:
-    segment and index files are written first, the manifest last (each
-    through a temp-file + atomic rename), so whatever generation the
-    manifest describes is the store's content.  Format 5 splits that role:
-    ordinary flushes commit through an appended segment-log record and the
-    manifest becomes a periodic **checkpoint** of the replayed state --
-    still the commit point for maintenance rewrites (compact/gc), which
-    always write one.  Either way, files neither the checkpoint nor the
-    committed log tail reference are ignored on open and swept by the next
-    maintenance operation.
+    Ordinary flushes commit through an appended segment-log record; the
+    manifest is a periodic **checkpoint** of the replayed state and the
+    commit point of maintenance rewrites (compact/gc), which always write
+    one.  Files neither the checkpoint nor the committed log tail
+    reference are ignored on open and swept by the next maintenance
+    operation.
 
     Attributes:
-        version: Store format version the manifest was **loaded** as (2,
-            3, 4, or 5); writing always emits version 5.
         segments: Sealed segments in append order (per run this is
             topological order).
         runs: One entry per ingested run, in mint order.
@@ -372,8 +323,8 @@ class StoreManifest:
         node_count: Total sub-computations across every run.
         edge_count: Total edges across every run.
         log_seq: Sequence number of the last segment-log record folded
-            into this checkpoint (format 5); records with a higher
-            sequence number are replayed on open, lower ones skipped.
+            into this checkpoint; records with a higher sequence number
+            are replayed on open, lower ones skipped.
         quarantined: Segments known to be damaged, id -> reason.  A
             quarantined segment's entry stays in :attr:`segments` (its id
             and accounting are still real); queries skip it and report a
@@ -381,11 +332,10 @@ class StoreManifest:
             file (anti-entropy from a replica) clears the mark.
         pages_runs_checksum: ``[size, crc]`` of the cross-run page summary
             (``index/pages_runs.json``) as of its last write; ``None``
-            until the integrity layer first writes it.
+            until the summary is first written.
         meta: Free-form store metadata supplied at creation time.
     """
 
-    version: int = STORE_FORMAT_VERSION
     segments: List[SegmentInfo] = field(default_factory=list)
     runs: List[RunInfo] = field(default_factory=list)
     next_segment_id: int = 1
@@ -493,36 +443,42 @@ class StoreManifest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StoreManifest":
+        """Parse a format-7 manifest document.
+
+        Raises:
+            StoreError: For a document of another kind or format version
+                (checked first), or one with a malformed field.
+        """
         if not isinstance(data, dict) or data.get("kind") != STORE_KIND:
             raise StoreError(f"not a provenance-store manifest: {data!r}")
         version = data.get("version")
-        if version not in SUPPORTED_STORE_VERSIONS:
-            supported = ", ".join(str(v) for v in SUPPORTED_STORE_VERSIONS)
+        if version != STORE_FORMAT_VERSION:
             raise StoreError(
                 f"unsupported store format version {version!r} "
-                f"(this build reads versions {supported})"
+                f"(this build reads {STORE_FORMAT_VERSION}); re-ingest"
             )
-        manifest = cls(version=int(version))
-        manifest.segments = [SegmentInfo.from_dict(entry) for entry in data.get("segments", ())]
-        manifest.node_count = int(data.get("node_count", 0))
-        manifest.edge_count = int(data.get("edge_count", 0))
-        manifest.meta = dict(data.get("meta", {}))
-        if version == STORE_FORMAT_VERSION_V2:
-            manifest._upgrade_from_v2(data)
-        else:
-            manifest.runs = [RunInfo.from_dict(entry) for entry in data.get("runs", ())]
-            manifest.next_segment_id = int(data.get("next_segment_id", 1))
-            manifest.next_run_id = int(data.get("next_run_id", 1))
-            manifest.log_seq = int(data.get("log_seq", 0))
+        try:
+            manifest = cls(
+                segments=[SegmentInfo.from_dict(entry) for entry in data.get("segments", ())],
+                runs=[RunInfo.from_dict(entry) for entry in data.get("runs", ())],
+                next_segment_id=int(data.get("next_segment_id", 1)),
+                next_run_id=int(data.get("next_run_id", 1)),
+                node_count=int(data.get("node_count", 0)),
+                edge_count=int(data.get("edge_count", 0)),
+                log_seq=int(data.get("log_seq", 0)),
+                meta=dict(data.get("meta", {})),
+            )
             known = {segment.segment_id for segment in manifest.segments}
             manifest.quarantined = {
                 int(segment_id): str(reason)
-                for segment_id, reason in dict(data.get("quarantined", {})).items()
+                for segment_id, reason in data.get("quarantined", {}).items()
                 if int(segment_id) in known
             }
             checksum = data.get("pages_runs_checksum")
             if checksum is not None:
                 manifest.pages_runs_checksum = [int(checksum[0]), int(checksum[1])]
+        except MALFORMED_RECORD_ERRORS as exc:
+            raise StoreError(f"corrupt manifest: {exc!r}") from exc
         ids = manifest.segment_ids()
         if sorted(set(ids)) != ids:
             raise StoreError(f"segment table is not strictly increasing: {ids}")
@@ -536,33 +492,3 @@ class StoreManifest:
         if orphaned:
             raise StoreError(f"segment(s) {orphaned} reference unknown runs")
         return manifest
-
-    def _upgrade_from_v2(self, data: dict) -> None:
-        """Map a PR-1 single-run manifest to one run with :data:`LEGACY_RUN_ID`.
-
-        The v2 segment table was contiguous ``1..N`` and the run log was a
-        list of free-form dicts (at most one entry: a second ingest failed
-        fast).  Everything becomes run 1; the legacy run dicts become the
-        run's metadata.
-        """
-        expected = [index + 1 for index in range(len(self.segments))]
-        if self.segment_ids() != expected:
-            raise StoreError(f"v2 segment table is not contiguous: {self.segment_ids()}")
-        legacy_runs = list(data.get("runs", ()))
-        first = legacy_runs[0] if legacy_runs else {}
-        run = RunInfo(
-            run_id=LEGACY_RUN_ID,
-            workload=str(first.get("workload", "")),
-            status=RUN_COMPLETE,
-            nodes=self.node_count,
-            edges=self.edge_count,
-            next_topo=int(data.get("next_topo", 0)),
-            meta=dict(first),
-        )
-        if len(legacy_runs) > 1:
-            run.meta["legacy_runs"] = legacy_runs
-        for segment in self.segments:
-            segment.run = LEGACY_RUN_ID
-        self.runs = [run]
-        self.next_run_id = LEGACY_RUN_ID + 1
-        self.next_segment_id = len(self.segments) + 1

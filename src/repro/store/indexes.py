@@ -20,22 +20,17 @@ Five index families exist:
 * **sync** -- synchronization object id -> recorded release->acquire edges.
 * **edges** -- node id -> segments holding its incoming / outgoing edges.
 
-Persistence (store format 4) is **append-only**: every
+Persistence is **append-only**: every
 :meth:`~StoreIndexes.add_node` / :meth:`~StoreIndexes.add_edge` call is
 journalled as a pending *op*, and a flush writes just the ops since the
 previous flush as one binary ``delta-<gen>.bin`` file -- O(epoch), not
-O(index).  Opening a run loads its folded ``base-<gen>.bin`` (if any) and
-replays the pending deltas in generation order; compaction folds the
-deltas back into a fresh base.  The v2/v3 whole-index JSON files
-(``nodes.json``, ``pages.json``, ...) remain readable through
-:meth:`StoreIndexes.load` / writable through :meth:`StoreIndexes.save`,
-which is both the back-compat path and the baseline the flush benchmark
-compares against.
+O(index).  Opening a run (:meth:`StoreIndexes.load`) reads its folded
+``base-<gen>.bin`` (if any) and replays the pending deltas in generation
+order; compaction folds the deltas back into a fresh base.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -58,15 +53,6 @@ from repro.store.codecs import (
 )
 from repro.store.format import index_base_file_name, index_delta_file_name
 from repro.store.segment import EdgeTuple
-
-_NODES_FILE = "nodes.json"
-_PAGES_FILE = "pages.json"
-_THREADS_FILE = "threads.json"
-_SYNC_FILE = "sync.json"
-_EDGES_FILE = "edges.json"
-
-#: The v2/v3 whole-index JSON files (swept once a run has a v4 base).
-LEGACY_INDEX_FILES = (_NODES_FILE, _PAGES_FILE, _THREADS_FILE, _SYNC_FILE, _EDGES_FILE)
 
 _INDEX_MAGIC = b"IIDX"
 _INDEX_VERSION = 1
@@ -140,7 +126,7 @@ class StoreIndexes:
         #: delta file's content).
         self._pending: List[tuple] = []
         #: Whether the in-memory state is not reproducible from the
-        #: on-disk base+deltas (legacy load, rebuild from segments) and
+        #: on-disk base+deltas (a rebuild from segments, a compaction) and
         #: the next flush must therefore write a full base file.
         self.needs_base = False
 
@@ -279,10 +265,9 @@ class StoreIndexes:
         """Whether this index generation matches a manifest generation.
 
         The manifest is the store's commit point; this check detects index
-        state that references segments the manifest never committed (the
-        v2/v3 torn-flush window, or corrupt/stray v4 generation files),
-        after which the run's indexes are rebuilt from its (committed,
-        ground-truth) segments.  Cheap: in-memory set membership only, no
+        state that references segments the manifest never committed
+        (corrupt or stray generation files), after which the run's indexes
+        are rebuilt from its (committed, ground-truth) segments.  Cheap: in-memory set membership only, no
         segment I/O.
         """
         valid = set(valid_segments)
@@ -303,7 +288,7 @@ class StoreIndexes:
         return True
 
     # ------------------------------------------------------------------ #
-    # Persistence: v4 append-only deltas + folded base
+    # Persistence: append-only deltas + folded base
     # ------------------------------------------------------------------ #
 
     @property
@@ -355,8 +340,7 @@ class StoreIndexes:
     def save_base(self, run_dir: str, generation: int) -> int:
         """Write the full in-memory state as ``base-<generation>.bin``.
 
-        Written when deltas are folded (compaction), after a rebuild, and
-        by the in-place upgrade of a v2/v3 store's JSON indexes.
+        Written when deltas are folded (compaction) and after a rebuild.
         """
         interner = StringInterner()
         body = bytearray()
@@ -436,7 +420,7 @@ class StoreIndexes:
         return strings, data, pos
 
     @classmethod
-    def load_v4(
+    def load(
         cls, run_dir: str, base_generation: int, delta_generations: Sequence[int]
     ) -> "StoreIndexes":
         """Load the base (if any) and replay the deltas in generation order.
@@ -573,87 +557,3 @@ class StoreIndexes:
             raise StoreError(
                 f"corrupt index delta generation {generation}: {exc}"
             ) from exc
-
-    # ------------------------------------------------------------------ #
-    # Persistence: the v2/v3 whole-index JSON layout (back-compat)
-    # ------------------------------------------------------------------ #
-
-    def save(self, index_dir: str) -> None:
-        """Write the v2/v3 whole-index JSON files under ``index_dir``.
-
-        O(index) per call -- the cost profile store format 4 exists to
-        avoid; kept as the upgrade source, for tests, and as the baseline
-        of the flush benchmark.
-        """
-        os.makedirs(index_dir, exist_ok=True)
-        self._write(index_dir, _NODES_FILE, {"segments": self.node_segments, "topo": self.node_topo})
-        self._write(
-            index_dir,
-            _PAGES_FILE,
-            {
-                "writers": {str(page): keys for page, keys in self.page_writers.items()},
-                "readers": {str(page): keys for page, keys in self.page_readers.items()},
-            },
-        )
-        self._write(
-            index_dir,
-            _THREADS_FILE,
-            {
-                str(tid): {
-                    "indexes": self.thread_indexes.get(tid, []),
-                    "segments": self.thread_segments.get(tid, []),
-                }
-                for tid in self.thread_indexes
-            },
-        )
-        self._write(
-            index_dir, _SYNC_FILE, {str(object_id): edges for object_id, edges in self.sync_edges.items()}
-        )
-        self._write(
-            index_dir, _EDGES_FILE, {"in": self.in_edge_segments, "out": self.out_edge_segments}
-        )
-
-    @classmethod
-    def load(cls, index_dir: str) -> "StoreIndexes":
-        """Read the v2/v3 whole-index JSON files of one run's directory."""
-        indexes = cls()
-        nodes = cls._read(index_dir, _NODES_FILE)
-        indexes.node_segments = {key: int(seg) for key, seg in nodes.get("segments", {}).items()}
-        indexes.node_topo = {key: int(topo) for key, topo in nodes.get("topo", {}).items()}
-        pages = cls._read(index_dir, _PAGES_FILE)
-        indexes.page_writers = {int(page): keys for page, keys in pages.get("writers", {}).items()}
-        indexes.page_readers = {int(page): keys for page, keys in pages.get("readers", {}).items()}
-        for tid_text, entry in cls._read(index_dir, _THREADS_FILE).items():
-            tid = int(tid_text)
-            indexes.thread_indexes[tid] = [int(i) for i in entry.get("indexes", ())]
-            indexes.thread_segments[tid] = [int(s) for s in entry.get("segments", ())]
-        indexes.sync_edges = {
-            int(object_id): edges for object_id, edges in cls._read(index_dir, _SYNC_FILE).items()
-        }
-        edges = cls._read(index_dir, _EDGES_FILE)
-        indexes.in_edge_segments = {key: [int(s) for s in segs] for key, segs in edges.get("in", {}).items()}
-        indexes.out_edge_segments = {
-            key: [int(s) for s in segs] for key, segs in edges.get("out", {}).items()
-        }
-        return indexes
-
-    @staticmethod
-    def _write(index_dir: str, name: str, payload: dict) -> None:
-        # Temp-file + atomic rename: a crash mid-write must not truncate
-        # the previous generation of the index.
-        path = os.path.join(index_dir, name)
-        scratch = path + ".tmp"
-        with open(scratch, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True)
-        os.replace(scratch, path)
-
-    @staticmethod
-    def _read(index_dir: str, name: str) -> dict:
-        path = os.path.join(index_dir, name)
-        if not os.path.exists(path):
-            raise StoreError(f"missing index file {name} (store not flushed?)")
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
-                return json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise StoreError(f"corrupt index file {name}: {exc}") from exc

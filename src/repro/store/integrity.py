@@ -16,9 +16,8 @@ on next load, is the healing path).
 
 :func:`scrub` is the *deep* check -- it re-reads every referenced file
 from disk and re-computes its checksum against the manifest's recorded
-``(size, crc)`` (segments without a recorded file CRC fall back to their
-frame checksum; files predating the integrity layer are counted
-``unverified``).  Reads go straight to the files, never through the
+``(size, crc)`` (an index or summary file without a recorded checksum is
+counted ``unverified``).  Reads go straight to the files, never through the
 decoded-segment cache, so a scrub does not evict warm readers' working
 set; an optional MB/s throttle keeps it polite next to live queries.
 Damaged segments are **quarantined** (recorded in the manifest, skipped
@@ -50,13 +49,10 @@ from repro.store.format import (
     PAGES_RUNS_FILE,
     SEGMENT_LOG_NAME,
     SEGMENTS_DIR,
-    STORE_FORMAT_VERSION_V4,
     index_base_file_name,
     index_delta_file_name,
     segment_file_name,
 )
-from repro.store.indexes import LEGACY_INDEX_FILES
-from repro.store.segment import FRAME_UNVERIFIED, FRAME_VERIFIED, verify_frame
 from repro.store.store import (
     _COMPACT_SPILL_DIR,
     _INDEX_BASE_RE,
@@ -268,11 +264,7 @@ def _find_orphans(store: ProvenanceStore) -> List[str]:
             rel = os.path.join(INDEX_DIR, name)
             match = _RUN_DIR_RE.match(name)
             if match is None:
-                stray = name.endswith(".tmp") or (
-                    name in LEGACY_INDEX_FILES
-                    and store._disk_version >= STORE_FORMAT_VERSION_V4
-                )
-                if stray:
+                if name.endswith(".tmp"):
                     orphans.append(rel)
                 continue
             run_id = int(match.group(1))
@@ -290,8 +282,6 @@ def _find_orphans(store: ProvenanceStore) -> List[str]:
                     stale = int(base_match.group(1)) != run_info.index_base
                 elif delta_match is not None:
                     stale = int(delta_match.group(1)) not in run_info.index_deltas
-                elif file_name in LEGACY_INDEX_FILES and run_info.index_base > 0:
-                    stale = True
                 if stale:
                     orphans.append(file_rel)
     if os.path.isdir(os.path.join(path, _COMPACT_SPILL_DIR)):
@@ -359,16 +349,15 @@ def scrub(
     Every segment, index base/delta, and the cross-run page summary is
     read back from disk (bypassing the decoded-segment cache, so warm
     readers keep their working set) and checked against the manifest's
-    recorded ``(size, crc)``.  Segments without a recorded file CRC fall
-    back to their frame checksum; files written before the integrity
-    layer count as ``unverified``.  ``throttle_mb_per_s`` bounds the read
-    bandwidth.
+    recorded ``(size, crc)``; an index or summary file without a recorded
+    checksum counts as ``unverified``.  ``throttle_mb_per_s`` bounds the
+    read bandwidth.
 
     With ``quarantine=True`` (the default) every damaged segment is
     quarantined -- and a previously quarantined segment that now verifies
     clean (repaired in place) is un-quarantined; ``durable=True`` commits
     any mark changes through a manifest checkpoint (a clean scrub writes
-    nothing, so scrubbing an old-format store does not upgrade it).
+    nothing).
 
     Returns a machine-readable report; ``ok`` is False when any file is
     damaged.
@@ -377,7 +366,7 @@ def scrub(
     report: dict = {
         "path": os.path.abspath(store.path),
         "ok": True,
-        "segments": {"verified": 0, "unverified": 0, "damaged": 0},
+        "segments": {"verified": 0, "damaged": 0},
         "index_files": {"verified": 0, "unverified": 0, "damaged": 0},
         "files_scanned": 0,
         "bytes_verified": 0,
@@ -390,7 +379,6 @@ def scrub(
     for info in list(store.manifest.segments):
         rel = os.path.join(SEGMENTS_DIR, info.file_name)
         seg_path = os.path.join(store.path, rel)
-        status = FRAME_UNVERIFIED
         reason: Optional[str] = None
         try:
             data = _read_throttled(seg_path, throttle)
@@ -400,21 +388,13 @@ def scrub(
         report["files_scanned"] += 1
         report["bytes_verified"] += len(data)
         if reason is None:
-            if info.crc is not None:
-                actual = zlib.crc32(data) & 0xFFFFFFFF
-                if len(data) != info.stored_bytes or actual != info.crc:
-                    reason = (
-                        f"file checksum mismatch: manifest records "
-                        f"{info.stored_bytes}B/0x{info.crc:08x}, "
-                        f"found {len(data)}B/0x{actual:08x}"
-                    )
-                else:
-                    status = FRAME_VERIFIED
-            else:
-                try:
-                    status = verify_frame(data)
-                except StoreError as exc:
-                    reason = str(exc)
+            actual = zlib.crc32(data) & 0xFFFFFFFF
+            if len(data) != info.stored_bytes or actual != info.crc:
+                reason = (
+                    f"file checksum mismatch: manifest records "
+                    f"{info.stored_bytes}B/0x{info.crc:08x}, "
+                    f"found {len(data)}B/0x{actual:08x}"
+                )
         if reason is not None:
             report["segments"]["damaged"] += 1
             report["damage"].append(
@@ -426,16 +406,12 @@ def scrub(
             if store.is_quarantined(info.segment_id):
                 report["quarantined"].append(info.segment_id)
         else:
-            if (
-                quarantine
-                and status == FRAME_VERIFIED
-                and store.is_quarantined(info.segment_id)
-            ):
+            if quarantine and store.is_quarantined(info.segment_id):
                 # Repaired in place since it was marked: lift the mark.
                 store.manifest.clear_quarantine(info.segment_id)
                 report["unquarantined"].append(info.segment_id)
                 marks_changed = True
-            report["segments"][status] += 1
+            report["segments"]["verified"] += 1
     for run in store.manifest.runs:
         run_dir = store._run_index_dir(run.run_id)
         rel_dir = os.path.relpath(run_dir, store.path)

@@ -1,10 +1,9 @@
-"""The append-only segment log (store format 5).
+"""The append-only segment log: the per-flush commit record.
 
-Up to format 4 every flush rewrote ``MANIFEST.json`` wholesale -- the one
-write-path cost that still grew with segment count.  Format 5 replaces the
-per-flush rewrite with one framed record appended to ``segments.log``;
-the manifest is demoted to a periodic *checkpoint* and opening the store
-replays the committed log tail on top of it.
+Rewriting ``MANIFEST.json`` on every flush would cost O(#segments) per
+flush.  Instead each flush appends one framed record to ``segments.log``;
+the manifest is a periodic *checkpoint* and opening the store replays the
+committed log tail on top of it.
 
 **Record framing.**  Each record is::
 

@@ -3,63 +3,38 @@
 A segment is the unit of disk I/O of the store: a batch of sub-computations
 plus the edges co-located with them (an edge lives in the segment of its
 *target* node whenever possible, so a backward expansion of a node finds
-its incoming edges in the segment it just loaded).  The bytes inside the
-frame are produced by a pluggable :class:`~repro.store.codecs.SegmentCodec`
-(store format 4); the frame itself is common to every codec::
+its incoming edges in the segment it just loaded).  The columnar payload
+(:func:`~repro.store.codecs.encode_payload`) is zlib-compressed inside one
+checksummed frame::
 
-    +--------+------------+----------------------+------------------+
-    | "ISEG" | frame byte | raw length (8B LE)   | codec payload    |
-    +--------+------------+----------------------+------------------+
+    +--------+------------+--------------+-------------+-------------+
+    | "ISEG" | 0x84       | raw len (8B) | CRC32 (4B)  | zlib body   |
+    +--------+------------+--------------+-------------+-------------+
 
-The frame byte identifies the codec (``0x02`` = lz-compressed JSON, the
-v2/v3 encoding; ``0x03`` = columnar binary, the v4 default; ``0x04`` =
-zlib-compressed columnar binary, the v6 default), so a mixed store
-decodes every segment correctly even before consulting the manifest's
-per-segment codec column.  ``raw length`` is the size of the
-*uncompressed* payload and feeds the manifest's compression accounting;
-whether (and how) the body is compressed is the codec's business, via
-:meth:`~repro.store.codecs.SegmentCodec.compress_frame` /
-:meth:`~repro.store.codecs.SegmentCodec.decompress_frame`.
-
-Frames written since the integrity layer set the high bit of the frame
-byte (:data:`~repro.store.codecs.CRC_FRAME_FLAG`) and insert a CRC32 of
-the codec body between the raw-length field and the body::
-
-    +--------+-----------------+--------------+-------------+-----------+
-    | "ISEG" | frame byte|0x80 | raw len (8B) | CRC32 (4B)  | body      |
-    +--------+-----------------+--------------+-------------+-----------+
-
+``raw len`` is the size of the *uncompressed* payload and feeds the
+manifest's compression accounting; the CRC32 covers the compressed body.
 :func:`decode_segment` verifies the checksum before touching the body, so
 a bit flip anywhere in the payload surfaces as a typed error instead of a
-garbled graph.  Older frames (no flag) stay readable and are reported as
-``unverified`` by :func:`verify_frame` -- the fsck/scrub vocabulary.
+garbled graph.  Any other frame byte is refused.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.core.thunk import NodeId, SubComputation
 from repro.errors import StoreError
 
-from repro.store.codecs import (
-    CRC_FRAME_FLAG,
-    DEFAULT_CODEC,
-    EdgeTuple,
-    SegmentCodec,
-    codec_by_frame_byte,
-    codec_by_name,
-)
-from repro.store.format import SEGMENT_MAGIC_PREFIX
+from repro.store.codecs import EdgeTuple, decode_payload, encode_payload
+from repro.store.format import SEGMENT_FRAME_BYTE, SEGMENT_MAGIC_PREFIX
 
 _HEADER_SIZE = len(SEGMENT_MAGIC_PREFIX) + 1 + 8
 _CRC_SIZE = 4
 
-#: Checksum states :func:`verify_frame` can report.
-FRAME_VERIFIED = "verified"
-FRAME_UNVERIFIED = "unverified"
+#: zlib level of every segment body (part of the byte-exact format).
+SEGMENT_ZLIB_LEVEL = 6
 
 
 @dataclass
@@ -88,97 +63,59 @@ class SegmentPayload:
 
 
 def encode_segment(
-    nodes: Iterable[SubComputation],
-    edges: Iterable[EdgeTuple],
-    codec: Optional[str] = None,
+    nodes: Iterable[SubComputation], edges: Iterable[EdgeTuple]
 ) -> Tuple[bytes, int]:
-    """Serialize one segment with ``codec`` (default: the v4 binary codec).
+    """Serialize one segment as a checksummed, zlib-compressed frame.
 
     Returns:
         ``(framed bytes, raw payload size)`` -- the raw size feeds the
         manifest's compression accounting.
     """
-    chosen: SegmentCodec = codec_by_name(codec if codec is not None else DEFAULT_CODEC)
-    raw = chosen.encode_payload(list(nodes), list(edges))
-    body = chosen.compress_frame(raw)
+    raw = encode_payload(list(nodes), list(edges))
+    body = zlib.compress(raw, SEGMENT_ZLIB_LEVEL)
     framed = (
         SEGMENT_MAGIC_PREFIX
-        + bytes((chosen.frame_byte | CRC_FRAME_FLAG,))
+        + bytes((SEGMENT_FRAME_BYTE,))
         + len(raw).to_bytes(8, "little")
-        + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
+        + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(_CRC_SIZE, "little")
         + body
     )
     return framed, len(raw)
 
 
-def segment_codec_name(data: bytes) -> str:
-    """Name of the codec that encoded the framed segment ``data``."""
-    if len(data) < _HEADER_SIZE or not data.startswith(SEGMENT_MAGIC_PREFIX):
-        raise StoreError("not a provenance-store segment (bad magic)")
-    return codec_by_frame_byte(data[len(SEGMENT_MAGIC_PREFIX)]).name
+def decode_segment(data: bytes) -> SegmentPayload:
+    """Invert :func:`encode_segment`.
 
-
-def _split_frame(data: bytes):
-    """(codec, raw length, stored crc or None, codec body) of a frame."""
+    Raises:
+        StoreError: If the magic, frame byte, checksum, compression, or
+            payload is corrupt.
+    """
     if len(data) < _HEADER_SIZE or not data.startswith(SEGMENT_MAGIC_PREFIX):
         raise StoreError("not a provenance-store segment (bad magic)")
     frame_byte = data[len(SEGMENT_MAGIC_PREFIX)]
-    chosen = codec_by_frame_byte(frame_byte)
-    raw_length = int.from_bytes(data[len(SEGMENT_MAGIC_PREFIX) + 1 : _HEADER_SIZE], "little")
-    if not frame_byte & CRC_FRAME_FLAG:
-        return chosen, raw_length, None, data[_HEADER_SIZE:]
+    if frame_byte != SEGMENT_FRAME_BYTE:
+        raise StoreError(
+            f"unsupported segment frame byte 0x{frame_byte:02x} "
+            f"(this build reads 0x{SEGMENT_FRAME_BYTE:02x}); re-ingest"
+        )
     if len(data) < _HEADER_SIZE + _CRC_SIZE:
         raise StoreError("segment frame truncated inside its checksum field")
+    raw_length = int.from_bytes(data[len(SEGMENT_MAGIC_PREFIX) + 1 : _HEADER_SIZE], "little")
     stored_crc = int.from_bytes(data[_HEADER_SIZE : _HEADER_SIZE + _CRC_SIZE], "little")
-    return chosen, raw_length, stored_crc, data[_HEADER_SIZE + _CRC_SIZE :]
-
-
-def verify_frame(data: bytes) -> str:
-    """Check the frame checksum of ``data`` without decoding the payload.
-
-    Returns:
-        :data:`FRAME_VERIFIED` when the frame carries a CRC32 and it
-        matches, :data:`FRAME_UNVERIFIED` for a pre-integrity frame that
-        carries none (still decodable, just unprotected).
-
-    Raises:
-        StoreError: Bad magic, unknown frame byte, or a checksum mismatch.
-    """
-    _, _, stored_crc, body = _split_frame(data)
-    if stored_crc is None:
-        return FRAME_UNVERIFIED
+    body = data[_HEADER_SIZE + _CRC_SIZE :]
     actual = zlib.crc32(body) & 0xFFFFFFFF
     if actual != stored_crc:
         raise StoreError(
             f"segment frame checksum mismatch: stored 0x{stored_crc:08x}, "
             f"computed 0x{actual:08x}"
         )
-    return FRAME_VERIFIED
-
-
-def decode_segment(data: bytes) -> SegmentPayload:
-    """Invert :func:`encode_segment` (any codec; dispatch on the frame byte).
-
-    Frames carrying a CRC32 (the :data:`~repro.store.codecs.CRC_FRAME_FLAG`
-    bit) are verified before the body is decompressed; legacy frames
-    decode unverified, exactly as they always did.
-
-    Raises:
-        StoreError: If the framing, checksum, compression, or payload is
-            corrupt.
-    """
-    chosen, raw_length, stored_crc, body = _split_frame(data)
-    if stored_crc is not None:
-        actual = zlib.crc32(body) & 0xFFFFFFFF
-        if actual != stored_crc:
-            raise StoreError(
-                f"segment frame checksum mismatch: stored 0x{stored_crc:08x}, "
-                f"computed 0x{actual:08x}"
-            )
-    raw = chosen.decompress_frame(body)
+    try:
+        raw = zlib.decompress(body)
+    except zlib.error as exc:
+        raise StoreError(f"corrupt compressed segment payload: {exc}") from exc
     if len(raw) != raw_length:
         raise StoreError(
             f"segment length mismatch: header says {raw_length} bytes, got {len(raw)}"
         )
-    nodes, edges = chosen.decode_payload(raw)
+    nodes, edges = decode_payload(raw)
     return SegmentPayload.build(nodes, edges)

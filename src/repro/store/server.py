@@ -26,9 +26,9 @@ single-writer stance: run it between snapshots and ``refresh`` afterwards.
 
 **Remote ingest.**  A server started ``writable`` additionally accepts
 ``begin_run`` / ``append_epoch`` / ``commit_run``: epochs arrive as
-base64-framed segment payloads (the store's own codec frames), are
+base64-encoded segment frames (the store's own on-disk frames), are
 appended through one writer handle, and each append is flushed -- one
-O(epoch) record to the v5 segment log -- before the reply is written, so
+O(epoch) record to the segment log -- before the reply is written, so
 the synchronous protocol *is* the back-pressure on slow flushes.  One
 writer per run is structural (``begin_run`` mints the run id), and the
 writer shares the readers' segment cache, so a follow-mode reader's
@@ -482,13 +482,13 @@ class StoreServer:
         if fresh.manifest.next_run_id < old.manifest.next_run_id:
             return False
         new_segments = {
-            info.segment_id: (info.run, info.nodes, info.edges, info.stored_bytes, info.codec)
+            info.segment_id: (info.run, info.nodes, info.edges, info.stored_bytes)
             for info in fresh.manifest.segments
         }
         for info in old.manifest.segments:
             described = new_segments.get(info.segment_id)
             if described is not None and described != (
-                info.run, info.nodes, info.edges, info.stored_bytes, info.codec
+                info.run, info.nodes, info.edges, info.stored_bytes
             ):
                 return False  # same id, different content: not our lineage
         new_runs = {run.run_id: run.created_at for run in fresh.manifest.runs}
@@ -680,20 +680,16 @@ class StoreServer:
         the files whose checksum differs or that it lacks.  Paths are
         store-relative with ``/`` separators (wire form).  Checksums come
         from the manifest's own integrity columns where recorded (free)
-        and are computed from disk for files written before the checksum
-        layer.  Quarantined segments are *omitted*: a damaged copy is not
-        a repair source.
+        and are computed from disk for an index or summary file without
+        one.  Quarantined segments are *omitted*: a damaged copy is not a
+        repair source.
         """
         manifest = store.manifest
         files: Dict[str, List[int]] = {}
         for info in manifest.segments:
             if manifest.is_quarantined(info.segment_id):
                 continue
-            rel = f"{SEGMENTS_DIR}/{info.file_name}"
-            if info.crc is not None and info.stored_bytes:
-                files[rel] = [int(info.stored_bytes), int(info.crc)]
-            else:
-                files[rel] = self._stat_crc(rel)
+            files[f"{SEGMENTS_DIR}/{info.file_name}"] = [info.stored_bytes, info.crc]
         for run in manifest.runs:
             run_dir = f"{INDEX_DIR}/{run_index_dir_name(run.run_id)}"
             names: List[str] = []
@@ -728,7 +724,7 @@ class StoreServer:
         }
 
     def _stat_crc(self, rel: str) -> List[int]:
-        """``(size, crc)`` of one store file read from disk (legacy files)."""
+        """``(size, crc)`` of one store file read from disk (no recorded checksum)."""
         target = os.path.join(self.store_path, *rel.split("/"))
         try:
             return file_size_crc(target)
@@ -830,7 +826,6 @@ class StoreServer:
                     list(payload.nodes.values()),  # insertion order = encode order
                     payload.edges,
                     run=run_id,
-                    codec=request.get("codec"),
                 )
                 writer.flush()  # one O(epoch) log record; the reply waits on it
                 self._ingests[run_id]["epochs"] += 1
@@ -1222,20 +1217,16 @@ class StoreClient:
         run: int,
         nodes: Sequence[SubComputation],
         edges: Sequence[EdgeTuple] = (),
-        codec: Optional[str] = None,
     ) -> dict:
         """Ship one epoch (nodes + edges) as a segment of ``run``.
 
-        The payload travels as the store's own codec frame (base64 over
+        The payload travels as the store's own segment frame (base64 over
         the JSON line); the call returns only after the server flushed
         the epoch durably -- the synchronous reply is the back-pressure.
         """
-        framed, _ = encode_segment(nodes, edges, codec=codec)
+        framed, _ = encode_segment(nodes, edges)
         return self.result(
-            "append_epoch",
-            run=run,
-            segment=base64.b64encode(framed).decode("ascii"),
-            codec=codec,
+            "append_epoch", run=run, segment=base64.b64encode(framed).decode("ascii")
         )
 
     def commit_run(self, run: int, meta: Optional[dict] = None) -> dict:

@@ -24,7 +24,7 @@ the node segments.)
 
 :class:`RemoteStoreSink` is the same listener protocol pointed at a
 **writable store server** instead of a local directory: epochs travel as
-codec-framed segments over the server's JSON-line protocol
+framed segments over the server's JSON-line protocol
 (``begin_run`` / ``append_epoch`` / ``commit_run``), so the traced
 process needs no filesystem access to the store at all -- and each
 ``append_epoch`` reply arrives only after the server flushed the epoch,
@@ -51,12 +51,10 @@ class StoreSink:
         store: The destination store (may already hold other runs).
         segment_nodes: Epoch length -- sub-computations per sealed segment.
         flush_every_epochs: How often the store state is committed.  1
-            (the default) makes every committed epoch durable; since
-            store format 4 a flush appends one O(epoch) index delta file
-            instead of rewriting the whole index, and since format 5 the
-            commit itself is one O(epoch) record appended to the segment
-            log -- the flush cost no longer grows with the run or the
-            store at all.  Raising it still amortizes the per-record
+            (the default) makes every committed epoch durable; a flush
+            appends one O(epoch) index delta file and commits through one
+            O(epoch) record appended to the segment log -- the flush cost
+            does not grow with the run or the store.  Raising it amortizes the per-record
             overhead when mid-run durability matters less than ingest
             throughput.  ``finish`` always flushes.
         workload: Workload name recorded in the minted run's manifest entry.
@@ -185,8 +183,6 @@ class RemoteStoreSink:
         segment_nodes: Epoch length -- sub-computations per shipped segment.
         workload: Workload name recorded with the minted run.
         run_meta: Initial run metadata sent with ``begin_run``.
-        codec: Codec name epochs are encoded with on the wire (and stored
-            with server-side); ``None`` uses the defaults on both ends.
     """
 
     def __init__(
@@ -195,7 +191,6 @@ class RemoteStoreSink:
         segment_nodes: int = DEFAULT_SEGMENT_NODES,
         workload: str = "",
         run_meta: Optional[dict] = None,
-        codec: Optional[str] = None,
     ) -> None:
         from repro.store.server import StoreClient  # cycle: server imports store
 
@@ -205,7 +200,6 @@ class RemoteStoreSink:
         self.segment_nodes = segment_nodes
         self.workload = workload
         self.run_meta = dict(run_meta or {})
-        self.codec = codec
         self.epochs_committed = 0
         self.run_id: Optional[int] = None
         self._nodes: List[SubComputation] = []
@@ -244,7 +238,7 @@ class RemoteStoreSink:
         if not self._nodes and not self._edges:
             return None
         run_id = self._ensure_run()
-        reply = self.client.append_epoch(run_id, self._nodes, self._edges, codec=self.codec)
+        reply = self.client.append_epoch(run_id, self._nodes, self._edges)
         segment_id = int(reply["segment"])
         for node in self._nodes:
             self._segment_of[node.node_id] = segment_id
@@ -275,7 +269,7 @@ class RemoteStoreSink:
                     (source, target, EdgeKind.DATA, {"pages": attrs.get("pages", frozenset())})
                 )
             for segment_id in sorted(by_segment):
-                self.client.append_epoch(run_id, [], by_segment[segment_id], codec=self.codec)
+                self.client.append_epoch(run_id, [], by_segment[segment_id])
         meta = dict(run_meta or {})
         meta.setdefault("epochs", self.epochs_committed)
         self.client.commit_run(run_id, meta=meta)

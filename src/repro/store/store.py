@@ -1,24 +1,22 @@
 """The persistent provenance store.
 
 :class:`ProvenanceStore` owns one store directory: an append-only sequence
-of codec-encoded CPG segments plus per-run secondary indexes and the
-manifest.  One store holds **many traced runs** -- each run is its own
-node-id namespace (node ids ``(tid, index)`` are only unique within a
-run).  Whole graphs are ingested with :meth:`ProvenanceStore.ingest`
+of checksummed, compressed CPG segments plus per-run secondary indexes
+and the manifest.  One store holds **many traced runs** -- each run is
+its own node-id namespace (node ids ``(tid, index)`` are only unique
+within a run).  Whole graphs are ingested with :meth:`ProvenanceStore.ingest`
 (which mints a fresh run per call); running executions stream into the
 store through :class:`repro.store.sink.StoreSink`; queries that only touch
 the index-selected subgraph are served by
 :class:`repro.store.query.StoreQueryEngine`.
 
-Store format 6 keeps the write path incremental end to end: segment
-payloads go through a pluggable codec (:mod:`repro.store.codecs`; the
-zlib-compressed columnar ``binary-z`` codec is the default, the
-uncompressed binary and JSON codecs remain readable and writable),
-per-run indexes are loaded lazily and flushed as append-only
-**delta files** (O(epoch), not O(index)), and the flush commit itself is
-one framed record appended to ``segments.log`` (:mod:`repro.store.log`)
--- the manifest is a periodic *checkpoint* replayed over on open, so a
-flush no longer pays an O(#segments) manifest rewrite.  A cross-run page
+The write path is incremental end to end: segment payloads are
+zlib-compressed columnar frames (:mod:`repro.store.segment`), per-run
+indexes are loaded lazily and flushed as append-only **delta files**
+(O(epoch), not O(index)), and the flush commit itself is one framed
+record appended to ``segments.log`` (:mod:`repro.store.log`) -- the
+manifest is a periodic *checkpoint* replayed over on open, so a flush
+never pays an O(#segments) manifest rewrite.  A cross-run page
 summary (``index/pages_runs.json``) lets ``*_across_runs`` queries skip
 runs without opening their indexes.  The read path is cached: decoded segments
 live in a byte-budgeted LRU (:mod:`repro.store.cache`) that can be shared
@@ -71,20 +69,17 @@ from repro.core.thunk import SubComputation
 from repro.errors import CorruptSegmentError, StoreError
 
 from repro.store.cache import IndexPinner, ReadScope, SegmentCache
-from repro.store.codecs import DEFAULT_CODEC, codec_by_name
 from repro.store.format import (
     DEFAULT_CHECKPOINT_INTERVAL,
     DEFAULT_SEGMENT_NODES,
     INDEX_DIR,
+    MALFORMED_RECORD_ERRORS,
     MANIFEST_NAME,
     PAGES_RUNS_FILE,
     RUN_COMPLETE,
     SEGMENT_LOG_NAME,
     SEGMENTS_DIR,
     STORE_FORMAT_VERSION,
-    STORE_FORMAT_VERSION_V2,
-    STORE_FORMAT_VERSION_V4,
-    STORE_FORMAT_VERSION_V5,
     RunInfo,
     SegmentInfo,
     StoreManifest,
@@ -94,7 +89,7 @@ from repro.store.format import (
     run_index_dir_name,
     segment_file_name,
 )
-from repro.store.indexes import LEGACY_INDEX_FILES, StoreIndexes
+from repro.store.indexes import StoreIndexes
 from repro.store.log import SegmentLog
 from repro.store.segment import EdgeTuple, SegmentPayload, decode_segment, encode_segment
 
@@ -224,8 +219,6 @@ class ProvenanceStore:
     the constructor.
 
     Attributes:
-        default_codec: Codec name new segments are encoded with
-            (``"binary-z"`` unless changed; see :mod:`repro.store.codecs`).
         decode_mode: How :meth:`segment_many` decodes a batch of cold
             misses: ``"auto"`` (the default) uses the store's shared
             thread pool and escalates to the shared process pool when the
@@ -235,13 +228,6 @@ class ProvenanceStore:
             columnar decode is pure Python) at the price of one pickle
             round-trip per decode group; a broken pool (fork or pickling
             failure) permanently falls back to threads for the handle.
-        index_full_rewrite: Benchmark/back-compat knob: when true, every
-            flush folds the whole index instead of appending a delta --
-            the v3 write-path cost profile.  Stores written this way stay
-            correct (a reopen rebuilds their indexes from segments).
-        manifest_full_rewrite: Benchmark knob: when true, every flush
-            writes a full manifest checkpoint instead of a log record --
-            the v4 write-path cost profile (O(#segments) per flush).
         checkpoint_interval: Log-append flushes between automatic
             manifest checkpoints (bounds open-time replay work).
         cache: The decoded-segment :class:`SegmentCache`.  Owned by this
@@ -263,8 +249,6 @@ class ProvenanceStore:
         self.manifest = manifest
         self.run_indexes: Dict[int, StoreIndexes] = _RunIndexMap(self)
         self.read_stats = StoreReadStats()
-        self.default_codec = DEFAULT_CODEC
-        self.index_full_rewrite = False
         self.cache = (
             segment_cache
             if segment_cache is not None
@@ -281,15 +265,9 @@ class ProvenanceStore:
         self._index_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self._summary_lock = threading.Lock()
-        #: Format version of the manifest currently on disk; < 6 until the
-        #: first flush (or checkpoint) upgrades the layout in place.
-        self._disk_version = manifest.version
-        #: Log-append flushes between manifest checkpoints (v5); lower it
-        #: to bound replay work, raise it to amortize checkpoints further.
+        #: Log-append flushes between manifest checkpoints; lower it to
+        #: bound replay work, raise it to amortize checkpoints further.
         self.checkpoint_interval = DEFAULT_CHECKPOINT_INTERVAL
-        #: Benchmark knob: when true every flush writes a full manifest
-        #: checkpoint -- the v4 cost profile (O(#segments) per flush).
-        self.manifest_full_rewrite = False
         self._log = SegmentLog(os.path.join(path, SEGMENT_LOG_NAME))
         #: Next log record sequence number (monotonic, never reused).
         self._log_next_seq = manifest.log_seq + 1
@@ -344,10 +322,10 @@ class ProvenanceStore:
         segment_cache: Optional[SegmentCache] = None,
         index_pinner: Optional[IndexPinner] = None,
     ) -> "ProvenanceStore":
-        """Open an existing store directory (format version 2 through 6).
+        """Open an existing store directory (format version 7).
 
-        Opening reads the manifest checkpoint, then (format 5+) replays the
-        committed tail of ``segments.log`` on top of it -- each record
+        Opening reads the manifest checkpoint, then replays the committed
+        tail of ``segments.log`` on top of it -- each record
         appends the segments one flush sealed; a torn or invalid tail
         record stops the replay there, recovering exactly the flushes that
         committed.  The small cross-run page summary is read on demand and
@@ -360,17 +338,16 @@ class ProvenanceStore:
         ``segment_cache`` / ``index_pinner`` share a warm read path
         between handles (see :mod:`repro.store.cache`); sharing is for
         read-only serving.
+
+        Raises:
+            StoreError: No store at ``path``, a corrupt manifest, or one
+                stamped with another format version (nothing is written).
         """
         manifest = cls._read_manifest(path)
         attempts = 3
         for attempt in range(attempts):
             store = cls(path, manifest, segment_cache=segment_cache, index_pinner=index_pinner)
             store._manifest_on_disk = True
-            # Versions 5 and 6 share the segment-log layout, so both
-            # replay; comparing against the *current* version here would
-            # silently skip a v5 store's logged flushes.
-            if manifest.version < STORE_FORMAT_VERSION_V5:
-                return store
             if store._replay_segment_log() or attempt == attempts - 1:
                 # A persistent gap after retries still leaves a consistent
                 # view: the checkpoint plus the contiguous log prefix.
@@ -387,11 +364,12 @@ class ProvenanceStore:
         manifest_path = os.path.join(path, MANIFEST_NAME)
         if not os.path.exists(manifest_path):
             raise StoreError(f"no provenance store at {path} (missing {MANIFEST_NAME})")
-        with open(manifest_path, "r", encoding="utf-8") as handle:
-            try:
-                return StoreManifest.from_dict(json.load(handle))
-            except json.JSONDecodeError as exc:
-                raise StoreError(f"corrupt manifest at {path}: {exc}") from exc
+        try:
+            with open(manifest_path, "r", encoding="utf-8") as handle:
+                document = json.load(handle)
+        except ValueError as exc:  # not JSON, or not even UTF-8
+            raise StoreError(f"corrupt manifest at {path}: {exc}") from exc
+        return StoreManifest.from_dict(document)
 
     def _replay_segment_log(self) -> bool:
         """Apply the committed tail of ``segments.log`` to the manifest.
@@ -454,15 +432,11 @@ class ProvenanceStore:
                 pages_runs_checksum = [
                     int(pages_runs_checksum[0]), int(pages_runs_checksum[1])
                 ]
-            quarantined = (
-                {
-                    int(segment_id): str(reason)
-                    for segment_id, reason in dict(record["quarantined"]).items()
-                }
-                if "quarantined" in record
-                else None
-            )
-        except (StoreError, KeyError, TypeError, ValueError, AttributeError, IndexError):
+            quarantined = {
+                int(segment_id): str(reason)
+                for segment_id, reason in record["quarantined"].items()
+            }
+        except (StoreError,) + MALFORMED_RECORD_ERRORS:
             return False
         last = self.manifest.segments[-1].segment_id if self.manifest.segments else 0
         for info in segments:
@@ -484,21 +458,13 @@ class ProvenanceStore:
         self.manifest.edge_count = edge_count
         if pages_runs_checksum is not None:
             self.manifest.pages_runs_checksum = pages_runs_checksum
-        if quarantined is not None:
-            # Pre-integrity records carry no key at all (keep the
-            # checkpoint's marks); new records carry the full table.
-            known = {info.segment_id for info in self.manifest.segments}
-            self.manifest.quarantined = {
-                segment_id: reason
-                for segment_id, reason in quarantined.items()
-                if segment_id in known
-            }
+        known = {info.segment_id for info in self.manifest.segments}
+        self.manifest.quarantined = {
+            segment_id: reason for segment_id, reason in quarantined.items() if segment_id in known
+        }
         return True
 
     def _run_index_dir(self, run_id: int) -> str:
-        if self._disk_version == STORE_FORMAT_VERSION_V2:
-            # PR-1 layout: one implicit run, flat index/ directory.
-            return os.path.join(self.path, INDEX_DIR)
         return os.path.join(self.path, INDEX_DIR, run_index_dir_name(run_id))
 
     def _load_run_indexes(self, run_id: int) -> StoreIndexes:
@@ -507,32 +473,26 @@ class ProvenanceStore:
         With an :class:`IndexPinner` attached, a generation that was
         merged before -- by this handle or any other handle sharing the
         pinner -- is returned resident instead of re-merging its base +
-        delta files; only v4 generation state is pinned (legacy JSON
-        loads and rebuilds are not reproducible from named generations).
+        delta files (rebuilds are not pinned: they are not reproducible
+        from named generations).
         """
         run = self.manifest.run_info(run_id)
-        run_dir = self._run_index_dir(run_id)
-        pinnable = self._disk_version >= STORE_FORMAT_VERSION_V4
         valid = [info.segment_id for info in self.manifest.segments_of_run(run_id)]
-        if self.pinner is not None and pinnable:
+        if self.pinner is not None:
             pinned = self.pinner.get(
                 self.cache_namespace, run_id, run.index_base, run.index_deltas, run.nodes
             )
             if pinned is not None and pinned.is_consistent_with(valid, run.nodes):
                 return pinned
         try:
-            if pinnable:
-                indexes = StoreIndexes.load_v4(run_dir, run.index_base, run.index_deltas)
-            else:
-                indexes = StoreIndexes.load(run_dir)
-                # Loaded from the legacy JSON layout: not reproducible from
-                # v4 generation files, so the next flush must write a base.
-                indexes.needs_base = True
+            indexes = StoreIndexes.load(
+                self._run_index_dir(run_id), run.index_base, run.index_deltas
+            )
         except StoreError:
             return self._rebuild_indexes_from_segments(run_id)
         if not indexes.is_consistent_with(valid, run.nodes):
             return self._rebuild_indexes_from_segments(run_id)
-        if self.pinner is not None and pinnable:
+        if self.pinner is not None:
             self.pinner.put(
                 self.cache_namespace, run_id, run.index_base, run.index_deltas, run.nodes, indexes
             )
@@ -579,34 +539,17 @@ class ProvenanceStore:
         last durable point plus the (small) run table -- so a flush costs
         O(epoch) regardless of how many segments the store holds.  Every
         ``checkpoint_interval`` appends (and whenever the in-memory state
-        cannot be expressed as an append: store creation, a format
-        upgrade, after compact/gc) the manifest is rewritten as a fresh
-        checkpoint and the log is reset instead; pass ``checkpoint=True``
-        / ``False`` to force either path.  Every file goes through a
-        temp-file + atomic rename, so a crash mid-flush leaves the
-        previous consistent generation in place.
-
-        Flushing always writes the version-6 layout; a store opened as
-        version 2 through 5 is upgraded in place by its first flush
-        (legacy JSON indexes are folded into v4 base files; the manifest
-        checkpoint and segment log appear alongside the v4 files; for a
-        v5 store the upgrade is just the version stamp -- the layouts are
-        identical).
+        cannot be expressed as an append: store creation, after
+        compact/gc) the manifest is rewritten as a fresh checkpoint and
+        the log is reset instead; pass ``checkpoint=True`` / ``False`` to
+        force either path.  Every file goes through a temp-file + atomic
+        rename, so a crash mid-flush leaves the previous consistent
+        generation in place.
         """
-        if self._disk_version < STORE_FORMAT_VERSION_V4:
-            # In-place upgrade: fold every run's legacy indexes into v4
-            # bases now, so the upgraded manifest never references a run
-            # without generation files.
-            for run_id in self.run_ids():
-                self.run_indexes[run_id]  # force the lazy load
         for run_id, indexes in self.run_indexes.items():
             run_info = self.manifest.run_info(run_id)
-            run_dir = os.path.join(self.path, INDEX_DIR, run_index_dir_name(run_id))
-            if self.index_full_rewrite:
-                # v3 cost-profile emulation (see the class docstring).
-                indexes.save(run_dir)
-                indexes.clear_pending()
-            elif indexes.needs_base:
+            run_dir = self._run_index_dir(run_id)
+            if indexes.needs_base:
                 generation = run_info.next_index_gen
                 run_info.next_index_gen += 1
                 indexes.save_base(run_dir, generation)
@@ -634,9 +577,7 @@ class ProvenanceStore:
         if checkpoint is None:
             checkpoint = (
                 self._needs_checkpoint
-                or self.manifest_full_rewrite
                 or not self._manifest_on_disk
-                or self._disk_version != STORE_FORMAT_VERSION
                 or self._uncheckpointed_records >= self.checkpoint_interval
             )
         if checkpoint:
@@ -692,8 +633,6 @@ class ProvenanceStore:
             # folded it in evaporates from the page cache.
             os.fsync(handle.fileno())
         os.replace(scratch, manifest_path)
-        self.manifest.version = STORE_FORMAT_VERSION
-        self._disk_version = STORE_FORMAT_VERSION
         self._manifest_on_disk = True
         self._logged_segment_count = len(self.manifest.segments)
         self._uncheckpointed_records = 0
@@ -889,14 +828,12 @@ class ProvenanceStore:
         edges: Sequence[EdgeTuple],
         run: Optional[int] = None,
         topo_positions: Optional[Sequence[int]] = None,
-        codec: Optional[str] = None,
     ) -> int:
         """Seal ``nodes`` + ``edges`` into a new segment of ``run``.
 
-        The payload is encoded with ``codec`` (default: the store's
-        ``default_codec``).  Topological ranks default to arrival order
-        (the run's ``next_topo`` onwards); the whole-graph ingest path
-        passes explicit ranks from
+        Topological ranks default to arrival order (the run's
+        ``next_topo`` onwards); the whole-graph ingest path passes
+        explicit ranks from
         :meth:`ConcurrentProvenanceGraph.topological_order` instead.
 
         The manifest and indexes are only updated in memory; call
@@ -905,8 +842,6 @@ class ProvenanceStore:
         run_id = self.resolve_run(run)
         run_info = self.manifest.run_info(run_id)
         indexes = self.run_indexes[run_id]
-        codec_name = codec if codec is not None else self.default_codec
-        codec_by_name(codec_name)  # validates before any file is written
         if topo_positions is None:
             topo_positions = range(run_info.next_topo, run_info.next_topo + len(nodes))
         elif len(topo_positions) != len(nodes):
@@ -925,7 +860,7 @@ class ProvenanceStore:
                 )
             batch_ids.add(node.node_id)
         segment_id = self.manifest.next_segment_id
-        framed, raw_bytes = encode_segment(nodes, edges, codec=codec_name)
+        framed, raw_bytes = encode_segment(nodes, edges)
         with open(os.path.join(self.path, SEGMENTS_DIR, segment_file_name(segment_id)), "wb") as handle:
             handle.write(framed)
         self.manifest.next_segment_id += 1
@@ -941,7 +876,6 @@ class ProvenanceStore:
                 edges=len(edges),
                 raw_bytes=raw_bytes,
                 stored_bytes=len(framed),
-                codec=codec_name,
                 crc=zlib.crc32(framed) & 0xFFFFFFFF,
             )
         )
@@ -975,7 +909,6 @@ class ProvenanceStore:
         segment_nodes: int = DEFAULT_SEGMENT_NODES,
         run_meta: Optional[dict] = None,
         workload: str = "",
-        codec: Optional[str] = None,
     ) -> int:
         """Ingest a finalized CPG as a **new run**; returns segments written.
 
@@ -1010,7 +943,6 @@ class ProvenanceStore:
                 edges,
                 run=run_id,
                 topo_positions=[topo_by_node[n] for n in batch],
-                codec=codec,
             )
             segments_written += 1
         self.manifest.run_info(run_id).status = RUN_COMPLETE
@@ -1025,39 +957,13 @@ class ProvenanceStore:
         segment_nodes: int = DEFAULT_SEGMENT_NODES,
         run_meta: Optional[dict] = None,
         workload: str = "",
-        codec: Optional[str] = None,
     ) -> int:
         """Ingest a CPG JSON file (v1 or v2) written with ``write_cpg``."""
         with open(path, "r", encoding="utf-8") as handle:
             cpg = cpg_from_json(handle.read())
         meta = {"source": os.path.basename(path)}
         meta.update(run_meta or {})
-        return self.ingest(
-            cpg, segment_nodes=segment_nodes, run_meta=meta, workload=workload, codec=codec
-        )
-
-    # ------------------------------------------------------------------ #
-    # Reading
-    # ------------------------------------------------------------------ #
-
-    @property
-    def max_cached_segments(self) -> Optional[int]:
-        """Entry-count bound of the segment cache (back-compat knob).
-
-        The byte budget (``store.cache.max_bytes``) is the primary limit;
-        this mirrors the cache's additional entry bound for callers of the
-        pre-cache API.
-        """
-        return self.cache.max_entries
-
-    @max_cached_segments.setter
-    def max_cached_segments(self, value: Optional[int]) -> None:
-        self.cache.max_entries = value
-
-    @property
-    def _cache(self) -> Dict[int, SegmentPayload]:
-        """This handle's cached payloads by segment id (back-compat view)."""
-        return self.cache.cached_segments(self.cache_namespace, self.manifest_generation)
+        return self.ingest(cpg, segment_nodes=segment_nodes, run_meta=meta, workload=workload)
 
     # ------------------------------------------------------------------ #
     # Quarantine
@@ -1469,13 +1375,12 @@ class ProvenanceStore:
         shorter than a full segment, and the edge-only tail segments the
         sink appends for post-run data edges.  Compaction rewrites the
         run's segments in topological order (ranks are preserved), co-
-        locates every edge with its target node again, re-encodes every
-        segment with the store's ``default_codec``, and **folds the run's
-        pending index deltas into a fresh base file**.  With ``run=None``
-        every run is compacted.
+        locates every edge with its target node again, and **folds the
+        run's pending index deltas into a fresh base file**.  With
+        ``run=None`` every run is compacted.
 
-        The rewrite is *streaming*: old segments are decoded one at a time
-        through the codec layer, edges are spilled to per-batch scratch
+        The rewrite is *streaming*: old segments are decoded one at a time,
+        edges are spilled to per-batch scratch
         files, and each new segment is sealed as soon as its nodes have
         arrived -- peak memory is one old segment plus one output batch
         (``MaintenanceStats.peak_resident_nodes`` reports the observed
@@ -1501,19 +1406,18 @@ class ProvenanceStore:
             run_info = self.manifest.run_info(run_id)
             loaded = dict.get(self.run_indexes, run_id)
             if superseded or run_info.index_deltas or (loaded is not None and loaded.needs_base):
-                # Fold the run's pending deltas (and any legacy/rebuilt
-                # state) into a fresh base at the flush below.
+                # Fold the run's pending deltas (and any rebuilt state)
+                # into a fresh base at the flush below.
                 stats.index_delta_files_reclaimed += len(run_info.index_deltas)
                 self.run_indexes[run_id].needs_base = True
                 if self.pinner is not None:
                     self.pinner.invalidate(self.cache_namespace, run_id)
                 dirty = True
         stats.segments_after = self.manifest.segment_count
-        if dirty or self._disk_version < STORE_FORMAT_VERSION:
+        if dirty:
             # Compaction rewrote the segment table: only a checkpoint can
             # express that (the log is append-only).
             self.flush(checkpoint=True)
-        if dirty:
             self._bump_generation()
         stats.bytes_reclaimed = self._delete_segments(old_ids) + self._sweep_orphans()
         return stats
@@ -1539,13 +1443,9 @@ class ProvenanceStore:
         infos = self.manifest.segments_of_run(run_id)
         run_info = self.manifest.run_info(run_id)
         wanted = max(1, -(-run_info.nodes // segment_nodes)) if run_info.nodes else 1
-        if (
-            len(infos) <= wanted
-            and all(
-                info.nodes >= min(segment_nodes, run_info.nodes) or info is infos[-1]
-                for info in infos
-            )
-            and all(info.codec == self.default_codec for info in infos)
+        if len(infos) <= wanted and all(
+            info.nodes >= min(segment_nodes, run_info.nodes) or info is infos[-1]
+            for info in infos
         ):
             return [], 0  # already compact (also covers the 0/1-segment runs)
         old_index = self.run_indexes[run_id]
@@ -1612,7 +1512,7 @@ class ProvenanceStore:
                                 batch_edges.append(edge_from_dict(json.loads(line)))
                 segment_id = self.manifest.next_segment_id
                 self.manifest.next_segment_id += 1
-                framed, raw_bytes = encode_segment(batch, batch_edges, codec=self.default_codec)
+                framed, raw_bytes = encode_segment(batch, batch_edges)
                 path = os.path.join(self.path, SEGMENTS_DIR, segment_file_name(segment_id))
                 scratch = path + ".tmp"
                 with open(scratch, "wb") as handle:
@@ -1630,9 +1530,6 @@ class ProvenanceStore:
                         edges=len(batch_edges),
                         raw_bytes=raw_bytes,
                         stored_bytes=len(framed),
-                        codec=self.default_codec,
-                        # Transcoding backfills the checksum column: after
-                        # one compact() every segment of the run is covered.
                         crc=zlib.crc32(framed) & 0xFFFFFFFF,
                     )
                 )
@@ -1795,8 +1692,8 @@ class ProvenanceStore:
 
         Covers segment files, index base/delta generations no run
         references (superseded by a fold, or strays from a crashed
-        flush/compaction), the legacy JSON index files of runs that have a
-        v4 base, and stale compaction spill directories.  Only maintenance
+        flush/compaction), crashed-rename scratch files, and stale
+        compaction spill directories.  Only maintenance
         operations sweep (never :meth:`open`): a streaming sink with
         ``flush_every_epochs > 1`` legitimately leaves committed segment
         files briefly ahead of the manifest, and sweeping on every open
@@ -1832,14 +1729,7 @@ class ProvenanceStore:
             for name in os.listdir(index_dir):
                 match = _RUN_DIR_RE.match(name)
                 if match is None:
-                    # v2 leftovers: the flat index files of an upgraded
-                    # single-run store (never the cross-run summary) --
-                    # and crashed-rename scratch files.
-                    stray = name.endswith(".tmp") or (
-                        name in LEGACY_INDEX_FILES
-                        and self._disk_version >= STORE_FORMAT_VERSION_V4
-                    )
-                    if stray:
+                    if name.endswith(".tmp"):  # crashed-rename scratch
                         freed += remove(os.path.join(index_dir, name))
                     continue
                 run_id = int(match.group(1))
@@ -1851,7 +1741,7 @@ class ProvenanceStore:
         return freed
 
     def _sweep_run_index_dir(self, run_id: int, run_dir: str) -> int:
-        """Drop index generations (and superseded legacy files) of one run."""
+        """Drop the index generations (and scratch files) one run no longer uses."""
         run_info = self.manifest.run_info(run_id)
         freed = 0
         for name in os.listdir(run_dir):
@@ -1863,10 +1753,6 @@ class ProvenanceStore:
                 stale = int(base_match.group(1)) != run_info.index_base
             elif delta_match is not None:
                 stale = int(delta_match.group(1)) not in run_info.index_deltas
-            elif name in LEGACY_INDEX_FILES and run_info.index_base > 0:
-                # The run's state lives in v4 generation files now; the
-                # JSON files it was upgraded from are superseded.
-                stale = True
             if stale:
                 try:
                     freed += os.path.getsize(path)
@@ -1895,9 +1781,6 @@ class ProvenanceStore:
         """One run's manifest entry plus its on-disk footprint."""
         run = self.manifest.run_info(run_id)
         infos = self.manifest.segments_of_run(run_id)
-        codecs: Dict[str, int] = {}
-        for info in infos:
-            codecs[info.codec] = codecs.get(info.codec, 0) + 1
         return {
             "id": run.run_id,
             "workload": run.workload,
@@ -1911,7 +1794,6 @@ class ProvenanceStore:
                 if self.manifest.is_quarantined(info.segment_id)
             ),
             "stored_bytes": sum(info.stored_bytes for info in infos),
-            "codecs": codecs,
             "index_base_gen": run.index_base,
             "index_delta_files": len(run.index_deltas),
             "index_delta_bytes": self.run_index_delta_bytes(run_id),
@@ -1940,16 +1822,6 @@ class ProvenanceStore:
         manifest = self.manifest
         raw = sum(segment.raw_bytes for segment in manifest.segments)
         stored = sum(segment.stored_bytes for segment in manifest.segments)
-        codecs: Dict[str, int] = {}
-        codec_bytes: Dict[str, Dict[str, int]] = {}
-        for segment in manifest.segments:
-            codecs[segment.codec] = codecs.get(segment.codec, 0) + 1
-            per = codec_bytes.setdefault(
-                segment.codec, {"segments": 0, "raw_bytes": 0, "stored_bytes": 0}
-            )
-            per["segments"] += 1
-            per["raw_bytes"] += segment.raw_bytes
-            per["stored_bytes"] += segment.stored_bytes
         for run_id in self.run_ids():
             self.indexes_for(run_id)  # info is the diagnostic full view
         loaded = list(self.run_indexes.values())
@@ -1959,11 +1831,9 @@ class ProvenanceStore:
         runs = [self.run_summary(run_id) for run_id in self.run_ids()]
         return {
             "path": self.path,
-            "format_version": manifest.version,
+            "format_version": STORE_FORMAT_VERSION,
             "segments": manifest.segment_count,
             "quarantined_segments": sorted(manifest.quarantined),
-            "codecs": codecs,
-            "codec_bytes": codec_bytes,
             "nodes": manifest.node_count,
             "edges": manifest.edge_count,
             "threads": threads,

@@ -1,27 +1,25 @@
-"""Property tests: the segment codecs are interchangeable.
+"""Property tests: the segment frame round-trips any graph exactly.
 
 Random segments -- arbitrary sub-computations (clocks, page sets, thunks,
 branch records, sync metadata) plus arbitrary edges of every kind -- must
-survive a round trip through **every** registered codec with identical
-content: a codec is only allowed to change the bytes, never the graph.
-The compressed columnar codec (``binary-z``) additionally round-trips at
-every zlib level and rejects corrupt frame bodies.  A final property
-checks the equivalence end to end through a store: the same CPG ingested
-once per codec answers every query identically.
+survive an encode/decode round trip with identical content, in a frame
+whose bytes are fixed by the format (columnar payload, zlib level 6,
+CRC32 of the body).  Corrupt frame bodies are rejected.
 """
 
-import os
-import tempfile
+import zlib
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.cpg import EdgeKind
 from repro.core.thunk import BranchRecord, SubComputation, Thunk
 from repro.core.vector_clock import VectorClock
-from repro.store import ProvenanceStore, StoreQueryEngine
-from repro.store.codecs import CODECS
-from repro.store.segment import decode_segment, encode_segment
+from repro.errors import StoreError
+from repro.store.codecs import encode_payload
+from repro.store.format import SEGMENT_MAGIC_PREFIX
+from repro.store.segment import SegmentPayload, decode_segment, encode_segment
 
 _pages = st.integers(min_value=0, max_value=2**40)
 _small = st.integers(min_value=0, max_value=12)
@@ -152,37 +150,19 @@ def canonical_edges(payload):
 def test_codecs_round_trip_identically(data):
     nodes = data.draw(subcomputations())
     edges = data.draw(edges_over(nodes))
-    decoded = {}
-    for codec in sorted(CODECS):
-        framed, raw_bytes = encode_segment(nodes, edges, codec=codec)
-        assert raw_bytes > 0
-        decoded[codec] = decode_segment(framed)
-    reference = decoded["json"]
-    for codec, payload in decoded.items():
-        assert canonical_nodes(payload) == canonical_nodes(reference), codec
-        assert canonical_edges(payload) == canonical_edges(reference), codec
-    # And both match the original, not merely each other.
-    from repro.store.segment import SegmentPayload
-
-    original = SegmentPayload.build(nodes, edges)
-    assert canonical_nodes(reference) == canonical_nodes(original)
-    assert canonical_edges(reference) == canonical_edges(original)
-
-
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data(), level=st.integers(min_value=1, max_value=9))
-def test_compressed_codec_round_trips_at_every_level(data, level):
-    """binary-z is binary + zlib: same graph back at every compress level."""
-    from repro.store.codecs import ZlibBinarySegmentCodec
-    from repro.store.segment import SegmentPayload
-
-    nodes = data.draw(subcomputations())
-    edges = data.draw(edges_over(nodes))
-    codec = ZlibBinarySegmentCodec(compress_level=level)
-    raw = codec.encode_payload(list(nodes), list(edges))
-    assert codec.decompress_frame(codec.compress_frame(raw)) == raw
-    framed, raw_bytes = encode_segment(nodes, edges, codec="binary-z")
-    assert raw_bytes == len(raw)  # level never changes the raw payload
+    framed, raw_bytes = encode_segment(nodes, edges)
+    # The frame bytes are fixed: magic, frame byte, raw length, CRC32 of
+    # the body, and the columnar payload compressed at zlib level 6.
+    raw = encode_payload(list(nodes), list(edges))
+    body = zlib.compress(raw, 6)
+    assert raw_bytes == len(raw) > 0
+    assert framed == (
+        SEGMENT_MAGIC_PREFIX
+        + b"\x84"
+        + len(raw).to_bytes(8, "little")
+        + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
+        + body
+    )
     payload = decode_segment(framed)
     original = SegmentPayload.build(nodes, edges)
     assert canonical_nodes(payload) == canonical_nodes(original)
@@ -192,47 +172,12 @@ def test_compressed_codec_round_trips_at_every_level(data, level):
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data(), cut=st.integers(min_value=1, max_value=64))
 def test_compressed_codec_rejects_corrupt_bodies(data, cut):
-    """A truncated or garbled binary-z frame fails loudly, never silently."""
-    import pytest
-
-    from repro.errors import StoreError
-
+    """A truncated or garbled frame fails loudly, never silently."""
     nodes = data.draw(subcomputations())
-    framed, _ = encode_segment(nodes, [], codec="binary-z")
+    framed, _ = encode_segment(nodes, [])
     truncated = framed[: max(13, len(framed) - cut)]
     with pytest.raises(StoreError):
         decode_segment(truncated)
     garbled = framed[:13] + bytes(reversed(framed[13:]))
     with pytest.raises(StoreError):
         decode_segment(garbled)
-
-
-@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_stores_built_with_either_codec_answer_identically(data):
-    nodes = data.draw(subcomputations())
-    # A store run needs edges between *stored* nodes only.
-    ids = [node.node_id for node in nodes]
-    edges = [edge for edge in data.draw(edges_over(nodes)) if edge[0] in ids and edge[1] in ids]
-    engines = {}
-    with tempfile.TemporaryDirectory(prefix="inspector-codec-prop-") as tmp:
-        for codec in sorted(CODECS):
-            store = ProvenanceStore.create(os.path.join(tmp, codec))
-            run_id = store.new_run(workload=f"prop-{codec}")
-            store.append_segment(nodes, edges, run=run_id, codec=codec)
-            store.flush()
-            engines[codec] = StoreQueryEngine(ProvenanceStore.open(os.path.join(tmp, codec)))
-        reference = engines["json"]
-        pages = sorted({page for node in nodes for page in node.read_set | node.write_set})[:3]
-        for codec, engine in engines.items():
-            for node in nodes:
-                assert engine.backward_slice(node.node_id, run=1) == reference.backward_slice(
-                    node.node_id, run=1
-                ), codec
-            assert engine.lineage_of_pages(pages, run=1) == reference.lineage_of_pages(
-                pages, run=1
-            ), codec
-            mine = engine.propagate_taint(pages, run=1)
-            theirs = reference.propagate_taint(pages, run=1)
-            assert mine.tainted_nodes == theirs.tainted_nodes, codec
-            assert mine.tainted_pages == theirs.tainted_pages, codec

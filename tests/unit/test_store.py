@@ -1,6 +1,7 @@
 """Tests for the persistent provenance store (:mod:`repro.store`)."""
 
 import json
+import os
 
 import pytest
 
@@ -28,8 +29,15 @@ from repro.core.serialization import (
 )
 from repro.errors import ProvenanceError, StoreError
 from repro.inspector.api import run_with_provenance
-from repro.store import STORE_FORMAT_VERSION, ProvenanceStore, StoreQueryEngine, StoreSink
+from repro.store import (
+    STORE_FORMAT_VERSION,
+    ProvenanceStore,
+    StoreQueryEngine,
+    StoreSink,
+    verify_store,
+)
 from repro.store.__main__ import main as store_cli
+from repro.store.format import MANIFEST_NAME, index_delta_file_name
 from repro.store.segment import decode_segment, encode_segment
 
 
@@ -80,6 +88,59 @@ def canonical_edges(cpg):
             extra = ()
         entries.append((source, target, kind.value, extra))
     return sorted(entries)
+
+
+def _set(key, value):
+    return lambda document: document.__setitem__(key, value)
+
+
+#: One-field edits of a valid manifest, each with the refusal it must
+#: produce: malformed fields, and every format version before 7.
+MANIFEST_EDITS = {
+    "segment-id-not-a-number": (
+        lambda document: document["segments"][0].__setitem__("id", "x"),
+        "corrupt manifest",
+    ),
+    "run-entry-not-an-object": (
+        lambda document: document["runs"].__setitem__(0, 7),
+        "corrupt manifest",
+    ),
+    "scalar-pages-runs-checksum": (_set("pages_runs_checksum", 5), "corrupt manifest"),
+    "list-quarantined": (_set("quarantined", [1]), "corrupt manifest"),
+    "null-next-segment-id": (_set("next_segment_id", None), "corrupt manifest"),
+    **{
+        f"version-{version}": (
+            _set("version", version),
+            rf"unsupported store format version {version} \(this build reads 7\); re-ingest",
+        )
+        for version in (2, 3, 4, 5, 6)
+    },
+}
+
+
+def _file_bytes(root):
+    contents = {}
+    for directory, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(directory, name)
+            with open(path, "rb") as handle:
+                contents[path] = handle.read()
+    return contents
+
+
+def assert_manifest_refused(store_dir, capsys, message):
+    """Open, the CLI, and fsck all refuse the store; no file changes."""
+    before = _file_bytes(store_dir)
+    with pytest.raises(StoreError, match=message):
+        ProvenanceStore.open(store_dir)
+    capsys.readouterr()
+    assert store_cli(["info", store_dir]) == 1  # handled: no traceback
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    report = verify_store(store_dir)
+    assert not report["ok"]
+    assert [problem["kind"] for problem in report["problems"]] == ["manifest_unreadable"]
+    assert _file_bytes(store_dir) == before
 
 
 @pytest.fixture(scope="module")
@@ -208,12 +269,23 @@ class TestStoreRoundTrip:
         with pytest.raises(StoreError, match="no provenance store"):
             ProvenanceStore.open(str(tmp_path / "nope"))
 
-    def test_corrupt_manifest_reports_store_error(self, tmp_path):
-        store = ProvenanceStore.create(str(tmp_path))
-        (tmp_path / "MANIFEST.json").write_text("{not json")
-        with pytest.raises(StoreError, match="corrupt manifest"):
-            ProvenanceStore.open(str(tmp_path))
-        del store
+    def test_corrupt_manifest_reports_store_error(self, tmp_path, capsys):
+        ProvenanceStore.create(str(tmp_path))
+        (tmp_path / MANIFEST_NAME).write_text("{not json")
+        assert_manifest_refused(str(tmp_path), capsys, "corrupt manifest")
+
+    @pytest.mark.parametrize("edit", sorted(MANIFEST_EDITS))
+    def test_malformed_manifest_reports_store_error(self, tmp_path, capsys, edit):
+        store_dir = str(tmp_path / "store")
+        ProvenanceStore.create(store_dir).ingest(build_example_cpg(), segment_nodes=3)
+        manifest_path = os.path.join(store_dir, MANIFEST_NAME)
+        with open(manifest_path, encoding="utf-8") as handle:
+            document = json.load(handle)
+        mutate, expected = MANIFEST_EDITS[edit]
+        mutate(document)
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        assert_manifest_refused(store_dir, capsys, expected)
 
     def test_double_ingest_mints_two_runs(self, tmp_path):
         # PR-1 failed fast on a second ingest; runs are namespaces now, so
@@ -386,13 +458,10 @@ class TestStoreSink:
         assert set(survivor.load_cpg().nodes()) == set(order[:4])
 
     def test_torn_flush_recovers_previous_generation(self, tmp_path):
-        # Simulates a crash after the index files were renamed but before
-        # the manifest (the commit point) was: opening must fall back to
-        # the previous consistent generation.
-        import os
-
-        from repro.store.format import INDEX_DIR, run_index_dir_name
-
+        # Simulates a crash after a flush wrote its index delta but before
+        # the commit record landed: no committed state references that
+        # generation, so opening must ignore it and fall back to the
+        # previous consistent generation.
         cpg = build_example_cpg()
         store = ProvenanceStore.create(str(tmp_path))
         run_id = store.new_run(workload="example")
@@ -402,9 +471,13 @@ class TestStoreSink:
         store.append_segment(first, [], run=run_id)
         store.flush()
         store.append_segment(second, [], run=run_id)
-        # Indexes one generation ahead of the manifest:
-        store.indexes.save(os.path.join(str(tmp_path), INDEX_DIR, run_index_dir_name(run_id)))
+        # The next flush's delta, one generation ahead of the commit:
+        generation = store.manifest.run_info(run_id).next_index_gen
+        run_dir = store._run_index_dir(run_id)
+        store.indexes.save_delta(run_dir, generation)
+        assert os.path.exists(os.path.join(run_dir, index_delta_file_name(generation)))
         reopened = ProvenanceStore.open(str(tmp_path))
+        assert generation not in reopened.manifest.run_info(run_id).index_deltas
         assert reopened.manifest.segment_count == 1
         assert set(reopened.load_cpg().nodes()) == {node.node_id for node in first}
         with pytest.raises(ProvenanceError):
@@ -445,12 +518,12 @@ class TestStoreSink:
         store = ProvenanceStore.create(str(tmp_path))
         store.ingest(cpg, segment_nodes=2)
         cold = ProvenanceStore.open(str(tmp_path))
-        cold.max_cached_segments = 2
+        cold.cache.max_entries = 2
         total = cold.manifest.segment_count
         assert total > 2
         for segment_id in range(1, total + 1):
             cold.segment(segment_id)
-        assert len(cold._cache) == 2
+        assert len(cold.cache.cached_segments(cold.cache_namespace, cold.manifest_generation)) == 2
         # Evicted segments are re-read from disk, and correctly.
         reads_before = cold.read_stats.segments_read
         payload = cold.segment(1)

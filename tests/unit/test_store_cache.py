@@ -139,10 +139,11 @@ class TestSegmentCacheBudget:
     def test_entry_cap_back_compat_knob(self, stored):
         _, store_dir = stored
         store = ProvenanceStore.open(store_dir)
-        store.max_cached_segments = 2
+        store.cache.max_entries = 2
         for segment_id in store.manifest.segment_ids():
             store.segment(segment_id)
-        assert len(store._cache) == 2
+        cached = store.cache.cached_segments(store.cache_namespace, store.manifest_generation)
+        assert len(cached) == 2
 
 
 class TestMaintenanceInvalidation:

@@ -1,6 +1,6 @@
 """Tests for the store's self-healing layer (:mod:`repro.store.integrity`).
 
-Covers the whole damage lifecycle: codec-level frame checksums, the
+Covers the whole damage lifecycle: segment frame checksums, the
 per-file checksum columns, structural fsck (including the orphan leak a
 crashed ``compact()`` leaves behind), deep scrub with quarantine and
 un-quarantine, degraded queries that skip quarantined segments instead of
@@ -37,23 +37,17 @@ from repro.store import (
     verify_store,
 )
 from repro.store.__main__ import main as store_cli
-from repro.store.codecs import CRC_FRAME_FLAG
 from repro.store.format import (
     INDEX_DIR,
     MANIFEST_NAME,
     PAGES_RUNS_FILE,
+    SEGMENT_FRAME_BYTE,
     SEGMENT_LOG_NAME,
     SEGMENT_MAGIC_PREFIX,
     SEGMENTS_DIR,
     file_size_crc,
 )
-from repro.store.segment import (
-    FRAME_UNVERIFIED,
-    FRAME_VERIFIED,
-    decode_segment,
-    encode_segment,
-    verify_frame,
-)
+from repro.store.segment import decode_segment, encode_segment
 
 ALL_PAGES = list(range(8))
 
@@ -74,22 +68,8 @@ def first_segment_file(store_dir):
         return info.segment_id, segment_path(store_dir, info)
 
 
-def strip_crc_frame(framed: bytes) -> bytes:
-    """Rewrite a CRC-bearing frame as its pre-integrity legacy form."""
-    pos = len(SEGMENT_MAGIC_PREFIX)
-    frame_byte = framed[pos]
-    assert frame_byte & CRC_FRAME_FLAG
-    header_end = pos + 1 + 8
-    return (
-        framed[:pos]
-        + bytes((frame_byte & ~CRC_FRAME_FLAG,))
-        + framed[pos + 1 : header_end]
-        + framed[header_end + 4 :]  # drop the 4-byte CRC
-    )
-
-
 # ---------------------------------------------------------------------- #
-# Codec-level frame checksums
+# Segment frame checksums
 # ---------------------------------------------------------------------- #
 
 
@@ -103,7 +83,10 @@ class TestFrameChecksums:
 
     def test_new_frames_carry_and_verify_a_crc(self):
         framed = self.encode_example()
-        assert verify_frame(framed) == FRAME_VERIFIED
+        header = len(SEGMENT_MAGIC_PREFIX) + 1 + 8
+        assert framed[len(SEGMENT_MAGIC_PREFIX)] == SEGMENT_FRAME_BYTE
+        stored_crc = int.from_bytes(framed[header : header + 4], "little")
+        assert stored_crc == zlib.crc32(framed[header + 4 :]) & 0xFFFFFFFF
         assert decode_segment(framed).nodes  # decode verifies, then parses
 
     def test_bit_rot_in_the_body_is_detected(self):
@@ -111,15 +94,7 @@ class TestFrameChecksums:
         rotted = bytearray(framed)
         rotted[-1] ^= 0xFF
         with pytest.raises(StoreError, match="checksum mismatch"):
-            verify_frame(bytes(rotted))
-        with pytest.raises(StoreError, match="checksum mismatch"):
             decode_segment(bytes(rotted))
-
-    def test_legacy_frames_read_back_as_unverified(self):
-        framed = self.encode_example()
-        legacy = strip_crc_frame(framed)
-        assert verify_frame(legacy) == FRAME_UNVERIFIED
-        assert decode_segment(legacy).nodes == decode_segment(framed).nodes
 
 
 # ---------------------------------------------------------------------- #
@@ -147,19 +122,6 @@ class TestChecksumColumns:
             assert recorded is not None
             summary = os.path.join(str(tmp_path / "store"), INDEX_DIR, PAGES_RUNS_FILE)
             assert file_size_crc(summary) == recorded
-
-    def test_compact_backfills_missing_segment_checksums(self, tmp_path):
-        build_store(tmp_path / "store", seeds=(5, 6, 7))
-        # Simulate a store whose manifest predates the checksum column.
-        with ProvenanceStore.open(str(tmp_path / "store")) as store:
-            for info in store.manifest.segments:
-                info.crc = None
-            store.flush(checkpoint=True)
-        with ProvenanceStore.open(str(tmp_path / "store")) as store:
-            assert all(info.crc is None for info in store.manifest.segments)
-            store.compact(segment_nodes=64)
-            assert store.manifest.segments
-            assert all(info.crc is not None for info in store.manifest.segments)
 
 
 # ---------------------------------------------------------------------- #
@@ -261,9 +223,12 @@ class TestScrubAndQuarantine:
         with ProvenanceStore.open(str(tmp_path / "store")) as store:
             report = scrub(store, throttle_mb_per_s=200.0)
         assert report["ok"]
-        assert report["segments"]["damaged"] == 0
-        assert report["segments"]["unverified"] == 0
+        assert report["segments"] == {
+            "verified": len(store.manifest.segments),
+            "damaged": 0,
+        }
         assert report["segments"]["verified"] > 0
+        assert report["index_files"]["unverified"] == 0
         assert report["index_files"]["verified"] > 0
         assert report["bytes_verified"] > 0
 
@@ -311,90 +276,29 @@ class TestScrubAndQuarantine:
     def test_legacy_manifest_scrubs_unverified_without_upgrading(self, tmp_path):
         build_store(tmp_path / "store")
         store_dir = str(tmp_path / "store")
-        # Strip the integrity columns: what a store written by the
-        # previous release looks like after opening under this one.
+        # Strip the index and summary checksums: what a crash between a
+        # file's write and the commit that records its checksum leaves.
         manifest_path = os.path.join(store_dir, MANIFEST_NAME)
         with open(manifest_path, encoding="utf-8") as handle:
             data = json.load(handle)
-        for entry in data["segments"]:
-            entry.pop("crc", None)
         for entry in data["runs"]:
             entry.pop("index_checksums", None)
         data.pop("pages_runs_checksum", None)
         with open(manifest_path, "w", encoding="utf-8") as handle:
             json.dump(data, handle)
-        before = os.path.getsize(manifest_path)
+        with open(manifest_path, "rb") as handle:
+            before = handle.read()
         with ProvenanceStore.open(store_dir) as store:
             report = scrub(store)
-        # Frames still carry their CRC, so segments verify; the index
+        # Segments still verify against their recorded CRCs; the index
         # files have no recorded checksum and count as unverified.
         assert report["ok"]
         assert report["segments"]["damaged"] == 0
+        assert report["segments"]["verified"] > 0
         assert report["index_files"]["unverified"] > 0
-        # A clean scrub writes nothing -- it must not upgrade the store.
-        assert os.path.getsize(manifest_path) == before
-
-    def test_upgraded_legacy_store_regains_full_coverage(self, tmp_path):
-        """A pre-integrity store queries unchanged; one compact() upgrades it.
-
-        Rewrites every segment as a legacy (CRC-less) frame and strips
-        the manifest's checksum columns -- what a store written before
-        this release looks like -- then checks the documented ladder:
-        still opens and queries, scrubs clean but `unverified`, and a
-        single compact() backfills both layers so the next bit flip is
-        caught.
-        """
-        runs = build_store(tmp_path / "store", seeds=(71,))
-        store_dir = str(tmp_path / "store")
-        with ProvenanceStore.open(store_dir) as store:
-            baseline = StoreQueryEngine(store).lineage_of_pages(ALL_PAGES, run=runs[0])
-            seg_paths = [
-                segment_path(tmp_path / "store", info)
-                for info in store.manifest.segments
-            ]
-        for seg in seg_paths:
-            with open(seg, "rb") as handle:
-                framed = handle.read()
-            with open(seg, "wb") as handle:
-                handle.write(strip_crc_frame(framed))
-        manifest_path = os.path.join(store_dir, MANIFEST_NAME)
-        with open(manifest_path, encoding="utf-8") as handle:
-            data = json.load(handle)
-        for entry in data["segments"]:
-            entry.pop("crc", None)
-            entry["stored_bytes"] -= 4  # the dropped CRC field
-        for entry in data["runs"]:
-            entry.pop("index_checksums", None)
-        data.pop("pages_runs_checksum", None)
-        with open(manifest_path, "w", encoding="utf-8") as handle:
-            json.dump(data, handle)
-
-        assert verify_store(store_dir)["ok"]
-        with ProvenanceStore.open(store_dir) as store:
-            assert (
-                StoreQueryEngine(store).lineage_of_pages(ALL_PAGES, run=runs[0])
-                == baseline
-            )
-            report = scrub(store)
-            assert report["ok"]
-            assert report["segments"]["unverified"] == len(seg_paths)
-            assert report["segments"]["verified"] == 0
-        with ProvenanceStore.open(store_dir) as store:
-            store.compact(segment_nodes=64)
-        with ProvenanceStore.open(store_dir) as store:
-            report = scrub(store)
-            assert report["ok"]
-            assert report["segments"]["unverified"] == 0
-            assert report["segments"]["verified"] > 0
-            assert (
-                StoreQueryEngine(store).lineage_of_pages(ALL_PAGES, run=runs[0])
-                == baseline
-            )
-        # Coverage is back: damage is detectable again.
-        _, seg = first_segment_file(tmp_path / "store")
-        flip_bytes(seg, -2)
-        with ProvenanceStore.open(store_dir) as store:
-            assert not scrub(store, quarantine=False)["ok"]
+        # A clean scrub writes nothing.
+        with open(manifest_path, "rb") as handle:
+            assert handle.read() == before
 
     def test_corruption_sweep_every_file_class_is_caught(self, tmp_path):
         """Flip one byte in each class of store file; scrub flags each."""

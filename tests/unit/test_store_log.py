@@ -1,13 +1,12 @@
-"""Store format 5: the append-only segment log and its crash recovery.
+"""The append-only segment log and its crash recovery.
 
-Covers the v5 commit protocol on top of the existing store suites: each
+Covers the commit protocol on top of the existing store suites: each
 flush appends one framed O(epoch) record to ``segments.log`` instead of
 rewriting the manifest, a cold open replays the committed log tail, torn
 or corrupt tails are detected and cut, stale records left by a crash
-between checkpoint and log reset are skipped by sequence number, missing
-index deltas referenced by a committed record recover by rebuilding from
-segments, and v4 stores open unchanged then upgrade to v5 on their first
-flush.
+between checkpoint and log reset are skipped by sequence number, and
+missing index deltas referenced by a committed record recover by
+rebuilding from segments.
 """
 
 import json
@@ -22,7 +21,6 @@ from repro.errors import StoreError
 from repro.store import (
     SEGMENT_LOG_NAME,
     STORE_FORMAT_VERSION,
-    STORE_FORMAT_VERSION_V4,
     ProvenanceStore,
     SegmentLog,
     StoreQueryEngine,
@@ -209,17 +207,6 @@ class TestLogAppendFlush:
         assert document["version"] == STORE_FORMAT_VERSION
         assert len(document["segments"]) == store.manifest.segment_count
 
-    def test_manifest_full_rewrite_knob_checkpoints_every_flush(self, tmp_path):
-        store_dir = str(tmp_path / "knob")
-        store = ProvenanceStore.open_or_create(store_dir)
-        store.manifest_full_rewrite = True
-        run_id = store.new_run(workload="knob")
-        for position in range(3):
-            store.append_segment([make_node(1, position)], [], run=run_id)
-            store.flush()
-            assert store.log_state()["records"] == 0
-        assert ProvenanceStore.open(store_dir).manifest.node_count == 3
-
 
 # ---------------------------------------------------------------------- #
 # Crash recovery
@@ -345,66 +332,6 @@ class TestCrashRecovery:
         final = ProvenanceStore.open(store_dir)
         assert final.manifest.node_count == 12
         assert final.manifest.log_seq > 0
-
-
-# ---------------------------------------------------------------------- #
-# v4 back-compat and in-place upgrade
-# ---------------------------------------------------------------------- #
-
-
-def downgrade_to_v4(store_dir):
-    """Rewrite a v5 store directory as a genuine v4 store.
-
-    The inverse of the in-place upgrade: a version-4 manifest without the
-    ``log_seq`` column and no ``segments.log`` -- byte-layout-wise what
-    PR 4 wrote.  Only valid right after a checkpoint (the manifest must
-    already name every segment).
-    """
-    log = log_path_of(store_dir)
-    assert not os.path.exists(log) or SegmentLog(log).scan() == []
-    if os.path.exists(log):
-        os.remove(log)
-    manifest_path = os.path.join(store_dir, MANIFEST_NAME)
-    with open(manifest_path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    document["version"] = STORE_FORMAT_VERSION_V4
-    del document["log_seq"]
-    with open(manifest_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, sort_keys=True)
-
-
-@pytest.fixture()
-def v4_store(tmp_path):
-    store_dir = str(tmp_path / "v4-store")
-    store, sink = stream_epochs(store_dir, epochs=4, finish=True)
-    downgrade_to_v4(store_dir)
-    return store_dir, sink.run_id
-
-
-class TestV4BackCompat:
-    def test_v4_store_opens_and_queries_unchanged(self, v4_store):
-        store_dir, run_id = v4_store
-        store = ProvenanceStore.open(store_dir)
-        assert store.manifest.version == STORE_FORMAT_VERSION_V4
-        assert len(store.load_cpg(run=run_id)) == 16
-        assert StoreQueryEngine(store).backward_slice((1, 15), run=run_id)
-        # Reading never creates v5 artefacts.
-        assert not os.path.exists(log_path_of(store_dir))
-
-    def test_first_flush_upgrades_v4_store_in_place(self, v4_store):
-        store_dir, run_id = v4_store
-        store = ProvenanceStore.open(store_dir)
-        store.append_segment([make_node(9, 0, writes={5000})], [], run=run_id)
-        store.flush()  # auto policy: version mismatch forces a checkpoint
-        assert os.path.exists(log_path_of(store_dir))
-        reopened = ProvenanceStore.open(store_dir)
-        assert reopened.manifest.version == STORE_FORMAT_VERSION
-        assert reopened.manifest.node_count == 17
-        # Subsequent flushes take the O(epoch) log-append path.
-        reopened.append_segment([make_node(9, 1)], [], run=run_id)
-        reopened.flush()
-        assert reopened.log_state()["records"] == 1
-        assert ProvenanceStore.open(store_dir).manifest.node_count == 18
 
 
 # ---------------------------------------------------------------------- #

@@ -1,10 +1,9 @@
-"""Multi-run store tests: run lifecycle, compaction, GC, and v2 back-compat.
+"""Multi-run store tests: run lifecycle, compaction, and GC.
 
 The scenarios here are the acceptance criteria of the multi-run store:
 one store ingesting several runs of *different* workloads, per-run and
-cross-run queries, ``compact``/``gc`` maintenance (including a simulated
-crash mid-compaction), and reading a PR-1 (format v2, single-run) store
-unchanged as an implicit one-run store.
+cross-run queries, and ``compact``/``gc`` maintenance (including a
+simulated crash mid-compaction).
 """
 
 import json
@@ -16,21 +15,9 @@ from repro.core.queries import backward_slice, lineage_of_pages, propagate_taint
 from repro.core.serialization import node_key
 from repro.errors import StoreError
 from repro.inspector.api import run_with_provenance
-from repro.store import (
-    STORE_FORMAT_VERSION,
-    ProvenanceStore,
-    StoreIndexes,
-    StoreQueryEngine,
-    StoreSink,
-)
+from repro.store import ProvenanceStore, StoreQueryEngine, StoreSink
 from repro.store.__main__ import main as store_cli
-from repro.store.format import (
-    INDEX_DIR,
-    MANIFEST_NAME,
-    SEGMENTS_DIR,
-    STORE_KIND,
-    segment_file_name,
-)
+from repro.store.format import SEGMENTS_DIR, segment_file_name
 from repro.store.segment import encode_segment
 
 from tests.unit.test_store import build_example_cpg, canonical_edges
@@ -171,22 +158,20 @@ class TestCompaction:
 
     def test_crash_between_index_save_and_manifest_commit(self, tmp_path):
         # The nastiest compaction crash window: the new generation's index
-        # files were already renamed into place, but the manifest (the
-        # commit point) was not.  The loaded indexes then reference
-        # segments the manifest never committed; open() must detect the
-        # tear and rebuild the run's indexes from the committed segments.
-        from repro.store.format import run_index_dir_name
-
+        # base was already renamed into place, but the manifest (the
+        # commit point) was not.  That base references segments the
+        # manifest never committed; open() must keep loading the committed
+        # generation and answer every query from the committed segments.
         store_dir = str(tmp_path / "store")
         store = ProvenanceStore.create(store_dir)
         cpg = build_example_cpg()
         store.ingest(cpg, segment_nodes=2)
         old_ids = store.manifest.segment_ids()
-        # Compact in memory + write new segment files and new-generation
-        # index files, but never commit the manifest (simulated crash).
+        # Compact in memory + write new segment files and the new base
+        # generation, but never commit the manifest (simulated crash).
         store._compact_run(1, 64)
-        store.run_indexes[1].save(
-            os.path.join(store_dir, INDEX_DIR, run_index_dir_name(1))
+        store.run_indexes[1].save_base(
+            store._run_index_dir(1), store.manifest.run_info(1).next_index_gen
         )
         survivor = ProvenanceStore.open(store_dir)
         assert survivor.manifest.segment_ids() == old_ids
@@ -329,118 +314,6 @@ class TestGarbageCollection:
         store.gc(runs=[1])
         store.ingest(build_example_cpg(), segment_nodes=4)
         assert not (set(store.manifest.segment_ids()) & first_segments)
-
-
-# ---------------------------------------------------------------------- #
-# v2 -> v3 back-compat
-# ---------------------------------------------------------------------- #
-
-
-def write_v2_store(path: str, cpg, segment_nodes: int = 4) -> None:
-    """Write a store in the PR-1 (format v2, single-run) layout.
-
-    Mirrors what the v2 ``ProvenanceStore.ingest`` produced: contiguous
-    segment ids from 1, a flat ``index/`` directory, and a v2 manifest with
-    a free-form run log.
-    """
-    os.makedirs(os.path.join(path, SEGMENTS_DIR))
-    order = cpg.topological_order()
-    edges_by_target = {}
-    for source, target, attrs in cpg.edges():
-        kind = attrs["kind"]
-        extra = {key: value for key, value in attrs.items() if key != "kind"}
-        edges_by_target.setdefault(target, []).append((source, target, kind, extra))
-    indexes = StoreIndexes()
-    manifest_segments = []
-    node_count = edge_count = 0
-    for start in range(0, len(order), segment_nodes):
-        batch = order[start : start + segment_nodes]
-        nodes = [cpg.subcomputation(node_id) for node_id in batch]
-        edges = []
-        for node_id in batch:
-            edges.extend(edges_by_target.get(node_id, ()))
-        segment_id = len(manifest_segments) + 1
-        framed, raw_bytes = encode_segment(nodes, edges)
-        with open(os.path.join(path, SEGMENTS_DIR, segment_file_name(segment_id)), "wb") as handle:
-            handle.write(framed)
-        for rank, node in enumerate(nodes, start=start):
-            indexes.add_node(segment_id, node, rank)
-        for edge in edges:
-            indexes.add_edge(segment_id, edge)
-        manifest_segments.append(
-            {
-                "id": segment_id,
-                "nodes": len(nodes),
-                "edges": len(edges),
-                "raw_bytes": raw_bytes,
-                "stored_bytes": len(framed),
-            }
-        )
-        node_count += len(nodes)
-        edge_count += len(edges)
-    indexes.save(os.path.join(path, INDEX_DIR))  # v2: flat index directory
-    manifest = {
-        "kind": STORE_KIND,
-        "version": 2,
-        "segments": manifest_segments,
-        "node_count": node_count,
-        "edge_count": edge_count,
-        "next_topo": len(order),
-        "runs": [{"workload": "legacy-example", "threads": 3}],
-        "meta": {},
-    }
-    with open(os.path.join(path, MANIFEST_NAME), "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, sort_keys=True, indent=2)
-
-
-class TestV2BackCompat:
-    @pytest.fixture()
-    def v2_store_dir(self, tmp_path):
-        cpg = build_example_cpg()
-        store_dir = str(tmp_path / "v2-store")
-        write_v2_store(store_dir, cpg)
-        return cpg, store_dir
-
-    def test_v2_store_opens_as_one_run(self, v2_store_dir):
-        cpg, store_dir = v2_store_dir
-        store = ProvenanceStore.open(store_dir)
-        assert store.manifest.version == 2  # untouched on disk until a write
-        assert store.run_ids() == [1]
-        run = store.manifest.runs[0]
-        assert run.workload == "legacy-example"
-        assert run.nodes == len(cpg)
-        assert canonical_edges(store.load_cpg()) == canonical_edges(cpg)
-
-    def test_v2_store_queries_unchanged(self, v2_store_dir):
-        cpg, store_dir = v2_store_dir
-        engine = StoreQueryEngine(ProvenanceStore.open(store_dir))
-        for node_id in cpg.nodes():
-            assert engine.backward_slice(node_id) == backward_slice(cpg, node_id)
-        mine = engine.propagate_taint([100, 101])
-        reference = propagate_taint(cpg, [100, 101])
-        assert mine.tainted_nodes == reference.tainted_nodes
-        assert mine.tainted_pages == reference.tainted_pages
-
-    def test_v2_store_cli_queries(self, v2_store_dir, capsys):
-        cpg, store_dir = v2_store_dir
-        target = cpg.thread_nodes(3)[0]
-        assert store_cli(["slice", store_dir, "--node", node_key(target), "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["nodes"] == sorted(node_key(n) for n in backward_slice(cpg, target))
-
-    def test_second_run_upgrades_v2_store_in_place(self, v2_store_dir):
-        cpg, store_dir = v2_store_dir
-        store = ProvenanceStore.open(store_dir)
-        store.ingest(build_example_cpg(racy=True), workload="fresh")
-        assert store.run_ids() == [1, 2]
-        reopened = ProvenanceStore.open(store_dir)
-        assert reopened.manifest.version == STORE_FORMAT_VERSION  # rewritten by the flush
-        assert [run.workload for run in reopened.manifest.runs] == ["legacy-example", "fresh"]
-        assert canonical_edges(reopened.load_cpg(run=1)) == canonical_edges(cpg)
-        # Legacy run maintenance works too: gc away the v2 run.
-        stats = reopened.gc(runs=[1])
-        assert stats.bytes_reclaimed > 0
-        assert ProvenanceStore.open(store_dir).run_ids() == [2]
 
 
 # ---------------------------------------------------------------------- #

@@ -1,11 +1,9 @@
-"""Store format 4: codecs, append-only index deltas, streaming compaction.
+"""Segment frames, append-only index deltas, streaming compaction.
 
-Covers the v4 refactor's own guarantees on top of the existing store
-suites: v3 stores open/query identically and upgrade in place, mixed-codec
-stores decode correctly through the query engine, torn index-delta
-generations are recovered from segments, compaction streams instead of
-materializing whole runs, and the cross-run page summary skips runs
-without loading their indexes.
+Covers, on top of the existing store suites: only the current segment
+frame byte decodes, torn index-delta generations are recovered from
+segments, compaction streams instead of materializing whole runs, and the
+cross-run page summary skips runs without loading their indexes.
 """
 
 import json
@@ -16,28 +14,24 @@ import pytest
 from repro.core.algorithm import ProvenanceTracker
 from repro.core.cpg import EdgeKind
 from repro.core.dependencies import derive_data_edges
-from repro.core.queries import backward_slice, lineage_of_pages, propagate_taint
 from repro.core.thunk import SubComputation
 from repro.core.vector_clock import VectorClock
 from repro.errors import StoreError
 from repro.store import (
-    DEFAULT_CODEC,
     STORE_FORMAT_VERSION,
     ProvenanceStore,
-    StoreIndexes,
     StoreQueryEngine,
     StoreSink,
 )
 from repro.store.format import (
     INDEX_DIR,
-    MANIFEST_NAME,
     PAGES_RUNS_FILE,
-    STORE_FORMAT_VERSION_V3,
+    SEGMENT_MAGIC_PREFIX,
     index_base_file_name,
     index_delta_file_name,
     run_index_dir_name,
 )
-from repro.store.segment import decode_segment, encode_segment, segment_codec_name
+from repro.store.segment import decode_segment, encode_segment
 
 
 def build_example_cpg():
@@ -94,170 +88,24 @@ def make_node(tid, index, reads=(), writes=()):
     return node
 
 
-def assert_engine_matches_memory(store_dir, cpg, run=None):
-    """Every query family answered by the engine equals the in-memory result."""
-    store = ProvenanceStore.open(store_dir)
-    engine = StoreQueryEngine(store)
-    assert canonical_edges(store.load_cpg(run=run)) == canonical_edges(cpg)
-    for node_id in cpg.nodes():
-        assert engine.backward_slice(node_id, run=run) == backward_slice(cpg, node_id)
-    assert engine.lineage_of_pages([100, 101], run=run) == lineage_of_pages(cpg, [100, 101])
-    mine = engine.propagate_taint([100, 101], run=run)
-    reference = propagate_taint(cpg, [100, 101])
-    assert mine.tainted_nodes == reference.tainted_nodes
-    assert mine.tainted_pages == reference.tainted_pages
-
-
-def downgrade_to_v3(store_dir):
-    """Rewrite a (json-codec) v4 store directory as a genuine v3 store.
-
-    The inverse of the in-place upgrade: whole-index JSON files, a
-    version-3 manifest without codec/index-generation columns, and no v4
-    artefacts -- byte-layout-wise what PR 2 wrote.
-    """
-    store = ProvenanceStore.open(store_dir)
-    for run_id in store.run_ids():
-        run_dir = os.path.join(store_dir, INDEX_DIR, run_index_dir_name(run_id))
-        store.indexes_for(run_id).save(run_dir)
-        for name in os.listdir(run_dir):
-            if name.endswith(".bin"):
-                os.remove(os.path.join(run_dir, name))
-    summary = os.path.join(store_dir, INDEX_DIR, PAGES_RUNS_FILE)
-    if os.path.exists(summary):
-        os.remove(summary)
-    manifest_path = os.path.join(store_dir, MANIFEST_NAME)
-    with open(manifest_path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    document["version"] = STORE_FORMAT_VERSION_V3
-    for entry in document["segments"]:
-        assert entry["codec"] == "json", "v3 fixtures must hold json segments"
-        del entry["codec"]
-    for entry in document["runs"]:
-        for key in ("index_base", "index_deltas", "next_index_gen"):
-            entry.pop(key, None)
-    with open(manifest_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, sort_keys=True)
-
-
-@pytest.fixture()
-def v3_store(tmp_path):
-    cpg = build_example_cpg()
-    store_dir = str(tmp_path / "v3-store")
-    ProvenanceStore.create(store_dir).ingest(
-        cpg, segment_nodes=3, workload="legacy", codec="json"
-    )
-    downgrade_to_v3(store_dir)
-    return cpg, store_dir
-
-
 # ---------------------------------------------------------------------- #
-# v3 back-compat and in-place upgrade
+# Segment frames
 # ---------------------------------------------------------------------- #
 
 
-class TestV3BackCompat:
-    def test_v3_store_opens_and_queries_identically(self, v3_store):
-        cpg, store_dir = v3_store
-        store = ProvenanceStore.open(store_dir)
-        assert store.manifest.version == STORE_FORMAT_VERSION_V3
-        assert all(info.codec == "json" for info in store.manifest.segments)
-        assert_engine_matches_memory(store_dir, cpg)
-
-    def test_first_write_upgrades_v3_store_in_place(self, v3_store):
-        cpg, store_dir = v3_store
-        store = ProvenanceStore.open(store_dir)
-        store.ingest(build_example_cpg(), workload="fresh")  # default binary codec
-        reopened = ProvenanceStore.open(store_dir)
-        assert reopened.manifest.version == STORE_FORMAT_VERSION
-        # The legacy run's JSON indexes were folded into a v4 base file.
-        legacy_run = reopened.manifest.run_info(1)
-        assert legacy_run.index_base > 0
-        run_dir = os.path.join(store_dir, INDEX_DIR, run_index_dir_name(1))
-        assert index_base_file_name(legacy_run.index_base) in os.listdir(run_dir)
-        assert_engine_matches_memory(store_dir, cpg, run=1)
-        assert_engine_matches_memory(store_dir, build_example_cpg(), run=2)
-
-    def test_compaction_sweeps_superseded_legacy_index_files(self, v3_store):
-        _, store_dir = v3_store
-        store = ProvenanceStore.open(store_dir)
-        store.compact(segment_nodes=64)
-        run_dir = os.path.join(store_dir, INDEX_DIR, run_index_dir_name(1))
-        names = os.listdir(run_dir)
-        assert not any(name.endswith(".json") for name in names)
-        assert any(name.startswith("base-") for name in names)
-        # The compacted segments were transcoded to the default codec.
-        reopened = ProvenanceStore.open(store_dir)
-        assert all(info.codec == DEFAULT_CODEC for info in reopened.manifest.segments)
-
-    def test_v3_store_with_torn_index_rebuilds_lazily(self, v3_store):
-        cpg, store_dir = v3_store
-        # Corrupt one legacy index file: load must fall back to a rebuild
-        # from the committed segments.
-        run_dir = os.path.join(store_dir, INDEX_DIR, run_index_dir_name(1))
-        with open(os.path.join(run_dir, "nodes.json"), "w", encoding="utf-8") as handle:
-            handle.write("{ definitely not json")
-        assert_engine_matches_memory(store_dir, cpg)
-
-
-# ---------------------------------------------------------------------- #
-# Codec layer
-# ---------------------------------------------------------------------- #
-
-
-class TestCodecs:
-    def test_frame_byte_identifies_codec(self):
+class TestSegmentFrames:
+    def test_frame_bytes_other_than_0x84_are_rejected(self):
         cpg = build_example_cpg()
         nodes = [cpg.subcomputation(node_id) for node_id in cpg.topological_order()]
-        for codec in ("json", "binary", "binary-z"):
-            framed, _ = encode_segment(nodes, [], codec=codec)
-            assert segment_codec_name(framed) == codec
-            assert set(decode_segment(framed).nodes) == {node.node_id for node in nodes}
-
-    def test_unknown_codec_rejected_before_any_write(self, tmp_path):
-        store = ProvenanceStore.create(str(tmp_path))
-        run_id = store.new_run(workload="x")
-        with pytest.raises(StoreError, match="unknown segment codec"):
-            store.append_segment([make_node(1, 0)], [], run=run_id, codec="protobuf")
-        assert store.manifest.segment_count == 0
-
-    def test_mixed_codec_run_queries_identically(self, tmp_path):
-        cpg = build_example_cpg()
-        store_dir = str(tmp_path / "mixed")
-        store = ProvenanceStore.create(store_dir)
-        run_id = store.new_run(workload="mixed")
-        order = cpg.topological_order()
-        topo = {node_id: rank for rank, node_id in enumerate(order)}
-        edges_by_target = {}
-        for source, target, attrs in cpg.edges():
-            kind = attrs["kind"]
-            extra = {key: value for key, value in attrs.items() if key != "kind"}
-            edges_by_target.setdefault(target, []).append((source, target, kind, extra))
-        for position, start in enumerate(range(0, len(order), 3)):
-            batch = order[start : start + 3]
-            nodes = [cpg.subcomputation(node_id) for node_id in batch]
-            edges = [edge for node_id in batch for edge in edges_by_target.get(node_id, ())]
-            store.append_segment(
-                nodes,
-                edges,
-                run=run_id,
-                topo_positions=[topo[node_id] for node_id in batch],
-                codec="json" if position % 2 else "binary",
-            )
-        store.flush()
-        codecs = {info.codec for info in store.manifest.segments}
-        assert codecs == {"json", "binary"}
-        assert_engine_matches_memory(store_dir, cpg)
-
-    def test_mixed_codec_runs_across_one_store(self, tmp_path):
-        cpg = build_example_cpg()
-        store_dir = str(tmp_path / "runs")
-        store = ProvenanceStore.create(store_dir)
-        store.ingest(cpg, segment_nodes=3, workload="a", codec="json")
-        store.ingest(cpg, segment_nodes=3, workload="b", codec="binary")
-        info = ProvenanceStore.open(store_dir).info()
-        assert set(info["codecs"]) == {"json", "binary"}
-        assert_engine_matches_memory(store_dir, cpg, run=1)
-        assert_engine_matches_memory(store_dir, cpg, run=2)
+        framed, _ = encode_segment(nodes, [])
+        at = len(SEGMENT_MAGIC_PREFIX)
+        assert framed[at] == 0x84
+        assert set(decode_segment(framed).nodes) == {node.node_id for node in nodes}
+        # json, binary, and binary-z without a CRC; json and binary with one.
+        for frame_byte in (0x02, 0x03, 0x04, 0x82, 0x83):
+            relabelled = framed[:at] + bytes((frame_byte,)) + framed[at + 1 :]
+            with pytest.raises(StoreError, match=f"frame byte 0x{frame_byte:02x}"):
+                decode_segment(relabelled)
 
 
 # ---------------------------------------------------------------------- #
@@ -561,19 +409,15 @@ class TestPagesRunsSummary:
 
 
 class TestIntrospection:
-    def test_info_reports_codecs_and_delta_state(self, tmp_path):
+    def test_info_reports_delta_state(self, tmp_path):
         store_dir = str(tmp_path / "stream")
         store, sink = stream_run(store_dir, epochs=4)
         summary = store.info()
-        assert summary["codecs"] == {DEFAULT_CODEC: summary["segments"]}
-        per_codec = summary["codec_bytes"][DEFAULT_CODEC]
-        assert per_codec["segments"] == summary["segments"]
-        assert per_codec["stored_bytes"] == summary["stored_bytes"]
-        assert per_codec["stored_bytes"] > 0 and per_codec["raw_bytes"] > 0
+        assert summary["stored_bytes"] > 0 and summary["raw_bytes"] > 0
         assert summary["index_delta_files"] > 0
         assert summary["index_delta_bytes"] > 0
         run = summary["runs"][0]
-        assert run["codecs"] == {DEFAULT_CODEC: run["segments"]}
+        assert run["stored_bytes"] == summary["stored_bytes"]
         assert run["index_delta_files"] == len(
             store.manifest.run_info(sink.run_id).index_deltas
         )
@@ -586,10 +430,10 @@ class TestIntrospection:
         assert store_cli(["info", store_dir, "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
         assert document["format_version"] == STORE_FORMAT_VERSION
-        assert "codecs" in document and "index_delta_files" in document
+        assert "index_delta_files" in document
         assert store_cli(["info", store_dir]) == 0
         text = capsys.readouterr().out
-        assert "segment codecs:" in text and "index deltas:" in text
+        assert "segment bytes:" in text and "index deltas:" in text
         assert store_cli(["compact", store_dir]) == 0
         assert "index delta file(s) folded" in capsys.readouterr().out
 

@@ -1,17 +1,13 @@
-"""Store format 6: compressed columnar codec + parallel decode + single-flight.
+"""Compressed segments, parallel decode, and single-flight cache fills.
 
-Covers the v6 read path on top of the existing store suites: the
-``binary-z`` default codec compresses on disk but answers identically,
-v5 (and v4) stores open unchanged -- including the segment-log replay a
-naive version gate would have skipped -- and transcode only on compact,
-cold misses are single-flight (a stampede of readers decodes each
-segment exactly once), the store's shared decode pools are created
-lazily and shut down by ``close()`` (after which reads degrade to
-sequential instead of failing), and the thread and process decode paths
-return identical payloads.
+Covers the read path on top of the existing store suites: segments are
+zlib-compressed on disk, cold misses are single-flight (a stampede of
+readers decodes each segment exactly once), the store's shared decode
+pools are created lazily and shut down by ``close()`` (after which reads
+degrade to sequential instead of failing), and the thread and process
+decode paths return identical payloads.
 """
 
-import json
 import os
 import threading
 import time
@@ -24,15 +20,12 @@ from repro.core.thunk import SubComputation
 from repro.core.vector_clock import VectorClock
 from repro.errors import StoreError
 from repro.store import (
-    DEFAULT_CODEC,
     STORE_FORMAT_VERSION,
-    STORE_FORMAT_VERSION_V5,
     ProvenanceStore,
     SegmentCache,
-    StoreQueryEngine,
     StoreSink,
 )
-from repro.store.format import MANIFEST_NAME
+from repro.store.format import SEGMENT_FRAME_BYTE, SEGMENT_MAGIC_PREFIX, SEGMENTS_DIR
 
 
 def make_node(tid, index, reads=(), writes=()):
@@ -59,17 +52,8 @@ def build_store(store_dir, epochs=6, nodes_per_epoch=4, finish=True):
     return store, sink
 
 
-def downgrade_manifest_version(store_dir, version):
-    manifest_path = os.path.join(store_dir, MANIFEST_NAME)
-    with open(manifest_path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    document["version"] = version
-    with open(manifest_path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, sort_keys=True)
-
-
 # ---------------------------------------------------------------------- #
-# The compressed default codec
+# Compressed segments
 # ---------------------------------------------------------------------- #
 
 
@@ -79,83 +63,12 @@ class TestCompressedDefault:
         store, _ = build_store(store_dir)
         summary = store.info()
         assert summary["format_version"] == STORE_FORMAT_VERSION
-        assert set(summary["codecs"]) == {"binary-z"}
-        per = summary["codec_bytes"]["binary-z"]
-        assert per["segments"] == summary["segments"]
+        for info in store.manifest.segments:
+            with open(os.path.join(store_dir, SEGMENTS_DIR, info.file_name), "rb") as handle:
+                header = handle.read(len(SEGMENT_MAGIC_PREFIX) + 1)
+            assert header == SEGMENT_MAGIC_PREFIX + bytes((SEGMENT_FRAME_BYTE,))
         # The whole point: compressed on disk, by a real margin.
-        assert per["stored_bytes"] < per["raw_bytes"]
-
-    def test_compressed_store_answers_identically_to_uncompressed(self, tmp_path):
-        answers = {}
-        for codec in ("binary", "binary-z"):
-            store_dir = str(tmp_path / codec)
-            store = ProvenanceStore.open_or_create(store_dir)
-            run = store.new_run(workload=codec)
-            nodes = [make_node(1, i, reads={i % 5}, writes={50 + i}) for i in range(12)]
-            edges = [
-                ((1, i - 1), (1, i), EdgeKind.CONTROL, {}) for i in range(1, 12)
-            ]
-            store.append_segment(nodes, edges, run=run, codec=codec)
-            store.flush()
-            engine = StoreQueryEngine(ProvenanceStore.open(store_dir))
-            answers[codec] = engine.backward_slice((1, 11), run=1)
-        assert answers["binary"] == answers["binary-z"]
-
-
-# ---------------------------------------------------------------------- #
-# Back-compat: v5 and v4 stores under the v6 software
-# ---------------------------------------------------------------------- #
-
-
-class TestV5BackCompat:
-    def test_v5_store_opens_with_log_replay(self, tmp_path):
-        # The critical gate: an unfinished v5 store keeps committed epochs
-        # only in segments.log; opening it under v6 must still replay
-        # them (a naive `version < current` replay gate would not).
-        store_dir = str(tmp_path / "v5-store")
-        store, sink = build_store(store_dir, epochs=4, finish=False)
-        assert store.log_state()["uncheckpointed_records"] > 0
-        downgrade_manifest_version(store_dir, STORE_FORMAT_VERSION_V5)
-        reopened = ProvenanceStore.open(store_dir)
-        assert reopened.manifest.version == STORE_FORMAT_VERSION_V5
-        assert reopened.manifest.node_count == 16
-        assert StoreQueryEngine(reopened).backward_slice((1, 15), run=sink.run_id)
-
-    def test_v5_store_reads_never_rewrite_a_byte(self, tmp_path):
-        store_dir = str(tmp_path / "v5-store")
-        build_store(store_dir, epochs=3)
-        downgrade_manifest_version(store_dir, STORE_FORMAT_VERSION_V5)
-        before = {}
-        for root, _, names in os.walk(store_dir):
-            for name in names:
-                path = os.path.join(root, name)
-                before[path] = os.path.getsize(path)
-        store = ProvenanceStore.open(store_dir)
-        StoreQueryEngine(store).backward_slice((1, 11), run=1)
-        after = {}
-        for root, _, names in os.walk(store_dir):
-            for name in names:
-                path = os.path.join(root, name)
-                after[path] = os.path.getsize(path)
-        assert before == after
-
-    def test_compact_transcodes_old_codecs_to_compressed(self, tmp_path):
-        store_dir = str(tmp_path / "store")
-        store = ProvenanceStore.open_or_create(store_dir)
-        run = store.new_run(workload="old")
-        for start in (0, 4, 8):
-            store.append_segment(
-                [make_node(1, start + i) for i in range(4)], [], run=run, codec="binary"
-            )
-        store.flush()
-        assert set(info.codec for info in store.manifest.segments) == {"binary"}
-        stored_before = sum(info.stored_bytes for info in store.manifest.segments)
-        store.compact(segment_nodes=64)
-        reopened = ProvenanceStore.open(store_dir)
-        assert all(info.codec == DEFAULT_CODEC for info in reopened.manifest.segments)
-        stored_after = sum(info.stored_bytes for info in reopened.manifest.segments)
-        assert stored_after < stored_before
-        assert StoreQueryEngine(reopened).backward_slice((1, 11), run=1)
+        assert summary["stored_bytes"] < summary["raw_bytes"]
 
 
 # ---------------------------------------------------------------------- #
