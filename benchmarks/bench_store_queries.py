@@ -2,7 +2,7 @@
 
 The persistent store exists so post-run provenance queries (the paper's
 case studies) do not need the whole CPG in memory, and so ingest overhead
-stays bounded as runs grow.  Nine scenarios keep those claims honest:
+stays bounded as runs grow.  Eight scenarios keep those claims honest:
 
 * **queries** -- backward slices, page lineage, and taint propagation,
   comparing a full serialized-CPG reload against the
@@ -28,12 +28,6 @@ stays bounded as runs grow.  Nine scenarios keep those claims honest:
   and warm (one long-lived engine over a shared
   :class:`~repro.store.cache.SegmentCache` + pinned indexes -- the
   server profile); the warm path must report cache hits and beat cold;
-* **parallel_scan** -- a run-spanning taint sweep decoded sequentially
-  and through the pooled multi-segment scan, asserted identical, plus a
-  **cold sweep**: every segment decoded from a cleared cache at widths
-  1/2/4 through the store's shared decode pools (the process-pool path
-  on multi-core machines), recording the machine's core count and the
-  widest-vs-sequential speedup the CI gate checks;
 * **cluster_scatter_gather** -- the same across-runs lineage query served
   by one store server and by a :class:`~repro.store.cluster.StoreCluster`
   of 1, 2, and 4 shards, every server given the *same* cache budget (a
@@ -524,81 +518,6 @@ def bench_warm_vs_cold(
 
 
 # ---------------------------------------------------------------------- #
-# Scenario: parallel multi-segment scan (run-spanning taint sweep)
-# ---------------------------------------------------------------------- #
-
-
-def bench_parallel_scan(
-    store_dir: str,
-    cpg: ConcurrentProvenanceGraph,
-    parallelisms=(1, 4),
-    repeats: int = REPEATS,
-) -> dict:
-    """Time a run-spanning taint query at several scan widths.
-
-    Taint seeded at the input pages floods, which sends the engine down
-    the sequential-sweep fallback -- the access pattern that decodes every
-    segment and therefore the one the pooled scan targets.  The cache is
-    cleared before every timed call so each measurement pays the full
-    decode; results are asserted identical across widths.
-
-    A second table times the raw **cold sweep** -- every segment through
-    ``segment_many`` from a cleared cache, no query logic on top -- at
-    widths 1/2/4.  That is the decode-bound pattern the shared process
-    pool exists for; the recorded ``cpus`` lets the CI gate scale its
-    expectation to the machine (no GIL-free parallel decode win exists
-    on one core).
-    """
-    input_node = cpg.input_node
-    seed_pages = sorted(cpg.subcomputation(input_node).write_set) if input_node else [0]
-    expected = frozenset(propagate_taint(cpg, seed_pages).tainted_nodes)
-    store = ProvenanceStore.open(store_dir)
-    rows = []
-    for parallelism in parallelisms:
-        engine = StoreQueryEngine(store, parallelism=parallelism)
-
-        def run_cold():
-            store.clear_cache()
-            return frozenset(engine.propagate_taint(seed_pages).tainted_nodes)
-
-        assert run_cold() == expected, f"parallelism={parallelism} diverged"
-        seconds = best_of(run_cold, repeats)
-        rows.append(
-            {
-                "parallelism": parallelism,
-                "ms": seconds * 1e3,
-                "mode": engine.last_taint_mode,
-                "segments": store.manifest.segment_count,
-            }
-        )
-    segment_ids = [info.segment_id for info in store.manifest.segments]
-    sweep_rows = []
-    for parallelism in (1, 2, 4):
-
-        def run_sweep():
-            store.clear_cache()
-            return store.segment_many(segment_ids, parallelism=parallelism)
-
-        assert set(run_sweep()) == set(segment_ids)
-        seconds = best_of(run_sweep, repeats)
-        sweep_rows.append(
-            {
-                "parallelism": parallelism,
-                "ms": seconds * 1e3,
-                "segments": len(segment_ids),
-            }
-        )
-    store.close()
-    widest = sweep_rows[-1]["ms"]
-    cold_sweep = {
-        "rows": sweep_rows,
-        "cpus": os.cpu_count() or 1,
-        "speedup_4_vs_1": sweep_rows[0]["ms"] / widest if widest else float("inf"),
-    }
-    return {"rows": rows, "cold_sweep": cold_sweep, "repeats": repeats}
-
-
-# ---------------------------------------------------------------------- #
 # Scenario: sharded scatter-gather vs one server (aggregate cache capacity)
 # ---------------------------------------------------------------------- #
 
@@ -752,7 +671,7 @@ def bench_cluster_scatter_gather(
             for index, keep in enumerate(owned):
                 for run in keep:
                     manifest.assign(run, f"shard-{index}")
-            cluster = StoreCluster(manifest, parallelism=n_shards)
+            cluster = StoreCluster(manifest)
             row = measure(lambda index: lambda: cluster.lineage_across_runs(pages))
             row["servers"] = n_shards
             row["cache_hits"] = sum(s.cache.stats.hits for s in servers)
@@ -1120,55 +1039,6 @@ def test_query_warm_vs_cold(benchmark, tmp_path):
     )
 
 
-def _cold_sweep_floor(cpus: int) -> float:
-    """Expected cold-sweep speedup at width 4, scaled to the machine.
-
-    On >= 4 cores the process-pool decode must deliver the acceptance
-    bar (2x); on 2-3 cores a real but smaller win; on one core there is
-    no parallel decode win to have -- the gate only refuses a slowdown
-    (0.8 shrugs off pool-overhead noise).
-    """
-    if cpus >= 4:
-        return 2.0
-    if cpus >= 2:
-        return 1.2
-    return 0.8
-
-
-def test_parallel_scan_matches_sequential(benchmark, tmp_path):
-    """The pooled scan never changes the answer, and width 4 beats width 1."""
-    from benchmarks.conftest import inspector_run
-
-    cpg = inspector_run(WORKLOAD, THREADS).cpg
-    store_dir, _ = prepare(str(tmp_path), cpg)
-    results = benchmark.pedantic(
-        lambda: bench_parallel_scan(store_dir, cpg), rounds=1, iterations=1
-    )
-    results["smoke"] = False
-    path = update_bench_json("parallel_scan", results)
-    for row in results["rows"]:
-        print(
-            f"parallel scan x{row['parallelism']}: {row['ms']:.2f} ms "
-            f"[{row['mode']}] over {row['segments']} segment(s)"
-        )
-    sweep = results["cold_sweep"]
-    for row in sweep["rows"]:
-        print(
-            f"cold sweep x{row['parallelism']}: {row['ms']:.2f} ms "
-            f"over {row['segments']} segment(s)"
-        )
-    print(
-        f"cold sweep speedup x4 vs x1: {sweep['speedup_4_vs_1']:.2f}x "
-        f"on {sweep['cpus']} core(s) [written to {path}]"
-    )
-    assert len(results["rows"]) >= 2  # equality across widths asserted inside
-    floor = _cold_sweep_floor(sweep["cpus"])
-    assert sweep["speedup_4_vs_1"] >= floor, (
-        f"cold-sweep speedup {sweep['speedup_4_vs_1']:.2f}x is below the "
-        f"{floor:.1f}x bar for {sweep['cpus']} core(s)"
-    )
-
-
 def test_cluster_scatter_gather_scales_with_aggregate_cache(benchmark, tmp_path):
     """Acceptance: 4 equal-budget shards at least double one server's QPS."""
     results = benchmark.pedantic(
@@ -1352,9 +1222,6 @@ def main(argv=None) -> None:
         warm = bench_warm_vs_cold(store_dir, cpg, repeats=2 if args.smoke else REPEATS)
         warm["smoke"] = args.smoke
         update_bench_json("query_warm_vs_cold", warm)
-        scan = bench_parallel_scan(store_dir, cpg, repeats=2 if args.smoke else REPEATS)
-        scan["smoke"] = args.smoke
-        update_bench_json("parallel_scan", scan)
         # Smoke trims the query count only: shrinking the store would
         # shrink the decode penalty the gate exists to measure.
         cluster = bench_cluster_scatter_gather(
@@ -1395,17 +1262,6 @@ def main(argv=None) -> None:
         f"warm vs cold query: cold {warm['cold_ms']:.2f} ms, warm {warm['warm_ms']:.2f} ms "
         f"({warm['speedup']:.1f}x, {warm['cache_hits']} cache hit(s))"
     )
-    for row in scan["rows"]:
-        print(
-            f"parallel scan x{row['parallelism']}: {row['ms']:.2f} ms [{row['mode']}]"
-        )
-    sweep = scan["cold_sweep"]
-    for row in sweep["rows"]:
-        print(f"cold sweep x{row['parallelism']}: {row['ms']:.2f} ms")
-    print(
-        f"cold sweep speedup x4 vs x1: {sweep['speedup_4_vs_1']:.2f}x "
-        f"on {sweep['cpus']} core(s)"
-    )
     for name in ("single", "shards_1", "shards_2", "shards_4"):
         row = cluster["configs"][name]
         print(
@@ -1443,11 +1299,6 @@ def main(argv=None) -> None:
         assert decode["binary-z"]["stored_bytes"] <= 2 * decode["json"]["stored_bytes"], (
             "binary-z stored bytes regressed past 2x the lz+JSON footprint"
         )
-        if sweep["cpus"] >= 2:
-            assert sweep["speedup_4_vs_1"] > 1.0, (
-                f"cold-sweep width 4 was no faster than sequential "
-                f"({sweep['speedup_4_vs_1']:.2f}x on {sweep['cpus']} cores)"
-            )
         assert scaling["late_flush_ms"] <= 2 * scaling["early_flush_ms"] + 0.5, (
             "log-append flush cost grew with segment count"
         )

@@ -7,11 +7,10 @@ Usage::
     python -m repro.store info <store> [--stats] [--json]
     python -m repro.store runs <store> [--json]
     python -m repro.store slice <store> (--node TID:IDX | --pages 1,2) \\
-        [--run R] [--forward] [--kinds data,control,sync] [--parallelism N] [--json]
-    python -m repro.store lineage <store> --pages 1,2 [--run R] \\
-        [--parallelism N] [--json]
+        [--run R] [--forward] [--kinds data,control,sync] [--json]
+    python -m repro.store lineage <store> --pages 1,2 [--run R] [--json]
     python -m repro.store taint <store> --pages 1,2 \\
-        [--run R] [--through-thread-state] [--parallelism N] [--json]
+        [--run R] [--through-thread-state] [--json]
     python -m repro.store compact <store> [--run R] [--segment-nodes N] [--json]
     python -m repro.store gc <store> (--keep-last N | --runs 1,2) [--json]
     python -m repro.store bless <store> [--run R] [--pages 1,2]... \\
@@ -25,16 +24,16 @@ Usage::
     python -m repro.store scrub <store> [--throttle-mb N] \\
         [--no-quarantine] [--json]
     python -m repro.store serve <store> [--host H] [--port P] \\
-        [--cache-bytes N] [--parallelism N] [--writable] \\
+        [--cache-bytes N] [--writable] \\
         [--maintenance [policy.json]] [--maintenance-interval S]
     python -m repro.store watch <host:port> --pages 1,2 [--run R] \\
         [--interval S] [--timeout S] [--json]
     python -m repro.store cluster serve <cluster.json> [--cache-bytes N] \\
-        [--parallelism N] [--writable]
+        [--writable]
     python -m repro.store cluster status <cluster.json> [--json]
     python -m repro.store cluster query <cluster.json> --pages 1,2 \\
         [--run R | --across-runs | --compare A B] [--taint] \\
-        [--partial] [--parallelism N] [--json]
+        [--partial] [--json]
     python -m repro.store cluster repair <cluster.json> [--shard ID] [--json]
 
 ``slice --node`` answers "what does this sub-computation depend on" (or,
@@ -58,8 +57,7 @@ and executes ``compact``/``gc``/``scrub`` from size, age, fragmentation,
 and quarantine thresholds, ``--once``/``--dry-run`` for auditing; the
 same policy rides along inside a server via ``serve --maintenance``.
 Every query prints how many segments it read out of how many the
-store holds, making the out-of-core behaviour visible; ``--parallelism``
-fans multi-segment scans out over the store's shared decode pools.
+store holds, making the out-of-core behaviour visible.
 ``serve`` keeps one warm
 decoded-segment cache + pinned indexes resident and answers the same
 queries over newline-delimited JSON on TCP
@@ -113,15 +111,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def _add_parallelism(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--parallelism",
-        type=_positive_int,
-        default=1,
-        help="worker threads for multi-segment scans (default: 1, sequential)",
-    )
 
 
 def _parse_pages(text: str) -> List[int]:
@@ -199,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=[EdgeKind.DATA],
         help="edge kinds to follow (default: data)",
     )
-    _add_parallelism(slice_cmd)
     slice_cmd.add_argument("--json", action="store_true", help="machine-readable output")
 
     lineage = commands.add_parser("lineage", help="lineage of pages (alias of slice --pages)")
@@ -210,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     lineage.add_argument(
         "--run", type=int, default=None, help="run to query (optional for single-run stores)"
     )
-    _add_parallelism(lineage)
     lineage.add_argument("--json", action="store_true", help="machine-readable output")
 
     taint = commands.add_parser("taint", help="propagate page-granularity taint")
@@ -224,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="conservative mode: a tainted thread stays tainted",
     )
-    _add_parallelism(taint)
     taint.add_argument("--json", action="store_true", help="machine-readable output")
 
     compact = commands.add_parser("compact", help="merge a run's small segments")
@@ -386,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=5.0,
         help="seconds between autopilot cycles (default: 5)",
     )
-    _add_parallelism(serve)
 
     watch = commands.add_parser(
         "watch", help="tail a page set's lineage against a running store server"
@@ -426,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="shard primaries accept remote ingest (replicas stay read-only)",
     )
-    _add_parallelism(cserve)
 
     cstatus = cluster_cmds.add_parser(
         "status", help="probe shard liveness, replicas, and run placement"
@@ -464,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="degraded reads: cross-run queries skip dead shards and report them",
     )
-    _add_parallelism(cquery)
     cquery.add_argument("--json", action="store_true", help="machine-readable output")
 
     crepair = cluster_cmds.add_parser(
@@ -599,7 +582,7 @@ def _cmd_slice(args: argparse.Namespace) -> int:
         return 2
     store = ProvenanceStore.open(args.store)
     run_id = store.resolve_run(args.run)
-    engine = StoreQueryEngine(store, parallelism=args.parallelism)
+    engine = StoreQueryEngine(store)
     if args.node is not None:
         origin = parse_node_key(args.node)
         if args.forward:
@@ -638,7 +621,7 @@ def _cmd_lineage(args: argparse.Namespace) -> int:
 def _cmd_taint(args: argparse.Namespace) -> int:
     store = ProvenanceStore.open(args.store)
     run_id = store.resolve_run(args.run)
-    engine = StoreQueryEngine(store, parallelism=args.parallelism)
+    engine = StoreQueryEngine(store)
     result = engine.propagate_taint(
         args.pages, through_thread_state=args.through_thread_state, run=run_id
     )
@@ -873,7 +856,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         cache_bytes=args.cache_bytes,
-        parallelism=args.parallelism,
         writable=args.writable,
         maintenance=maintenance,
         maintenance_interval_s=args.maintenance_interval,
@@ -885,8 +867,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     print(
         f"serving {args.store} on {host}:{port} ({mode}; "
-        f"cache budget {args.cache_bytes} bytes, parallelism {args.parallelism}"
-        f"{upkeep}); Ctrl-C to stop"
+        f"cache budget {args.cache_bytes} bytes{upkeep}); Ctrl-C to stop"
     )
     try:
         server.serve_forever()
@@ -923,7 +904,6 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
     service = ClusterService(
         args.cluster,
         cache_bytes=args.cache_bytes,
-        parallelism=args.parallelism,
         writable=args.writable,
     )
     manifest = service.start()
@@ -990,9 +970,7 @@ def _cmd_cluster_query(args: argparse.Namespace) -> int:
         print("--compare diffs lineage; it does not combine with --taint", file=sys.stderr)
         return 2
     cluster = StoreCluster(
-        args.cluster,
-        parallelism=args.parallelism,
-        on_shard_down="partial" if args.partial else "fail",
+        args.cluster, on_shard_down="partial" if args.partial else "fail"
     )
     if args.compare is not None:
         diff = cluster.compare_lineage(args.compare[0], args.compare[1], args.pages)

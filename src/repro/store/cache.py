@@ -563,7 +563,7 @@ class ReadScope:
     store handle; a server answering many concurrent queries over one
     warm handle needs *per-query* numbers.  A scope is passed down the
     query engine's segment reads and collects exactly the work done on
-    behalf of one query, no matter which pool thread performed it.
+    behalf of one query.
     """
 
     segments_read: int = 0

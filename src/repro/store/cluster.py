@@ -141,7 +141,6 @@ class StoreCluster:
     Args:
         manifest: The cluster layout (or a path ``ClusterManifest.load``
             accepts).
-        parallelism: Concurrent shard requests per scattered query.
         on_shard_down: ``"fail"`` (default) or ``"partial"`` -- see the
             module docstring.
         client_factory: Builds a client from an address; defaults to
@@ -154,7 +153,6 @@ class StoreCluster:
     def __init__(
         self,
         manifest,
-        parallelism: int = 4,
         on_shard_down: str = "fail",
         client_factory: Optional[Callable[[str], object]] = None,
         client_options: Optional[dict] = None,
@@ -166,10 +164,7 @@ class StoreCluster:
                 f"unknown degraded-read policy {on_shard_down!r} "
                 f"(known: {', '.join(DEGRADED_POLICIES)})"
             )
-        if parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {parallelism}")
         self.manifest: ClusterManifest = manifest
-        self.parallelism = parallelism
         self.on_shard_down = on_shard_down
         options = dict(client_options or {})
         self._client_factory = client_factory or (
@@ -399,31 +394,22 @@ class StoreCluster:
     ) -> Tuple[Dict[str, dict], List[ShardInfo]]:
         """Fan one request out; returns (shard id -> response, dead shards).
 
-        A dead shard raises :class:`ShardDownError` under ``fail``;
-        under ``partial`` it lands in the dead list for the caller's
-        merge to account.  Any *answered* error cancels the query.
+        Every shard is asked at once, one thread each.  A dead shard
+        raises :class:`ShardDownError` under ``fail``; under ``partial``
+        it lands in the dead list for the caller's merge to account.  Any
+        *answered* error cancels the query.
         """
 
-        def ask(shard: ShardInfo):
-            return self._shard_request(shard, op, params, reports)
+        def ask(shard: ShardInfo) -> Tuple[ShardInfo, object, Optional[Exception]]:
+            try:
+                return shard, self._shard_request(shard, op, params, reports), None
+            except Exception as exc:  # sorted out below, by type
+                return shard, None, exc
 
         answers: Dict[str, dict] = {}
         dead: List[ShardInfo] = []
-        outcomes: List[Tuple[ShardInfo, object, Optional[Exception]]] = []
-        if len(shards) > 1 and self.parallelism > 1:
-            with ThreadPoolExecutor(max_workers=min(self.parallelism, len(shards))) as pool:
-                futures = [(shard, pool.submit(ask, shard)) for shard in shards]
-                for shard, future in futures:
-                    try:
-                        outcomes.append((shard, future.result(), None))
-                    except Exception as exc:  # sorted out below, by type
-                        outcomes.append((shard, None, exc))
-        else:
-            for shard in shards:
-                try:
-                    outcomes.append((shard, ask(shard), None))
-                except Exception as exc:
-                    outcomes.append((shard, None, exc))
+        with ThreadPoolExecutor(max_workers=max(1, len(shards))) as pool:
+            outcomes = list(pool.map(ask, shards))
         first_error: Optional[Exception] = None
         for shard, response, error in outcomes:
             if error is None:
@@ -550,14 +536,10 @@ class StoreCluster:
             return _parse_nodes(response["result"]["nodes"])
 
         try:
-            if self.parallelism > 1:
-                with ThreadPoolExecutor(max_workers=2) as pool:
-                    future_a = pool.submit(fetch, shard_a, local_a)
-                    future_b = pool.submit(fetch, shard_b, local_b)
-                    lineage_a, lineage_b = future_a.result(), future_b.result()
-            else:
-                lineage_a = fetch(shard_a, local_a)
-                lineage_b = fetch(shard_b, local_b)
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                future_a = pool.submit(fetch, shard_a, local_a)
+                future_b = pool.submit(fetch, shard_b, local_b)
+                lineage_a, lineage_b = future_a.result(), future_b.result()
         finally:
             self._finish("compare_lineage", reports, [])
         return diff_lineage(cluster_a, cluster_b, wanted, lineage_a, lineage_b)
@@ -793,14 +775,12 @@ class ClusterService:
         self,
         manifest,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        parallelism: int = 1,
         writable: bool = False,
     ) -> None:
         if isinstance(manifest, str):
             manifest = ClusterManifest.load(manifest)
         self.manifest: ClusterManifest = manifest
         self.cache_bytes = cache_bytes
-        self.parallelism = parallelism
         self.writable = writable
         #: (shard id, endpoint) -> the StoreServer hosting it.
         self.servers: Dict[Tuple[str, int], StoreServer] = {}
@@ -828,7 +808,6 @@ class ClusterService:
                     host=host,
                     port=port,
                     cache_bytes=self.cache_bytes,
-                    parallelism=self.parallelism,
                     # Only the primary may accept writes; replicas serve reads.
                     writable=self.writable and index == 0,
                 )

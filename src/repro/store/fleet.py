@@ -200,7 +200,7 @@ def run_fleet(
                 target = store_path.path
             else:
                 target = store_path
-                ProvenanceStore.open_or_create(target).close()
+                ProvenanceStore.open_or_create(target)
             bridge_server = StoreServer(target, writable=True)
             host, port = bridge_server.start()
             url = f"{host}:{port}"

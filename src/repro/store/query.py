@@ -39,15 +39,14 @@ run.
 Every segment read goes through the store's byte-budgeted decoded-segment
 cache (:mod:`repro.store.cache`), so repeated queries on a warm engine --
 the profile :class:`~repro.store.server.StoreServer` serves -- cost no
-decode at all, and the ``parallelism=`` knob fans multi-segment scans
-(taint prefetch, flood sweep, ``*_across_runs``) out over the store's
-shared decode pools -- threads for warm-ish chunks, processes for cold
-multi-segment sweeps -- with a sequential fallback at ``parallelism=1``.
+decode at all.  A query reads and decodes its segments in the thread
+that runs it; concurrent queries (one per server connection) share the
+cache, whose single-flight fills decode a segment once however many of
+them miss it together.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -162,10 +161,6 @@ class StoreQueryEngine:
     Args:
         store: The store to query (may share a warm
             :class:`~repro.store.cache.SegmentCache` with other handles).
-        parallelism: Worker threads for multi-segment scans (the taint
-            candidate prefetch, the sequential sweep, and the
-            ``*_across_runs`` fan-out).  ``1`` (the default) keeps every
-            path sequential.
         scope: Optional :class:`~repro.store.cache.ReadScope` collecting
             this engine's per-query read accounting (the server attaches
             one per request).
@@ -174,19 +169,15 @@ class StoreQueryEngine:
     def __init__(
         self,
         store: ProvenanceStore,
-        parallelism: int = 1,
         scope: Optional[ReadScope] = None,
     ) -> None:
-        if parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {parallelism}")
         self.store = store
-        self.parallelism = parallelism
         self.scope = scope
         #: How the last ``propagate_taint`` ran: ``"indexed"`` (closure
         #: from the indexes) or ``"sweep"`` (segment-scan flood
-        #: fallback).  Meaningful after a single-run query; after a
-        #: parallel ``taint_across_runs`` fan-out it reflects whichever
-        #: run finished last and is effectively unspecified.
+        #: fallback).  ``taint_across_runs`` answers touched runs in
+        #: run-id order, so afterwards it holds the mode of the highest
+        #: touched run, and it is left unchanged when no run is touched.
         self.last_taint_mode: Optional[str] = None
 
     @property
@@ -229,49 +220,16 @@ class StoreQueryEngine:
             return None
 
     def _iter_payloads(self, segment_ids: Sequence[int]):
-        """Yield ``(segment_id, payload)`` decoding bounded chunks at a time.
+        """Yield ``(segment_id, payload)`` for each healthy segment, once each.
 
-        With ``parallelism > 1`` each chunk's cache misses decode
-        concurrently; only one chunk of payloads is referenced from this
-        frame at any moment, so a scan's resident set stays bounded by
-        the chunk width (plus whatever the byte-budgeted cache retains)
-        even when the scanned segments exceed the cache budget -- and
-        every segment is decoded at most once per scan either way.
+        Payloads are handed out one at a time, so a scan's resident set is
+        whatever the caller keeps plus what the byte-budgeted cache
+        retains, even when the scanned segments exceed the cache budget.
         """
-        ids = list(dict.fromkeys(segment_ids))
-        live: List[int] = []
-        for segment_id in ids:
-            if self.store.is_quarantined(segment_id):
-                self._note_quarantined((segment_id,))
-            else:
-                live.append(segment_id)
-        if self.parallelism <= 1 or len(live) <= 1:
-            for segment_id in live:
-                payload = self._segment_or_none(segment_id)
-                if payload is not None:
-                    yield segment_id, payload
-            return
-        width = self.parallelism * 2
-        # The store's shared decode pools do the concurrency (chunking
-        # bounds residency, not thread churn); a cold chunk wide enough
-        # may decode on the process pool, off the GIL entirely.
-        for start in range(0, len(live), width):
-            chunk = live[start : start + width]
-            try:
-                payloads = self.store.segment_many(
-                    chunk, parallelism=self.parallelism, scope=self.scope
-                )
-            except CorruptSegmentError:
-                # A segment of this chunk went bad mid-scan (the store has
-                # quarantined it in memory); retry the chunk one segment
-                # at a time so only the damaged ones are skipped.
-                for segment_id in chunk:
-                    payload = self._segment_or_none(segment_id)
-                    if payload is not None:
-                        yield segment_id, payload
-                continue
-            for segment_id in chunk:
-                yield segment_id, payloads[segment_id]
+        for segment_id in dict.fromkeys(segment_ids):
+            payload = self._segment_or_none(segment_id)
+            if payload is not None:
+                yield segment_id, payload
 
     def subcomputation(self, node_id: NodeId, run: Optional[int] = None) -> SubComputation:
         """Load the sub-computation stored at ``node_id`` of ``run``."""
@@ -354,19 +312,6 @@ class StoreQueryEngine:
         writers: Set[NodeId] = set()
         for page in pages:
             writers.update(indexes.writers_of_page(page))
-        if self.parallelism > 1:
-            # Warm the first expansion hop of every writer concurrently;
-            # the closure walk below then finds those segments cached
-            # (when the first hop exceeds the cache budget the tail of the
-            # prefetch evicts its head and those segments decode twice --
-            # a bounded heuristic, never a correctness issue).  Payloads
-            # are dropped as each chunk is consumed -- only the cache
-            # retains them.
-            first_hop = [
-                segment_id for writer in writers for segment_id in indexes.in_segments(writer)
-            ]
-            for _ in self._iter_payloads(first_hop):
-                pass
         for writer in writers:
             result |= self.backward_slice(writer, kinds=(EdgeKind.DATA,), run=run_id)
         return result
@@ -413,38 +358,18 @@ class StoreQueryEngine:
             for run_id in self.runs_containing(node_id)
         }
 
-    def _fan_out_runs(self, run_ids: Sequence[int], query) -> Dict[int, object]:
-        """Run one per-run query over ``run_ids``, pooled when parallel.
-
-        The per-run queries are independent (each touches only its run's
-        indexes and segments), so an across-runs question parallelises at
-        run granularity on top of whatever the shared segment cache
-        already holds.  This pool is deliberately *not* the store's
-        shared decode pool: each per-run task ends up calling
-        ``segment_many``, which submits to the shared pool -- nesting
-        both levels on one pool could deadlock with every worker waiting
-        for a decode task that cannot be scheduled.
-        """
-        if self.parallelism > 1 and len(run_ids) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(self.parallelism, len(run_ids))
-            ) as pool:
-                return dict(zip(run_ids, pool.map(query, run_ids)))
-        return {run_id: query(run_id) for run_id in run_ids}
-
     def lineage_across_runs(self, pages: Iterable[int]) -> Dict[int, Set[NodeId]]:
         """:meth:`lineage_of_pages` in every run of the store.
 
         Runs the cross-run page summary (``index/pages_runs.json``) proves
         never touched any of ``pages`` are answered with an empty lineage
-        without opening their per-run indexes.  Touched runs are queried
-        concurrently when the engine's ``parallelism`` allows.
+        without opening their per-run indexes.
         """
         wanted = list(pages)
-        touched = sorted(self.store.runs_touching_pages(wanted))
-        answered = self._fan_out_runs(
-            touched, lambda run_id: self.lineage_of_pages(wanted, run=run_id)
-        )
+        answered = {
+            run_id: self.lineage_of_pages(wanted, run=run_id)
+            for run_id in sorted(self.store.runs_touching_pages(wanted))
+        }
         return order_across_runs(answered, self.store.run_ids(), lambda _: set())
 
     def taint_across_runs(
@@ -456,16 +381,15 @@ class StoreQueryEngine:
         node or another page (taint only spreads through reads of tainted
         pages), so the cross-run page summary lets those runs be answered
         -- exactly -- without opening their indexes or segments.  Touched
-        runs are queried concurrently when ``parallelism`` allows.
+        runs are answered in run-id order (see :attr:`last_taint_mode`).
         """
         sources = list(source_pages)
-        touched = sorted(self.store.runs_touching_pages(sources))
-        answered = self._fan_out_runs(
-            touched,
-            lambda run_id: self.propagate_taint(
+        answered = {
+            run_id: self.propagate_taint(
                 sources, through_thread_state=through_thread_state, run=run_id
-            ),
-        )
+            )
+            for run_id in sorted(self.store.runs_touching_pages(sources))
+        }
         return order_across_runs(
             answered, self.store.run_ids(), lambda _: untouched_taint(sources)
         )
@@ -514,11 +438,11 @@ class StoreQueryEngine:
         indexes = self.store.indexes_for(run_id)
         order = sorted(candidates, key=indexes.topo_of)
         # The segments the replay needs are known up front from the node
-        # index; scan them once in chunks (concurrently when parallel)
-        # and keep only the candidate *node records* -- the replay needs
-        # them all anyway, while the payloads' edge maps are dropped with
-        # each chunk, so each segment is decoded at most once per query
-        # even when the closure outgrows the cache budget.
+        # index; scan them once and keep only the candidate *node
+        # records* -- the replay needs them all anyway, while each
+        # payload's edge maps are dropped as the scan moves on, so each
+        # segment is decoded at most once per query even when the
+        # closure outgrows the cache budget.
         wanted: Dict[int, List[NodeId]] = {}
         for node_id in order:
             wanted.setdefault(indexes.segment_of(node_id), []).append(node_id)
@@ -593,9 +517,7 @@ class StoreQueryEngine:
         rank (an index lookup, no extra I/O) so the replay is a guaranteed
         linear extension of happens-before.  The scan goes through the
         decoded-segment cache -- on a warm engine the flood fallback costs
-        no decode at all -- and cache misses decode in parallel when the
-        engine's ``parallelism`` allows; each segment is processed exactly
-        once either way.
+        no decode at all -- and each segment is processed exactly once.
         """
         indexes = self.store.indexes_for(run)
         segment_ids = [info.segment_id for info in self.store.manifest.segments_of_run(run)]

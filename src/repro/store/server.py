@@ -209,8 +209,6 @@ class StoreServer:
             not something to expose casually).
         port: TCP port; 0 picks a free one (see :attr:`address`).
         cache_bytes: Byte budget of the shared decoded-segment cache.
-        parallelism: Per-query multi-segment scan workers (each query gets
-            its own :class:`StoreQueryEngine` with this knob).
         writable: Accept the remote-ingest ops (``begin_run`` /
             ``append_epoch`` / ``commit_run``) through a single writer
             handle.  Off by default: a query server should not be a write
@@ -231,20 +229,16 @@ class StoreServer:
         host: str = "127.0.0.1",
         port: int = 0,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        parallelism: int = 1,
         writable: bool = False,
         maintenance: Optional[object] = None,
         maintenance_interval_s: float = 5.0,
     ) -> None:
-        if parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {parallelism}")
         self.cache = SegmentCache(max_bytes=cache_bytes)
         # Bounded: a pin re-admitted by an in-flight query racing a
         # gc+refresh would otherwise linger forever (pins have no byte
         # budget); the LRU bound turns that worst case into eventual
         # eviction while still pinning every run of any realistic store.
         self.pinner = IndexPinner(max_runs=256)
-        self.parallelism = parallelism
         self._store = ProvenanceStore.open(
             store_path, segment_cache=self.cache, index_pinner=self.pinner
         )
@@ -347,8 +341,6 @@ class StoreServer:
         Safe on a server whose serve loop never ran (an in-process-only
         server driven through :meth:`handle_request`): ``shutdown`` waits
         on an event only ``serve_forever`` sets, so it is skipped then.
-        Also shuts down the served store's shared decode pools; a later
-        in-process query still answers (sequentially).
         """
         if self._autopilot_daemon is not None:
             # Before the sockets: a mid-action autopilot cycle may call
@@ -360,11 +352,6 @@ class StoreServer:
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
-        self.store.close()
-        if self._writer is not None:
-            self._writer.close()
-        if self._maintenance_store is not None:
-            self._maintenance_store.close()
 
     def refresh(self) -> dict:
         """Swap in a fresh snapshot of the store directory.
@@ -420,12 +407,6 @@ class StoreServer:
             self._store = fresh
             self._snapshot_token = token
             self._opened_at = time.time()
-        # Outside the refresh lock: shutting the superseded snapshot's
-        # decode pools waits for its in-flight decode tasks.  Queries
-        # that still hold the old handle keep working (sequentially);
-        # without this a follow-mode server would leak one pool per
-        # refresh that ran a parallel scan.
-        old.close()
         with self._counter_lock:
             self.refreshes += 1
         return {
@@ -571,7 +552,7 @@ class StoreServer:
         return response
 
     def _engine(self, store: ProvenanceStore, scope: ReadScope) -> StoreQueryEngine:
-        return StoreQueryEngine(store, parallelism=self.parallelism, scope=scope)
+        return StoreQueryEngine(store, scope=scope)
 
     def _dispatch(
         self, op: str, request: dict, store: ProvenanceStore, scope: ReadScope
@@ -935,7 +916,6 @@ class StoreServer:
             "segments": store.manifest.segment_count,
             "quarantined_segments": sorted(store.manifest.quarantined),
             "degraded": bool(store.manifest.quarantined),
-            "parallelism": self.parallelism,
             "segment_cache": self.cache.to_dict(),
             "index_pinner": self.pinner.to_dict(),
             "maintenance": (

@@ -22,12 +22,9 @@ runs without opening their indexes.  The read path is cached: decoded segments
 live in a byte-budgeted LRU (:mod:`repro.store.cache`) that can be shared
 across handles, cold misses are single-flight (concurrent queries
 missing the same segment collapse to one decode), merged index
-generations can be pinned resident, and
-:meth:`ProvenanceStore.segment_many` decodes cache misses concurrently --
-on one *shared, lazily created* thread pool per store (shut down by
-:meth:`ProvenanceStore.close`), escalating cold multi-segment sweeps to
-a shared process pool when the miss count and the machine justify paying
-the fork + pickle overhead (``decode_mode`` picks the strategy).
+generations can be pinned resident.  A segment is read and decoded in
+the thread that asks for it: concurrency comes from concurrent queries
+(the server's connection threads), not from a decode pool inside one.
 
 Maintenance is run-scoped: :meth:`ProvenanceStore.compact` rewrites a
 run's segments **streaming, segment by segment** into fewer, denser ones
@@ -51,7 +48,6 @@ import re
 import threading
 import zlib
 from collections import defaultdict
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -101,32 +97,6 @@ _INDEX_DELTA_RE = re.compile(r"^delta-(\d{8})\.bin$")
 #: Scratch directory compaction spills per-batch edges into (inside the
 #: store, so a crash leaves it visible to the next maintenance sweep).
 _COMPACT_SPILL_DIR = "tmp-compact"
-
-#: Cold misses in one ``segment_many`` call below which ``decode_mode
-#: "auto"`` never escalates to the process pool: the fork + pickle
-#: round-trip only pays for itself on multi-segment sweeps.
-PROCESS_DECODE_THRESHOLD = 8
-
-
-def _decode_segment_group(paths: Sequence[str]) -> List[Tuple[int, SegmentPayload]]:
-    """Process-pool decode worker: read + decode one group of segment files.
-
-    Module-level so it pickles into the worker.  Returns ``(file bytes,
-    payload)`` per path; the parent handle does the cache admission and
-    read accounting, so the child needs no store state beyond the paths.
-    """
-    results: List[Tuple[int, SegmentPayload]] = []
-    for path in paths:
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        except FileNotFoundError as exc:
-            # A StoreError crosses the process boundary as a store fault,
-            # not as pool breakage the parent would fall back from.
-            raise StoreError(f"segment file {os.path.basename(path)} is missing") from exc
-        results.append((len(data), decode_segment(data)))
-    return results
-
 
 def _utc_now_iso() -> str:
     """Wall-clock timestamp recorded for freshly minted runs."""
@@ -219,15 +189,6 @@ class ProvenanceStore:
     the constructor.
 
     Attributes:
-        decode_mode: How :meth:`segment_many` decodes a batch of cold
-            misses: ``"auto"`` (the default) uses the store's shared
-            thread pool and escalates to the shared process pool when the
-            miss count reaches :data:`PROCESS_DECODE_THRESHOLD` on a
-            multi-core machine; ``"thread"`` / ``"process"`` force one
-            strategy.  The process path sidesteps the GIL entirely (the
-            columnar decode is pure Python) at the price of one pickle
-            round-trip per decode group; a broken pool (fork or pickling
-            failure) permanently falls back to threads for the handle.
         checkpoint_interval: Log-append flushes between automatic
             manifest checkpoints (bounds open-time replay work).
         cache: The decoded-segment :class:`SegmentCache`.  Owned by this
@@ -281,16 +242,6 @@ class ProvenanceStore:
         #: Whether MANIFEST.json exists on disk (False for a store being
         #: created; forces the first flush to checkpoint).
         self._manifest_on_disk = False
-        #: Decode strategy of :meth:`segment_many` ("auto"/"thread"/"process").
-        self.decode_mode = "auto"
-        #: Shared decode pools, created lazily on the first parallel read
-        #: and shut down by :meth:`close` (after which reads degrade to
-        #: the sequential path instead of erroring).
-        self._pool_lock = threading.Lock()
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._process_pool: Optional[ProcessPoolExecutor] = None
-        self._process_pool_broken = False
-        self._closed = False
         self._pages_runs: Optional[Dict[int, Set[int]]] = None
         self._pages_runs_covered: Set[int] = set()
         #: Runs the on-disk summary file covers (always complete runs).
@@ -1079,235 +1030,13 @@ class ProvenanceStore:
         handle.complete(payload)
         return payload
 
-    def segment_many(
-        self,
-        segment_ids: Sequence[int],
-        parallelism: int = 1,
-        scope: Optional[ReadScope] = None,
-        executor: Optional[ThreadPoolExecutor] = None,
-    ) -> Dict[int, SegmentPayload]:
-        """Load many segments, decoding cache misses concurrently.
-
-        Single-flight claims happen up front: cached segments come back
-        immediately, misses another thread is already decoding are waited
-        for at the end, and the misses *this* call owns are decoded per
-        :attr:`decode_mode` -- stride-partitioned into ``parallelism``
-        groups, one task per group, on the store's shared thread pool
-        (created lazily, shut down by :meth:`close`) or, for cold
-        multi-segment sweeps on a multi-core machine, the shared process
-        pool, which sidesteps the GIL the pure-Python columnar decode
-        holds.  ``parallelism <= 1``, or a single miss, degrades to the
-        plain sequential path; pass ``executor`` to decode on an injected
-        pool instead of the store's own.  Returns ``{segment_id:
-        payload}`` -- **all** requested payloads at once, so the caller's
-        resident set is the request size regardless of the cache budget;
-        callers that scan more than they can hold (the query engine)
-        iterate bounded chunks instead of passing the whole list here.
-        """
-        wanted = list(dict.fromkeys(segment_ids))
-        for segment_id in wanted:
-            if self.manifest.is_quarantined(segment_id):
-                raise self._quarantined_error(segment_id)
-        payloads: Dict[int, SegmentPayload] = {}
-        owned: List[Tuple[int, "FillHandle"]] = []
-        waiting: List[Tuple[int, "FillHandle"]] = []
-        hits = 0
-        for segment_id in wanted:
-            handle = self.cache.begin_fill(
-                self.cache_namespace, self.manifest_generation, segment_id
-            )
-            if handle.status == "hit":
-                payloads[segment_id] = handle.payload
-                hits += 1
-            elif handle.status == "waiter":
-                waiting.append((segment_id, handle))
-            else:
-                owned.append((segment_id, handle))
-        if scope is not None and hits:
-            scope.record_hit(hits)
-        if owned:
-            misses = [segment_id for segment_id, _ in owned]
-            try:
-                decoded = self._decode_misses(misses, parallelism, executor)
-            except BaseException as exc:
-                for _, handle in owned:
-                    handle.fail(exc)
-                raise
-            for (segment_id, handle), (data_len, payload) in zip(owned, decoded):
-                if scope is not None:
-                    scope.record_miss(data_len)
-                handle.complete(payload)
-                payloads[segment_id] = payload
-        for segment_id, handle in waiting:
-            payloads[segment_id] = handle.wait()
-            if scope is not None:
-                scope.record_hit()
-        return payloads
-
-    def _decode_misses(
-        self,
-        misses: List[int],
-        parallelism: int,
-        executor: Optional[ThreadPoolExecutor],
-    ) -> List[Tuple[int, SegmentPayload]]:
-        """Read + decode ``misses``; returns ``(file bytes, payload)`` each.
-
-        The concurrency bound is exactly ``parallelism`` regardless of
-        pool size: misses are stride-partitioned into that many groups,
-        one task per group (which also amortizes the process pool's
-        pickle round-trip over the group).
-        """
-
-        def load(segment_id: int) -> Tuple[int, SegmentPayload]:
-            try:
-                data = self._read_segment_file(segment_id)
-                return len(data), decode_segment(data)
-            except StoreError as exc:
-                raise self._segment_fault(segment_id, exc) from exc
-
-        def load_group(group: List[int]) -> List[Tuple[int, SegmentPayload]]:
-            return [load(segment_id) for segment_id in group]
-
-        if executor is not None and len(misses) > 1:
-            return list(executor.map(load, misses))
-        if parallelism <= 1 or len(misses) <= 1:
-            return load_group(misses)
-        workers = min(parallelism, len(misses))
-        groups = [misses[offset::workers] for offset in range(workers)]
-        results = None
-        if self._use_process_decode(len(misses)):
-            try:
-                results = self._decode_groups_on_processes(groups)
-            except StoreError:
-                # A fault somewhere inside a group: re-read sequentially
-                # so the damaged segment is attributed (and quarantined)
-                # precisely instead of failing the sweep anonymously.
-                return load_group(misses)
-        if results is None:
-            pool = self._shared_executor()
-            if pool is None:  # closed handle: stay correct, go sequential
-                return load_group(misses)
-            futures = [pool.submit(load_group, group) for group in groups]
-            results = [future.result() for future in futures]
-        by_id = {
-            segment_id: item
-            for group, result in zip(groups, results)
-            for segment_id, item in zip(group, result)
-        }
-        return [by_id[segment_id] for segment_id in misses]
-
-    def _use_process_decode(self, miss_count: int) -> bool:
-        if self.decode_mode == "thread" or self._process_pool_broken:
-            return False
-        if self.decode_mode == "process":
-            return True
-        return miss_count >= PROCESS_DECODE_THRESHOLD and (os.cpu_count() or 1) >= 2
-
-    def _decode_groups_on_processes(
-        self, groups: List[List[int]]
-    ) -> Optional[List[List[Tuple[int, SegmentPayload]]]]:
-        """Decode groups on the shared process pool; ``None`` = fall back.
-
-        The children read the segment files themselves (only paths cross
-        the boundary going in), so the parent accounts the store-wide
-        read stats from the returned byte counts.  Pool breakage -- fork
-        failure, a killed worker, unpicklable payloads -- marks the pool
-        broken for the life of the handle and falls back to threads;
-        store faults (:class:`StoreError`) propagate.
-        """
-        pool = self._shared_process_pool()
-        if pool is None:
-            return None
-        paths = [
-            [
-                os.path.join(
-                    self.path, SEGMENTS_DIR, self.manifest.segment_info(segment_id).file_name
-                )
-                for segment_id in group
-            ]
-            for group in groups
-        ]
-        try:
-            futures = [pool.submit(_decode_segment_group, group_paths) for group_paths in paths]
-            results = [future.result() for future in futures]
-        except StoreError:
-            raise
-        except BrokenExecutor:
-            self._mark_process_pool_broken()
-            return None
-        except Exception:
-            # Submission/transport failures (pickling, a dying
-            # interpreter, OS limits) -- not store faults.
-            self._mark_process_pool_broken()
-            return None
-        with self._stats_lock:
-            for result in results:
-                for data_len, _ in result:
-                    self.read_stats.segments_read += 1
-                    self.read_stats.bytes_read += data_len
-        return results
-
-    def _mark_process_pool_broken(self) -> None:
-        with self._pool_lock:
-            self._process_pool_broken = True
-            pool, self._process_pool = self._process_pool, None
-        if pool is not None:
-            pool.shutdown(wait=False)
-
-    def _shared_executor(self) -> Optional[ThreadPoolExecutor]:
-        """The store's lazily created decode thread pool (None when closed).
-
-        Decode tasks never submit to (or wait on) this pool themselves,
-        so sizing it above any single call's ``parallelism`` cannot
-        deadlock -- it just lets concurrent queries overlap.
-        """
-        with self._pool_lock:
-            if self._closed:
-                return None
-            if self._executor is None:
-                workers = max(4, min(16, 2 * (os.cpu_count() or 1)))
-                self._executor = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="store-decode"
-                )
-            return self._executor
-
-    def _shared_process_pool(self) -> Optional[ProcessPoolExecutor]:
-        with self._pool_lock:
-            if self._closed or self._process_pool_broken:
-                return None
-            if self._process_pool is None:
-                try:
-                    import multiprocessing
-
-                    try:
-                        context = multiprocessing.get_context("fork")
-                    except ValueError:  # platforms without fork
-                        context = multiprocessing.get_context()
-                    self._process_pool = ProcessPoolExecutor(
-                        max_workers=max(2, min(8, os.cpu_count() or 1)),
-                        mp_context=context,
-                    )
-                except (OSError, ValueError, NotImplementedError):
-                    self._process_pool_broken = True
-                    return None
-            return self._process_pool
-
     def close(self) -> None:
-        """Shut down the store's shared decode pools (idempotent).
+        """End a ``with`` block or explicit scope (idempotent).
 
-        The handle stays usable for reads and writes afterwards -- a
-        parallel read on a closed handle just decodes sequentially
-        instead of resurrecting a pool.  Injected executors are the
-        caller's to shut down.
+        A handle holds no threads, processes or open files between calls,
+        so there is nothing to release: the handle keeps answering
+        queries and accepting ingests afterwards.
         """
-        with self._pool_lock:
-            self._closed = True
-            executor, self._executor = self._executor, None
-            process_pool, self._process_pool = self._process_pool, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-        if process_pool is not None:
-            process_pool.shutdown(wait=True)
 
     def __enter__(self) -> "ProvenanceStore":
         return self
@@ -1340,19 +1069,16 @@ class ProvenanceStore:
         """Zero the read counters (used by benchmarks and tests)."""
         self.read_stats = StoreReadStats()
 
-    def load_cpg(
-        self, run: Optional[int] = None, parallelism: int = 1
-    ) -> ConcurrentProvenanceGraph:
+    def load_cpg(self, run: Optional[int] = None) -> ConcurrentProvenanceGraph:
         """Materialize one run's full graph (reads every segment of the run).
 
         This is the fallback path the query engine exists to avoid; the
-        benchmarks use it as the baseline.  ``parallelism`` fans the
-        segment decode out over a thread pool.
+        benchmarks use it as the baseline.
         """
         run_id = self.resolve_run(run)
-        ordered = [info.segment_id for info in self.manifest.segments_of_run(run_id)]
-        by_id = self.segment_many(ordered, parallelism=parallelism)
-        payloads = [by_id[segment_id] for segment_id in ordered]
+        payloads = [
+            self.segment(info.segment_id) for info in self.manifest.segments_of_run(run_id)
+        ]
         cpg = ConcurrentProvenanceGraph()
         for payload in payloads:
             for node in payload.nodes.values():

@@ -3,8 +3,8 @@
 Covers the acceptance invariants of the decoded-segment cache: a tiny
 byte budget changes access patterns but never answers, the budget is a
 hard ceiling, maintenance (``compact``/``gc``) invalidates instead of
-serving stale payloads, pinned index generations are reused across store
-opens, and the parallel multi-segment scan is a pure timing knob.
+serving stale payloads, and pinned index generations are reused across
+store opens.
 """
 
 import pytest
@@ -213,34 +213,6 @@ class TestIndexPinner:
             shared.indexes_for(run_id)
         assert len(pinner) == 1
         assert pinner.stats.evictions == 1
-
-
-class TestParallelScan:
-    def test_parallel_results_match_sequential(self, stored):
-        cpg, store_dir = stored
-        sequential = StoreQueryEngine(ProvenanceStore.open(store_dir), parallelism=1)
-        parallel = StoreQueryEngine(ProvenanceStore.open(store_dir), parallelism=4)
-        assert engine_answers(parallel, cpg) == engine_answers(sequential, cpg)
-
-    def test_parallel_across_runs_matches_sequential(self, stored):
-        cpg, store_dir = stored
-        store = ProvenanceStore.open(store_dir)
-        store.ingest(cpg, segment_nodes=3)
-        _, pages = query_targets(cpg)
-        sequential = StoreQueryEngine(ProvenanceStore.open(store_dir), parallelism=1)
-        parallel = StoreQueryEngine(ProvenanceStore.open(store_dir), parallelism=4)
-        assert parallel.lineage_across_runs(pages) == sequential.lineage_across_runs(pages)
-        left = parallel.taint_across_runs(pages)
-        right = sequential.taint_across_runs(pages)
-        assert left.keys() == right.keys()
-        for run_id in left:
-            assert left[run_id].tainted_nodes == right[run_id].tainted_nodes
-            assert left[run_id].tainted_pages == right[run_id].tainted_pages
-
-    def test_parallelism_must_be_positive(self, stored):
-        _, store_dir = stored
-        with pytest.raises(ValueError):
-            StoreQueryEngine(ProvenanceStore.open(store_dir), parallelism=0)
 
 
 class TestWarmSweep:

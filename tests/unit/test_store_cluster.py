@@ -310,7 +310,7 @@ class TestClusterHammer:
         path, engine, runs = whole
         shard_paths = split_store(path, str(tmp_path / "shards"), [[r] for r in runs])
         servers = [
-            StoreServer(p, parallelism=2, writable=(index == 2))
+            StoreServer(p, writable=(index == 2))
             for index, p in enumerate(shard_paths)
         ]
         addresses = []
@@ -319,7 +319,7 @@ class TestClusterHammer:
             addresses.append(f"{host}:{port}")
         manifest = manual_manifest(addresses, [[r] for r in runs])
         cluster = StoreCluster(
-            manifest, parallelism=4, client_options={"timeout": 20.0, "retries": 2}
+            manifest, client_options={"timeout": 20.0, "retries": 2}
         )
         reference = {
             "lineage": {r: engine.lineage_of_pages(PAGES, run=r) for r in runs},

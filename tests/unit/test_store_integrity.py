@@ -381,7 +381,7 @@ class TestScrubVersusWarmReaders:
     def test_scrub_leaves_the_warm_cache_alone(self, tmp_path):
         build_store(tmp_path / "store", seeds=(21, 22, 23))
         store_dir = str(tmp_path / "store")
-        server = StoreServer(store_dir, parallelism=2)
+        server = StoreServer(store_dir)
         try:
             request = {"op": "lineage_across_runs", "pages": ALL_PAGES}
             baseline = server.handle_request(request)

@@ -73,7 +73,7 @@ def served(tmp_path):
     store = ProvenanceStore.create(store_dir)
     store.ingest(cpg, segment_nodes=3)
     store.ingest(cpg, segment_nodes=3)
-    server = StoreServer(store_dir, parallelism=2)
+    server = StoreServer(store_dir)
     host, port = server.start()
     client = StoreClient(host, port, timeout=10.0)
     yield cpg, store_dir, server, client
@@ -423,7 +423,7 @@ def writable(tmp_path):
     """An empty writable server; yields (dir, server, host, port)."""
     store_dir = str(tmp_path / "remote")
     ProvenanceStore.create(store_dir)
-    server = StoreServer(store_dir, parallelism=2, writable=True)
+    server = StoreServer(store_dir, writable=True)
     host, port = server.start()
     yield store_dir, server, host, port
     server.close()
@@ -613,7 +613,7 @@ class TestFollowHammer:
         store_dir = str(tmp_path / "store")
         store = ProvenanceStore.create(store_dir)
         store.ingest(cpg, segment_nodes=3, workload="base")
-        server = StoreServer(store_dir, parallelism=4, writable=True)
+        server = StoreServer(store_dir, writable=True)
         host, port = server.start()
         try:
             origin = [

@@ -357,6 +357,14 @@ class TestPagesRunsSummary:
             reference = brute_engine.propagate_taint(wanted, run=run_id)
             assert taints[run_id].tainted_nodes == reference.tainted_nodes
             assert taints[run_id].tainted_pages == reference.tainted_pages
+        # Touched runs are answered in run-id order, so the engine's mode
+        # is the last touched run's; a query touching no run leaves it.
+        engine.taint_across_runs(pages_a[:4] + pages_b[:1])  # run 1 floods
+        assert engine.last_taint_mode == "indexed"
+        engine.taint_across_runs(pages_a[:1] + pages_b[:4])  # run 2 floods
+        assert engine.last_taint_mode == "sweep"
+        engine.taint_across_runs([999999])
+        assert engine.last_taint_mode == "sweep"
 
     def test_gc_drops_runs_from_summary(self, tmp_path):
         store_dir, pages_a, pages_b = two_disjoint_runs(tmp_path)

@@ -1,11 +1,10 @@
-"""Compressed segments, parallel decode, and single-flight cache fills.
+"""Compressed segments, single-flight cache fills, and the handle lifecycle.
 
 Covers the read path on top of the existing store suites: segments are
 zlib-compressed on disk, cold misses are single-flight (a stampede of
-readers decodes each segment exactly once), the store's shared decode
-pools are created lazily and shut down by ``close()`` (after which reads
-degrade to sequential instead of failing), and the thread and process
-decode paths return identical payloads.
+readers -- raw segment reads or whole flooding taint queries -- decodes
+each segment exactly once), ``close()`` releases nothing and leaves the
+handle usable, and a missing segment file is a loud :class:`StoreError`.
 """
 
 import os
@@ -16,13 +15,16 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core.cpg import EdgeKind
+from repro.core.queries import propagate_taint
 from repro.core.thunk import SubComputation
 from repro.core.vector_clock import VectorClock
 from repro.errors import StoreError
+from repro.inspector.api import run_with_provenance
 from repro.store import (
     STORE_FORMAT_VERSION,
     ProvenanceStore,
     SegmentCache,
+    StoreQueryEngine,
     StoreSink,
 )
 from repro.store.format import SEGMENT_FRAME_BYTE, SEGMENT_MAGIC_PREFIX, SEGMENTS_DIR
@@ -125,26 +127,42 @@ class TestSingleFlight:
             assert set(loaded) == set(reference)
             for segment_id in reference:
                 assert loaded[segment_id] is reference[segment_id]
-        store.close()
 
-    def test_segment_many_stampede_decodes_each_segment_once(self, tmp_path):
+    def test_flooding_taint_stampede_decodes_each_segment_once(self, tmp_path):
+        cpg = run_with_provenance("kmeans", num_threads=4, size="small").cpg
         store_dir = str(tmp_path / "store")
-        build_store(store_dir, epochs=8)
+        ProvenanceStore.create(store_dir).ingest(cpg, segment_nodes=8)
         store = ProvenanceStore.open(store_dir)
-        segment_ids = [info.segment_id for info in store.manifest.segments]
+        segment_count = store.manifest.segment_count
+        assert 8 <= segment_count <= 64  # many segments, all within the cache
+        # As in the raw stampede above: slow file reads make the queries'
+        # fills overlap instead of trusting the scheduler to.
+        real_read = store._read_segment_file
+
+        def slow_read(segment_id):
+            time.sleep(0.002)
+            return real_read(segment_id)
+
+        store._read_segment_file = slow_read
+        seed = sorted(cpg.subcomputation(cpg.input_node).write_set)
+        reference = propagate_taint(cpg, seed)
         threads = 12
         barrier = threading.Barrier(threads)
 
-        def sweep(_):
-            barrier.wait()
-            return store.segment_many(segment_ids, parallelism=4)
+        def flood(_):
+            engine = StoreQueryEngine(store)
+            barrier.wait(timeout=30)
+            result = engine.propagate_taint(seed)
+            return engine.last_taint_mode, result
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            sweeps = list(pool.map(sweep, range(threads)))
-        assert store.read_stats.segments_read == len(segment_ids)
-        for swept in sweeps:
-            assert set(swept) == set(segment_ids)
-        store.close()
+            answers = list(pool.map(flood, range(threads)))
+        assert store.read_stats.segments_read == segment_count
+        assert store.cache.stats.coalesced > 0
+        for mode, result in answers:
+            assert mode == "sweep"  # input taint floods the run
+            assert result.tainted_nodes == reference.tainted_nodes
+            assert result.tainted_pages == reference.tainted_pages
 
     def test_waiters_see_the_owners_error(self):
         cache = SegmentCache(max_bytes=1 << 20)
@@ -181,114 +199,40 @@ class TestSingleFlight:
 
 
 # ---------------------------------------------------------------------- #
-# Shared decode pools and close()
+# Handle lifecycle
 # ---------------------------------------------------------------------- #
 
 
-class TestDecodePools:
-    def test_executor_is_lazy_and_shared(self, tmp_path):
+class TestHandleLifecycle:
+    def test_close_is_idempotent_and_leaves_the_handle_usable(self, tmp_path):
         store_dir = str(tmp_path / "store")
         build_store(store_dir, epochs=4)
-        store = ProvenanceStore.open(store_dir)
-        segment_ids = [info.segment_id for info in store.manifest.segments]
-        assert store._executor is None  # nothing parallel happened yet
-        store.segment_many(segment_ids, parallelism=4)
-        first = store._executor
-        assert first is not None
-        store.cache.invalidate(store.cache_namespace)
-        store.segment_many(segment_ids, parallelism=4)
-        assert store._executor is first  # reused, not a per-call pool
-        store.close()
 
-    def test_injected_executor_is_still_honored(self, tmp_path):
-        store_dir = str(tmp_path / "store")
-        build_store(store_dir, epochs=4)
-        store = ProvenanceStore.open(store_dir)
-        segment_ids = [info.segment_id for info in store.manifest.segments]
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            payloads = store.segment_many(segment_ids, parallelism=4, executor=pool)
-        assert set(payloads) == set(segment_ids)
-        assert store._executor is None  # the store never built its own
-        store.close()
-
-    def test_close_shuts_pools_and_reads_degrade_to_sequential(self, tmp_path):
-        store_dir = str(tmp_path / "store")
-        build_store(store_dir, epochs=4)
-        store = ProvenanceStore.open(store_dir)
-        segment_ids = [info.segment_id for info in store.manifest.segments]
-        store.segment_many(segment_ids, parallelism=4)
-        store.close()
-        assert store._executor is None
-        store.cache.invalidate(store.cache_namespace)
-        payloads = store.segment_many(segment_ids, parallelism=4)
-        assert set(payloads) == set(segment_ids)
-        assert store._executor is None  # closed stores never resurrect pools
-        store.close()  # idempotent
-
-    def test_context_manager_closes(self, tmp_path):
-        store_dir = str(tmp_path / "store")
-        build_store(store_dir, epochs=4)
-        with ProvenanceStore.open(store_dir) as store:
-            segment_ids = [info.segment_id for info in store.manifest.segments]
-            store.segment_many(segment_ids, parallelism=4)
-            assert store._executor is not None
-        assert store._executor is None
-
-    def test_thread_and_process_decode_agree(self, tmp_path):
-        store_dir = str(tmp_path / "store")
-        build_store(store_dir, epochs=8)
-        segment_ids = [
-            info.segment_id
-            for info in ProvenanceStore.open(store_dir).manifest.segments
-        ]
-
-        def canonical(payloads):
-            return {
-                segment_id: (
-                    sorted(payload.nodes),
-                    sorted(payload.edges, key=repr),
-                )
-                for segment_id, payload in payloads.items()
-            }
-
-        by_mode = {}
-        for mode in ("thread", "process"):
+        def closed_explicitly():
             store = ProvenanceStore.open(store_dir)
-            store.decode_mode = mode
-            by_mode[mode] = canonical(store.segment_many(segment_ids, parallelism=4))
-            assert store.read_stats.segments_read == len(segment_ids)
             store.close()
-        assert by_mode["thread"] == by_mode["process"]
+            store.close()  # idempotent
+            return store
 
-    def test_broken_process_pool_falls_back_to_threads(self, tmp_path):
-        store_dir = str(tmp_path / "store")
-        build_store(store_dir, epochs=8)
-        store = ProvenanceStore.open(store_dir)
-        store.decode_mode = "process"
-        store._process_pool_broken = True  # as if a worker died earlier
-        segment_ids = [info.segment_id for info in store.manifest.segments]
-        payloads = store.segment_many(segment_ids, parallelism=4)
-        assert set(payloads) == set(segment_ids)
-        assert store._process_pool is None
-        store.close()
+        def closed_by_with():
+            with ProvenanceStore.open(store_dir) as store:
+                pass
+            return store
 
-    def test_missing_segment_file_is_a_store_error_in_every_mode(self, tmp_path):
+        for new_run, release in ((2, closed_explicitly), (3, closed_by_with)):
+            store = release()
+            assert StoreQueryEngine(store).lineage_of_pages([103], run=1) == {(1, 3)}
+            sink = StoreSink(store, segment_nodes=4, workload="after-close")
+            sink.subcomputation_published(make_node(1, 0, writes={200}), [])
+            sink.finish()
+            assert sink.run_id == new_run
+            assert ProvenanceStore.open(store_dir).run_ids() == list(range(1, new_run + 1))
+
+    def test_missing_segment_file_is_a_store_error(self, tmp_path):
         store_dir = str(tmp_path / "store")
         build_store(store_dir, epochs=4)
-        for mode in ("thread", "process"):
-            store = ProvenanceStore.open(store_dir)
-            store.decode_mode = mode
-            segment_ids = [info.segment_id for info in store.manifest.segments]
-            victim = store.manifest.segment_info(segment_ids[0]).file_name
-            victim_path = os.path.join(store_dir, "segments", victim)
-            blob = open(victim_path, "rb").read()
-            os.remove(victim_path)
-            try:
-                with pytest.raises(StoreError, match="missing"):
-                    store.segment_many(segment_ids, parallelism=4)
-                # The pool was not condemned for a store fault.
-                assert not store._process_pool_broken
-            finally:
-                with open(victim_path, "wb") as handle:
-                    handle.write(blob)
-                store.close()
+        store = ProvenanceStore.open(store_dir)
+        victim = store.manifest.segments[0].file_name
+        os.remove(os.path.join(store_dir, SEGMENTS_DIR, victim))
+        with pytest.raises(StoreError, match="missing"):
+            store.load_cpg()
