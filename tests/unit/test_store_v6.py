@@ -203,31 +203,54 @@ class TestSingleFlight:
 # ---------------------------------------------------------------------- #
 
 
-class TestHandleLifecycle:
-    def test_close_is_idempotent_and_leaves_the_handle_usable(self, tmp_path):
+def canonical(payload):
+    return sorted(payload.nodes), sorted(payload.edges, key=repr)
+
+
+def assert_handle_still_usable(store, store_dir, new_run):
+    """A closed handle answers queries and mints the next run."""
+    assert StoreQueryEngine(store).lineage_of_pages([103], run=1) == {(1, 3)}
+    sink = StoreSink(store, segment_nodes=4, workload="after-close")
+    sink.subcomputation_published(make_node(1, 0, writes={200}), [])
+    sink.finish()
+    assert sink.run_id == new_run
+    assert ProvenanceStore.open(store_dir).run_ids() == list(range(1, new_run + 1))
+
+
+class TestDecodePools:
+    """``close()`` and the ``with`` block on a handle that owns no pools.
+
+    Every read decodes on the caller's own thread, so closing a handle
+    has nothing to shut down: reads after ``close()`` decode sequentially
+    exactly as before it, and the handle keeps ingesting.
+    """
+
+    def test_close_shuts_pools_and_reads_degrade_to_sequential(self, tmp_path):
         store_dir = str(tmp_path / "store")
         build_store(store_dir, epochs=4)
+        store = ProvenanceStore.open(store_dir)
+        segment_ids = [info.segment_id for info in store.manifest.segments]
+        before = {sid: canonical(store.segment(sid)) for sid in segment_ids}
+        store.close()
+        store.cache.invalidate(store.cache_namespace)
+        store.reset_read_stats()
+        after = {sid: canonical(store.segment(sid)) for sid in segment_ids}
+        assert after == before
+        assert store.read_stats.segments_read == len(segment_ids)
+        store.close()  # idempotent
+        assert_handle_still_usable(store, store_dir, new_run=2)
 
-        def closed_explicitly():
-            store = ProvenanceStore.open(store_dir)
-            store.close()
-            store.close()  # idempotent
-            return store
+    def test_context_manager_closes(self, tmp_path):
+        store_dir = str(tmp_path / "store")
+        build_store(store_dir, epochs=4)
+        with ProvenanceStore.open(store_dir) as store:
+            segment_ids = [info.segment_id for info in store.manifest.segments]
+            payloads = {sid: store.segment(sid) for sid in segment_ids}
+            assert set(payloads) == set(segment_ids)
+        assert_handle_still_usable(store, store_dir, new_run=2)
 
-        def closed_by_with():
-            with ProvenanceStore.open(store_dir) as store:
-                pass
-            return store
 
-        for new_run, release in ((2, closed_explicitly), (3, closed_by_with)):
-            store = release()
-            assert StoreQueryEngine(store).lineage_of_pages([103], run=1) == {(1, 3)}
-            sink = StoreSink(store, segment_nodes=4, workload="after-close")
-            sink.subcomputation_published(make_node(1, 0, writes={200}), [])
-            sink.finish()
-            assert sink.run_id == new_run
-            assert ProvenanceStore.open(store_dir).run_ids() == list(range(1, new_run + 1))
-
+class TestHandleLifecycle:
     def test_missing_segment_file_is_a_store_error(self, tmp_path):
         store_dir = str(tmp_path / "store")
         build_store(store_dir, epochs=4)
