@@ -1,9 +1,11 @@
-"""Legacy setup shim.
+"""Package metadata for the reproduction.
 
-The offline evaluation environment lacks the ``wheel`` package, so PEP 660
-editable installs fail; this ``setup.py`` lets ``pip install -e .`` fall
-back to the classic ``setup.py develop`` path.  All metadata lives in
-``pyproject.toml``; this file only mirrors what the legacy path needs.
+This ``setup.py`` is the only packaging file: there is no
+``pyproject.toml``.  Without the ``wheel`` package, PEP 660 editable
+installs fail, so ``pip install -e .`` falls back to the classic
+``setup.py develop`` path.  ``install_requires`` lists every third-party
+package ``src/`` imports; ``tests/unit/test_install_metadata.py`` checks
+that.
 """
 
 from setuptools import find_packages, setup
@@ -17,5 +19,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    install_requires=["numpy"],
+    install_requires=["networkx"],
 )

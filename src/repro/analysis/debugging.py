@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.core.cpg import ConcurrentProvenanceGraph, EdgeKind
 from repro.core.dependencies import writers_of_pages
-from repro.core.queries import backward_slice, find_racy_pairs, schedule_of
+from repro.core.queries import find_racy_pairs, lineage_of_pages, schedule_of
 from repro.core.thunk import NodeId
 from repro.memory.layout import DEFAULT_PAGE_SIZE, page_id
 
@@ -29,8 +29,9 @@ class MemoryExplanation:
     Attributes:
         pages: The pages the questioned addresses live on.
         direct_writers: Sub-computations whose write set intersects the pages.
-        explanation: Every sub-computation in the transitive dataflow
-            explanation (the backward slice of the direct writers).
+        explanation: The lineage of the pages: the direct writers plus
+            every sub-computation they transitively depend on through
+            data edges.
         schedule: The recorded global schedule restricted to the explanation,
             in causal order.
         racy_pairs: Conflicting concurrent accesses touching the pages.
@@ -79,9 +80,7 @@ def explain_memory_state(
     """
     pages = {page_id(address, page_size) for address in addresses}
     writers = writers_of_pages(cpg, pages)
-    explanation: Set[NodeId] = set()
-    for writer in writers:
-        explanation |= backward_slice(cpg, writer, kinds=(EdgeKind.DATA,))
+    explanation = lineage_of_pages(cpg, pages)
     order = [node for node in schedule_of(cpg) if node in explanation]
     racy = [
         (a, b, conflict)

@@ -185,22 +185,26 @@ class ConcurrentProvenanceGraph:
         except nx.NetworkXUnfeasible as exc:  # pragma: no cover - defensive
             raise ProvenanceError("control/sync edges of the CPG contain a cycle") from exc
 
-    def ancestors(self, node_id: NodeId, kinds: Optional[Sequence[EdgeKind]] = None) -> Set[NodeId]:
-        """Every vertex from which ``node_id`` is reachable through edges of ``kinds``."""
-        return self._closure(node_id, kinds, forward=False)
+    def ancestors(self, *node_ids: NodeId, kinds: Optional[Sequence[EdgeKind]] = None) -> Set[NodeId]:
+        """Every vertex from which any of ``node_ids`` is reachable through edges of ``kinds``."""
+        return self._closure(node_ids, kinds, forward=False)
 
-    def descendants(self, node_id: NodeId, kinds: Optional[Sequence[EdgeKind]] = None) -> Set[NodeId]:
-        """Every vertex reachable from ``node_id`` through edges of ``kinds``."""
-        return self._closure(node_id, kinds, forward=True)
+    def descendants(self, *node_ids: NodeId, kinds: Optional[Sequence[EdgeKind]] = None) -> Set[NodeId]:
+        """Every vertex reachable from any of ``node_ids`` through edges of ``kinds``."""
+        return self._closure(node_ids, kinds, forward=True)
 
     def _closure(
-        self, node_id: NodeId, kinds: Optional[Sequence[EdgeKind]], forward: bool
+        self, starts: Iterable[NodeId], kinds: Optional[Sequence[EdgeKind]], forward: bool
     ) -> Set[NodeId]:
-        if node_id not in self._subcomputations:
-            raise ProvenanceError(f"no sub-computation {node_id} in the CPG")
+        # One walk from every start at once: each reached vertex is
+        # expanded once, however many starts share it.
+        starts = set(starts)
+        for node_id in starts:
+            if node_id not in self._subcomputations:
+                raise ProvenanceError(f"no sub-computation {node_id} in the CPG")
         allowed = set(kinds) if kinds is not None else None
         seen: Set[NodeId] = set()
-        frontier = [node_id]
+        frontier = list(starts)
         while frontier:
             current = frontier.pop()
             if forward:
@@ -214,9 +218,10 @@ class ConcurrentProvenanceGraph:
                 if allowed is not None and attrs.get("kind") not in allowed:
                     continue
                 nxt = step(edge)
-                if nxt not in seen and nxt != node_id:
+                if nxt not in seen:
                     seen.add(nxt)
-                    frontier.append(nxt)
+                    if nxt not in starts:
+                        frontier.append(nxt)
         return seen
 
     # ------------------------------------------------------------------ #

@@ -61,12 +61,12 @@ def lineage_of_pages(cpg: ConcurrentProvenanceGraph, pages: Iterable[int]) -> Se
 
     Returns the sub-computations that wrote any of the pages plus everything
     those writers transitively depend on through data edges -- the paper's
-    "why is the memory state like that" debugging query.
+    "why is the memory state like that" debugging query.  One backward
+    walk from all the writers at once expands each ancestor once, however
+    many writers share it.
     """
-    result: Set[NodeId] = set()
-    for writer in writers_of_pages(cpg, pages):
-        result |= backward_slice(cpg, writer, kinds=(EdgeKind.DATA,))
-    return result
+    writers = writers_of_pages(cpg, pages)
+    return writers | cpg.ancestors(*writers, kinds=(EdgeKind.DATA,))
 
 
 @dataclass

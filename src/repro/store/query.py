@@ -250,26 +250,30 @@ class StoreQueryEngine:
 
     def _closure(
         self,
-        node_id: NodeId,
+        starts: Iterable[NodeId],
         kinds: Optional[Sequence[EdgeKind]],
         forward: bool,
         run: int,
     ) -> Set[NodeId]:
         # Mirrors ConcurrentProvenanceGraph._closure, but expands through
         # the edge-segment index instead of an in-memory adjacency list.
-        self.store.indexes_for(run).segment_of(node_id)  # raises for unknown nodes
+        indexes = self.store.indexes_for(run)
+        starts = set(starts)
+        for node_id in starts:
+            indexes.segment_of(node_id)  # raises for unknown nodes
         allowed = set(kinds) if kinds is not None else None
         seen: Set[NodeId] = set()
-        frontier = [node_id]
+        frontier = list(starts)
         while frontier:
             current = frontier.pop()
             for source, target, kind, _ in self._edges_at(current, forward, run):
                 if allowed is not None and kind not in allowed:
                     continue
                 nxt = target if forward else source
-                if nxt not in seen and nxt != node_id:
+                if nxt not in seen:
                     seen.add(nxt)
-                    frontier.append(nxt)
+                    if nxt not in starts:
+                        frontier.append(nxt)
         return seen
 
     # ------------------------------------------------------------------ #
@@ -285,7 +289,7 @@ class StoreQueryEngine:
     ) -> Set[NodeId]:
         """Every sub-computation ``node_id`` transitively depends on (in ``run``)."""
         run_id = self.store.resolve_run(run)
-        result = self._closure(node_id, kinds, forward=False, run=run_id)
+        result = self._closure((node_id,), kinds, forward=False, run=run_id)
         if include_start:
             result.add(node_id)
         return result
@@ -299,22 +303,23 @@ class StoreQueryEngine:
     ) -> Set[NodeId]:
         """Every sub-computation transitively influenced by ``node_id`` (in ``run``)."""
         run_id = self.store.resolve_run(run)
-        result = self._closure(node_id, kinds, forward=True, run=run_id)
+        result = self._closure((node_id,), kinds, forward=True, run=run_id)
         if include_start:
             result.add(node_id)
         return result
 
     def lineage_of_pages(self, pages: Iterable[int], run: Optional[int] = None) -> Set[NodeId]:
-        """Writers of ``pages`` plus everything they depend on through data edges."""
+        """Writers of ``pages`` plus everything they depend on through data edges.
+
+        One backward walk from all the writers at once: every ancestor is
+        expanded once, however many writers share it.
+        """
         run_id = self.store.resolve_run(run)
         indexes = self.store.indexes_for(run_id)
-        result: Set[NodeId] = set()
         writers: Set[NodeId] = set()
         for page in pages:
             writers.update(indexes.writers_of_page(page))
-        for writer in writers:
-            result |= self.backward_slice(writer, kinds=(EdgeKind.DATA,), run=run_id)
-        return result
+        return writers | self._closure(writers, (EdgeKind.DATA,), forward=False, run=run_id)
 
     # ------------------------------------------------------------------ #
     # Cross-run queries

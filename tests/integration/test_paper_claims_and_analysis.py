@@ -6,6 +6,7 @@ from repro.analysis.debugging import blame_threads, explain_memory_state
 from repro.analysis.dift import PolicyAction, PolicyChecker, make_input_policy
 from repro.analysis.numa import NUMATopology, placement_improvement
 from repro.baselines.process_prov import collapse_to_process_granularity, precision_comparison
+from repro.core.queries import lineage_of_pages
 from repro.errors import PolicyViolationError
 from repro.inspector.api import run_native, run_with_provenance
 from repro.inspector.config import InspectorConfig
@@ -107,6 +108,7 @@ class TestDebuggingCaseStudy:
         assert explanation.direct_writers
         assert len(explanation.threads_involved) >= 4
         assert explanation.explanation >= explanation.direct_writers
+        assert explanation.explanation == lineage_of_pages(traced.cpg, explanation.pages)
 
     def test_blame_threads_counts_every_worker(self):
         _, traced = paired_run("word_count", threads=4)

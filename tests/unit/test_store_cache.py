@@ -7,11 +7,15 @@ serving stale payloads, and pinned index generations are reused across
 store opens.
 """
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.core.algorithm import ProvenanceTracker
 from repro.core.dependencies import derive_data_edges
 from repro.core.queries import backward_slice, lineage_of_pages, propagate_taint
+from repro.inspector.api import run_with_provenance
 from repro.store import (
     IndexPinner,
     ProvenanceStore,
@@ -19,6 +23,7 @@ from repro.store import (
     StoreQueryEngine,
 )
 from repro.store.cache import ReadScope, estimate_payload_cost
+from repro.store.segment import decode_segment
 
 
 def build_chain_cpg(threads: int = 3, steps: int = 4):
@@ -55,6 +60,18 @@ def stored(tmp_path):
     store = ProvenanceStore.create(store_dir)
     store.ingest(cpg, segment_nodes=3)
     return cpg, store_dir
+
+
+def stored_run(tmp_path_factory, workload, threads=4):
+    """A sink-streamed store holding one small run of ``workload``."""
+    store_dir = str(tmp_path_factory.mktemp(workload) / "store")
+    run_with_provenance(workload, num_threads=threads, size="small", store_path=store_dir)
+    return store_dir
+
+
+@pytest.fixture(scope="module")
+def kmeans_store(tmp_path_factory):
+    return stored_run(tmp_path_factory, "kmeans")
 
 
 def query_targets(cpg):
@@ -247,3 +264,46 @@ class TestReadScope:
         StoreQueryEngine(store, scope=warm_scope).lineage_of_pages(pages)
         assert warm_scope.segments_read == 0
         assert warm_scope.cache_hits > 0
+
+
+class TestLineageWalkCost:
+    def test_lineage_expands_each_answer_node_once(self, kmeans_store):
+        # The page every kmeans worker writes: 131 writers sharing most of
+        # their ancestry.  One walk from all of them looks up each answer
+        # node's in-edge segments once; a walk per writer re-walks the
+        # shared ancestry for every writer.
+        store = ProvenanceStore.open(kmeans_store)
+        indexes = store.indexes
+        page = max(indexes.page_writers, key=lambda p: len(indexes.page_writers[p]))
+        assert len(indexes.writers_of_page(page)) > 100
+        scope = ReadScope()
+        answer = StoreQueryEngine(store, scope=scope).lineage_of_pages([page])
+        assert answer >= set(indexes.writers_of_page(page))
+        bound = sum(len(indexes.in_segments(node)) for node in answer)
+        assert scope.cache_hits + scope.cache_misses <= bound
+
+
+def measured_decoded_bytes(raw: bytes):
+    """Decode one segment; return it with the bytes tracemalloc sees it keep."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        payload = decode_segment(raw)
+        gc.collect()
+        return payload, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPayloadCostEstimate:
+    @pytest.mark.parametrize("workload", ["kmeans", "canneal"])
+    def test_estimate_tracks_decoded_size(self, tmp_path_factory, workload):
+        # kmeans segments are mostly vector clocks, canneal's mostly thunks:
+        # the byte budget bounds real memory only if both are charged.
+        store = ProvenanceStore.open(stored_run(tmp_path_factory, workload))
+        estimated = measured = 0
+        for segment_id in store.manifest.segment_ids():
+            payload, size = measured_decoded_bytes(store._read_segment_file(segment_id))
+            estimated += estimate_payload_cost(payload)
+            measured += size
+        assert 0.5 * measured <= estimated <= 2 * measured, (estimated, measured)
