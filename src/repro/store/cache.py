@@ -57,10 +57,10 @@ DEFAULT_CACHE_BYTES = 48 * 1024 * 1024
 # Deliberately a model, not sys.getsizeof spelunking: the estimate must be
 # deterministic across interpreters so the "never exceeds its budget"
 # invariant is testable.  The constants are fitted to tracemalloc's count
-# of what a decoded segment keeps alive (CPython 3.11, 64-bit, registry
-# workloads at small and medium size): the estimate reads 0.9-1.0x of the
-# measured size per run, 0.7-1.3x per segment, so the byte budget bounds
-# real memory.
+# of what a decoded segment keeps alive (CPython 3.11, 64-bit, eight
+# registry runs at small and medium size): the estimate came within 10% of
+# the measured size per run and within 0.7-1.3x per segment, so the byte
+# budget bounds real memory.
 _PAYLOAD_BASE_COST = 1024
 #: A sub-computation record: object, field dict, empty sets and lists.
 _NODE_COST = 300

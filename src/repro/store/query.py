@@ -23,18 +23,21 @@ resolve a data race differently (see ``docs/store.md``).
 
 Slices walk the edge-segment index (node -> segments holding its in-/out-
 edges), so a slice confined to one corner of the graph touches only the
-segments of that corner.  Taint propagation first computes, from the page
-and thread indexes alone (no segment I/O), a closed superset of the nodes
-the taint frontier can ever reach, then replays the in-memory policy over
-just those nodes in stored topological rank order -- nodes outside the
-closure can neither become tainted nor taint a page, so restricting the
-replay preserves the result bit for bit.  When the closure floods (the
-frontier touches a majority of the run's *read* pages -- write-only pages
-never spread taint further) the engine stops
-expanding it and falls back to one sequential sweep of the run's segments
-in topological order: each segment is processed exactly once, which is
-the optimal access pattern for a query whose answer genuinely spans the
-run.
+segments of that corner.  Lineage is the pages' writers plus one backward
+walk over data edges started from all of them at once, so each ancestor's
+segments are looked up once however many writers share it.
+
+Taint propagation first computes, from the page and thread indexes alone
+(no segment I/O), a closed superset of the nodes the taint frontier can
+ever reach, then replays the in-memory policy over just those nodes in
+stored topological rank order -- nodes outside the closure can neither
+become tainted nor taint a page, so restricting the replay preserves the
+result bit for bit.  When the closure floods (the frontier touches a
+majority of the run's *read* pages -- write-only pages never spread taint
+further) the engine stops expanding it and falls back to one sequential
+sweep of the run's segments in topological order: each segment is
+processed exactly once, which is the optimal access pattern for a query
+whose answer genuinely spans the run.
 
 Every segment read goes through the store's byte-budgeted decoded-segment
 cache (:mod:`repro.store.cache`), so repeated queries on a warm engine --

@@ -96,6 +96,12 @@ class TestStoreRoundTripProperties:
             assert engine.backward_slice(node_id, kinds=DEFAULT_SLICE_KINDS) == backward_slice(
                 cpg, node_id, kinds=DEFAULT_SLICE_KINDS
             )
+        starts = cpg.nodes()[::3]
+        for walk in (cpg.ancestors, cpg.descendants):
+            # One walk from many starts reaches what a walk from each reaches.
+            assert walk(*starts, kinds=DEFAULT_SLICE_KINDS) == set().union(
+                *(walk(node_id, kinds=DEFAULT_SLICE_KINDS) for node_id in starts)
+            )
 
     @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None, max_examples=15)
     @given(

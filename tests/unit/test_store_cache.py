@@ -3,8 +3,9 @@
 Covers the acceptance invariants of the decoded-segment cache: a tiny
 byte budget changes access patterns but never answers, the budget is a
 hard ceiling, maintenance (``compact``/``gc``) invalidates instead of
-serving stale payloads, and pinned index generations are reused across
-store opens.
+serving stale payloads, pinned index generations are reused across
+store opens, the resident-size estimate tracks what a decoded segment
+really holds, and lineage looks up each answer node's segments once.
 """
 
 import gc
@@ -62,16 +63,12 @@ def stored(tmp_path):
     return cpg, store_dir
 
 
-def stored_run(tmp_path_factory, workload, threads=4):
-    """A sink-streamed store holding one small run of ``workload``."""
-    store_dir = str(tmp_path_factory.mktemp(workload) / "store")
-    run_with_provenance(workload, num_threads=threads, size="small", store_path=store_dir)
+def stored_run(tmp_path, workload):
+    """A sink-streamed store holding one small 4-thread run of ``workload``."""
+    store_dir = str(tmp_path / "store")
+    run_with_provenance(workload, num_threads=4, size="small", store_path=store_dir)
     return store_dir
 
-
-@pytest.fixture(scope="module")
-def kmeans_store(tmp_path_factory):
-    return stored_run(tmp_path_factory, "kmeans")
 
 
 def query_targets(cpg):
@@ -267,12 +264,12 @@ class TestReadScope:
 
 
 class TestLineageWalkCost:
-    def test_lineage_expands_each_answer_node_once(self, kmeans_store):
+    def test_lineage_expands_each_answer_node_once(self, tmp_path):
         # The page every kmeans worker writes: 131 writers sharing most of
         # their ancestry.  One walk from all of them looks up each answer
         # node's in-edge segments once; a walk per writer re-walks the
         # shared ancestry for every writer.
-        store = ProvenanceStore.open(kmeans_store)
+        store = ProvenanceStore.open(stored_run(tmp_path, "kmeans"))
         indexes = store.indexes
         page = max(indexes.page_writers, key=lambda p: len(indexes.page_writers[p]))
         assert len(indexes.writers_of_page(page)) > 100
@@ -297,10 +294,10 @@ def measured_decoded_bytes(raw: bytes):
 
 class TestPayloadCostEstimate:
     @pytest.mark.parametrize("workload", ["kmeans", "canneal"])
-    def test_estimate_tracks_decoded_size(self, tmp_path_factory, workload):
+    def test_estimate_tracks_decoded_size(self, tmp_path, workload):
         # kmeans segments are mostly vector clocks, canneal's mostly thunks:
         # the byte budget bounds real memory only if both are charged.
-        store = ProvenanceStore.open(stored_run(tmp_path_factory, workload))
+        store = ProvenanceStore.open(stored_run(tmp_path, workload))
         estimated = measured = 0
         for segment_id in store.manifest.segment_ids():
             payload, size = measured_decoded_bytes(store._read_segment_file(segment_id))
