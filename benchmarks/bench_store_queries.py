@@ -15,7 +15,9 @@ stays bounded as runs grow.  Eight scenarios keep those claims honest:
   :mod:`repro.core.serialization` and :mod:`repro.compression.lz`),
   timing decode (and encode) of each and recording the stored-vs-raw
   bytes: ``binary-z`` must decode faster than the yardstick without
-  storing more than 2x its bytes;
+  storing more than 2x its bytes.  A second row times a clock-heavy run
+  (kmeans-16 small, 417 threads) cut into ``DEFAULT_SEGMENT_NODES``-node
+  segments in ingest order, the way every store path writes it;
 * **flush_scaling** -- a long streamed run, flushed after every epoch:
   each flush appends one framed record to ``segments.log``, and its cost
   must stay flat as the store's segment count grows (O(epoch));
@@ -65,6 +67,7 @@ import os
 import threading
 import time
 import zlib
+from collections import defaultdict
 from typing import Callable, Dict, List, Tuple
 
 from repro.compression import lz
@@ -89,6 +92,7 @@ from repro.store import (
     StoreQueryEngine,
     scrub,
 )
+from repro.store.format import DEFAULT_SEGMENT_NODES
 from repro.store.segment import SegmentPayload, decode_segment, encode_segment
 
 #: Sub-computations per segment; small enough that slices span few of them.
@@ -102,6 +106,12 @@ BENCH_JSON = "BENCH_store.json"
 #: store's indexed access pays off over re-reading the whole document.
 WORKLOAD = "reverse_index"
 THREADS = 8
+
+#: The codec benchmark's clock-heavy row: kmeans starts 417 threads per
+#: run, so vector clocks dominate its segments.
+CLOCK_WORKLOAD = "kmeans"
+CLOCK_THREADS = 16
+CLOCK_ROW = f"{CLOCK_WORKLOAD}{CLOCK_THREADS}"
 
 #: Timing repetitions (best-of to shave scheduler noise).
 REPEATS = 5
@@ -296,15 +306,20 @@ def decode_lz_json(framed: bytes) -> SegmentPayload:
     return SegmentPayload.build(nodes, edges)
 
 
+def edge_tuples(cpg: ConcurrentProvenanceGraph) -> list:
+    """Every edge of ``cpg`` as the store's ``(source, target, kind, attrs)``."""
+    edges = []
+    for source, target, attrs in cpg.edges():
+        extra = {key: value for key, value in attrs.items() if key != "kind"}
+        edges.append((source, target, attrs["kind"], extra))
+    return edges
+
+
 def bench_codec_decode(cpg: ConcurrentProvenanceGraph, repeats: int = REPEATS) -> dict:
     """Encode the whole graph as one segment both ways; time decode/encode."""
     order = cpg.topological_order()
     nodes = [cpg.subcomputation(node_id) for node_id in order]
-    edges = []
-    for source, target, attrs in cpg.edges():
-        kind = attrs["kind"]
-        extra = {key: value for key, value in attrs.items() if key != "kind"}
-        edges.append((source, target, kind, extra))
+    edges = edge_tuples(cpg)
     results: Dict[str, dict] = {}
     for name, encode, decode in (
         ("json", encode_lz_json, decode_lz_json),
@@ -332,6 +347,52 @@ def bench_codec_decode(cpg: ConcurrentProvenanceGraph, repeats: int = REPEATS) -
         else float("inf")
     )
     return results
+
+
+def bench_codec_segments(cpg: ConcurrentProvenanceGraph, repeats: int = REPEATS) -> dict:
+    """Time encoding and decoding ``cpg`` as the store's segments.
+
+    The graph is cut the way :meth:`ProvenanceStore.ingest` writes it:
+    ``DEFAULT_SEGMENT_NODES`` nodes per segment in topological order, each
+    edge next to its target node.
+    """
+    order = cpg.topological_order()
+    edges_by_target = defaultdict(list)
+    for edge in edge_tuples(cpg):
+        edges_by_target[edge[1]].append(edge)
+    batches = []
+    for start in range(0, len(order), DEFAULT_SEGMENT_NODES):
+        batch = order[start : start + DEFAULT_SEGMENT_NODES]
+        batches.append(
+            (
+                [cpg.subcomputation(node_id) for node_id in batch],
+                [edge for node_id in batch for edge in edges_by_target[node_id]],
+            )
+        )
+    frames = [encode_segment(nodes, edges) for nodes, edges in batches]
+    return {
+        "segments": len(batches),
+        "nodes": len(order),
+        "clock_components": sum(
+            len(cpg.subcomputation(node_id).clock.as_dict()) for node_id in order
+        ),
+        "raw_bytes": sum(raw_bytes for _, raw_bytes in frames),
+        "stored_bytes": sum(len(framed) for framed, _ in frames),
+        "encode_ms": best_of(
+            lambda: [encode_segment(nodes, edges) for nodes, edges in batches], repeats
+        )
+        * 1e3,
+        "decode_ms": best_of(lambda: [decode_segment(framed) for framed, _ in frames], repeats)
+        * 1e3,
+    }
+
+
+def codec_segments_line(row: dict) -> str:
+    return (
+        f"codec {CLOCK_WORKLOAD}-{CLOCK_THREADS}: {row['segments']} segments, "
+        f"encode {row['encode_ms']:.2f} ms, decode {row['decode_ms']:.2f} ms, "
+        f"{row['raw_bytes']} raw / {row['stored_bytes']} stored bytes"
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -935,6 +996,9 @@ def test_codec_decode_speed(benchmark):
 
     cpg = inspector_run(WORKLOAD, THREADS).cpg
     results = benchmark.pedantic(lambda: bench_codec_decode(cpg), rounds=1, iterations=1)
+    results[CLOCK_ROW] = bench_codec_segments(
+        inspector_run(CLOCK_WORKLOAD, CLOCK_THREADS, "small").cpg
+    )
     results["smoke"] = False
     path = update_bench_json("codec_decode", results)
     print(
@@ -944,6 +1008,7 @@ def test_codec_decode_speed(benchmark):
         f"{results['stored_ratio_z_vs_json']:.2f}x the json bytes) "
         f"[written to {path}]"
     )
+    print(codec_segments_line(results[CLOCK_ROW]))
     # binary-z must not trade one regression for another: decode >= 2x
     # faster than lz+JSON, disk within 2x of lz+JSON.
     assert results["binary-z"]["decode_ms"] < results["json"]["decode_ms"] / 2, (
@@ -1211,6 +1276,10 @@ def main(argv=None) -> None:
         rows = compare_queries(cpg, store_dir, json_path)
         update_bench_json("queries", {"workload": WORKLOAD, "threads": THREADS, "rows": rows})
         decode = bench_codec_decode(cpg, repeats=2 if args.smoke else REPEATS)
+        decode[CLOCK_ROW] = bench_codec_segments(
+            run_with_provenance(CLOCK_WORKLOAD, num_threads=CLOCK_THREADS, size="small").cpg,
+            repeats=2 if args.smoke else REPEATS,
+        )
         decode["smoke"] = args.smoke
         update_bench_json("codec_decode", decode)
         scaling = bench_flush_scaling(tmp, epochs=30 if args.smoke else 120, nodes_per_epoch=8)
@@ -1249,6 +1318,7 @@ def main(argv=None) -> None:
         f"({decode['decode_speedup_z']:.1f}x, "
         f"{decode['stored_ratio_z_vs_json']:.2f}x the json bytes)"
     )
+    print(codec_segments_line(decode[CLOCK_ROW]))
     print(
         f"commit over {scaling['epochs']} epochs: "
         f"{scaling['early_flush_ms']:.2f} -> {scaling['late_flush_ms']:.2f} ms "

@@ -34,6 +34,18 @@ class VectorClock:
                 if value > 0:
                     self._entries[int(tid)] = int(value)
 
+    @classmethod
+    def adopt(cls, entries: Dict[int, int]) -> "VectorClock":
+        """Wrap ``entries`` as a clock without copying or checking it.
+
+        For a decoder that has already checked every component is a
+        positive integer: the clock takes ownership of the dict, so the
+        caller must not keep mutating it.
+        """
+        clock = cls.__new__(cls)
+        clock._entries = entries
+        return clock
+
     # ------------------------------------------------------------------ #
     # Component access
     # ------------------------------------------------------------------ #

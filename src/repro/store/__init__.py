@@ -9,8 +9,9 @@ happened in this run", "what happened in every run", and "what changed
 between these two runs".  It provides:
 
 * :class:`~repro.store.store.ProvenanceStore` -- an append-only, segmented
-  on-disk format (format 7) whose segments are checksummed, zlib-compressed
-  columnar frames (:mod:`repro.store.segment`, :mod:`repro.store.codecs`),
+  on-disk format (format 8) whose segments are checksummed, zlib-compressed
+  columnar frames (:mod:`repro.store.segment`, :mod:`repro.store.codecs`)
+  that store each segment's vector clocks as a base plus differences,
   with per-run page/thread/sync secondary indexes flushed as
   append-only delta files and every flush committed as one O(epoch)
   record appended to the segment log (:mod:`repro.store.log`; the

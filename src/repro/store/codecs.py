@@ -5,11 +5,21 @@ payload (:func:`encode_payload` / :func:`decode_payload`): every integer
 column (thread ids, clocks, page sets, branch sites, edge endpoints) is
 one ``array('q')`` blob decoded with a single C call, and the few strings
 (sync operation names, ``started_by``/``ended_by``) go through an
-interned string table.  Variable-length columns (clock entries, page
+interned string table.  Variable-length columns (clock differences, page
 sets, thunks, data-edge page lists) are length-prefixed per record.  The
 framing layer (:mod:`repro.store.segment`) zlib-compresses the payload
 inside a checksummed frame; the 8-byte integer columns are mostly small
 magnitudes, so DEFLATE shrinks them well and decompresses in C.
+
+Vector clocks, most of a segment's integers when a run starts many
+threads, go into one **clock block**: the segment's base clock (the
+component-wise minimum over the threads every node carries) once, then
+per node a reference -- the base, or the previous node of its thread --
+and the components where the node differs from it.  Both directions use
+C-level iteration (set operations, ``map``, ``itertools.compress``,
+``dict.update``) rather than a Python loop per component, and a decoded
+node's clock adopts its dict without re-validating it: the decoder has
+already refused non-positive components with one ``min()`` per column.
 
 The module also provides the little-endian varint helpers the index
 delta/base files (:mod:`repro.store.indexes`) share; those files are tiny,
@@ -21,6 +31,8 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
+from itertools import compress, islice
+from operator import ne
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.cpg import EdgeKind
@@ -34,6 +46,8 @@ EdgeTuple = Tuple[NodeId, NodeId, EdgeKind, dict]
 #: Stable one-byte encoding of :class:`EdgeKind` (order is part of the format).
 KIND_TO_CODE = {EdgeKind.CONTROL: 0, EdgeKind.SYNC: 1, EdgeKind.DATA: 2}
 CODE_TO_KIND = {code: kind for kind, code in KIND_TO_CODE.items()}
+_SYNC_CODE = KIND_TO_CODE[EdgeKind.SYNC]
+_DATA_CODE = KIND_TO_CODE[EdgeKind.DATA]
 
 
 # ---------------------------------------------------------------------- #
@@ -147,6 +161,8 @@ def deref(strings: Sequence[str], ref: int):
 
 _NEEDS_SWAP = sys.byteorder != "little"
 _U32 = struct.Struct("<I")
+#: One sync edge's fields: has-object-id flag, object id, operation ref.
+_SYNC_FIELDS = struct.Struct("<Bqq")
 
 
 def _pack_q(values: Iterable[int]) -> bytes:
@@ -167,6 +183,23 @@ def _unpack_q(data: memoryview, pos: int, count: int) -> Tuple[array, int]:
     return column, end
 
 
+def _unpack_counts(data: memoryview, pos: int, count: int) -> Tuple[array, int, int]:
+    """Read a column of per-record lengths; returns ``(column, sum, next_pos)``.
+
+    A negative length would slice later columns from the wrong offset, so
+    it is refused here rather than decoded into a different graph.
+    """
+    column, pos = _unpack_q(data, pos, count)
+    if column and min(column) < 0:
+        raise StoreError("negative length in a count column (corrupt binary segment)")
+    return column, sum(column), pos
+
+
+def _require_positive(values: array) -> None:
+    if values and min(values) <= 0:
+        raise StoreError("clock component is not positive (corrupt binary segment)")
+
+
 def _pack_u32(value: int) -> bytes:
     return _U32.pack(value)
 
@@ -182,7 +215,97 @@ def _unpack_u32(data: memoryview, pos: int) -> Tuple[int, int]:
 # ---------------------------------------------------------------------- #
 
 #: Version byte heading the payload (bump on layout changes).
-_BINARY_PAYLOAD_VERSION = 1
+_BINARY_PAYLOAD_VERSION = 2
+
+#: Clock reference bytes: a node's clock is its reference plus its
+#: differences from it.
+_REF_BASE = 0
+_REF_PREVIOUS = 1
+
+
+def _encode_clock_block(nodes: Sequence[SubComputation]) -> bytes:
+    """The segment's clocks as a base clock plus per-node differences.
+
+    The base is the component-wise minimum over the threads every clock
+    carries.  A node refers to the previous node of its own thread when
+    that node's threads are a subset of its own (always, when a thread's
+    clock only grows), else to the base; either way its clock is the
+    reference's entries updated with the differences, so any clocks
+    round-trip exactly.
+    """
+    clocks = [node.clock.as_dict() for node in nodes]
+    base_tids = sorted(set(clocks[0]).intersection(*clocks[1:])) if clocks else []
+    rows = [list(map(clock.__getitem__, base_tids)) for clock in clocks]
+    base_values = list(map(min, zip(*rows)))
+    base = dict(zip(base_tids, base_values))
+    previous: Dict[int, Dict[int, int]] = {}
+    references = bytearray()
+    counts = array("q")
+    diff_tids = array("q")
+    diff_values = array("q")
+    for node, clock in zip(nodes, clocks):
+        reference = previous.get(node.tid)
+        if reference is not None and reference.keys() <= clock.keys():
+            references.append(_REF_PREVIOUS)
+        else:
+            references.append(_REF_BASE)
+            reference = base
+        changed = sorted(compress(clock, map(ne, clock.values(), map(reference.get, clock))))
+        counts.append(len(changed))
+        diff_tids.extend(changed)
+        diff_values.extend(map(clock.__getitem__, changed))
+        previous[node.tid] = clock
+    return b"".join(
+        (
+            _pack_u32(len(base_tids)),
+            _pack_q(base_tids),
+            _pack_q(base_values),
+            bytes(references),
+            _pack_q(counts),
+            _pack_q(diff_tids),
+            _pack_q(diff_values),
+        )
+    )
+
+
+def _decode_clock_block(
+    data: memoryview, pos: int, tids: Sequence[int]
+) -> Tuple[List[Dict[int, int]], int]:
+    """Invert :func:`_encode_clock_block`; returns ``(clock dicts, next_pos)``."""
+    base_count, pos = _unpack_u32(data, pos)
+    base_tids, pos = _unpack_q(data, pos, base_count)
+    base_values, pos = _unpack_q(data, pos, base_count)
+    _require_positive(base_values)
+    node_count = len(tids)
+    if pos + node_count > len(data):
+        raise StoreError("truncated clock references (corrupt binary segment)")
+    references = bytes(data[pos : pos + node_count])
+    pos += node_count
+    if references and max(references) > _REF_PREVIOUS:
+        raise StoreError(f"unknown clock reference {max(references)} (corrupt binary segment)")
+    counts, total, pos = _unpack_counts(data, pos, node_count)
+    diff_tids, pos = _unpack_q(data, pos, total)
+    diff_values, pos = _unpack_q(data, pos, total)
+    _require_positive(diff_values)
+
+    base = dict(zip(base_tids, base_values))
+    pairs = zip(diff_tids, diff_values)
+    previous: Dict[int, Dict[int, int]] = {}
+    clocks: List[Dict[int, int]] = []
+    for tid, ref, count in zip(tids, references, counts):
+        reference = base
+        if ref == _REF_PREVIOUS:
+            reference = previous.get(tid)
+            if reference is None:
+                raise StoreError(
+                    f"clock of a thread-{tid} node refers to an earlier node of its "
+                    f"thread, but the segment has none (corrupt binary segment)"
+                )
+        clock = reference.copy()
+        clock.update(islice(pairs, count))
+        previous[tid] = clock
+        clocks.append(clock)
+    return clocks, pos
 
 
 def encode_payload(nodes: Sequence[SubComputation], edges: Sequence[EdgeTuple]) -> bytes:
@@ -197,7 +320,11 @@ def encode_payload(nodes: Sequence[SubComputation], edges: Sequence[EdgeTuple]) 
         u32  node count N
         q[N] tid | q[N] index | q[N] faults
         q[N] started_by ref | q[N] ended_by ref          (0 = None)
-        q[N] clock sizes  | q[2*sum] clock (tid, value) pairs, sorted by tid
+        -- clock block --
+        u32  base size B  | q[B] base tids | q[B] base values
+        u8[N] clock reference (0 = base, 1 = previous node of its thread)
+        q[N] difference counts | q[sum] tids | q[sum] values, sorted by tid
+        -- per-node sets and thunks --
         q[N] read sizes   | q[sum]   read pages, sorted
         q[N] write sizes  | q[sum]   write pages, sorted
         q[N] thunk counts | q[M] thunk index | q[M] instructions
@@ -207,6 +334,10 @@ def encode_payload(nodes: Sequence[SubComputation], edges: Sequence[EdgeTuple]) 
         q[2E] source (tid, index) pairs | q[2E] target pairs | u8[E] kinds
         per sync edge (in edge order):  u8 has-object-id | q object id | q op ref
         per data edge (in edge order):  q page count     | q[...] pages, sorted
+
+    The base clock is the component-wise minimum over the threads every
+    node's clock carries.  A node's clock is its reference's entries
+    updated with its differences -- the components where the two differ.
 
     Branch flags: bit 0 = thunk has a start branch, bit 1 = taken,
     bit 2 = indirect.
@@ -219,8 +350,6 @@ def encode_payload(nodes: Sequence[SubComputation], edges: Sequence[EdgeTuple]) 
     started = [interner.ref(node.started_by) for node in nodes]
     ended = [interner.ref(node.ended_by) for node in nodes]
 
-    clock_sizes: List[int] = []
-    clock_pairs: List[int] = []
     read_sizes: List[int] = []
     read_pages: List[int] = []
     write_sizes: List[int] = []
@@ -231,11 +360,6 @@ def encode_payload(nodes: Sequence[SubComputation], edges: Sequence[EdgeTuple]) 
     thunk_flags = bytearray()
     thunk_sites: List[int] = []
     for node in nodes:
-        clock = sorted(node.clock.as_dict().items())
-        clock_sizes.append(len(clock))
-        for tid, value in clock:
-            clock_pairs.append(int(tid))
-            clock_pairs.append(int(value))
         reads = sorted(node.read_set)
         read_sizes.append(len(reads))
         read_pages.extend(int(page) for page in reads)
@@ -292,8 +416,7 @@ def encode_payload(nodes: Sequence[SubComputation], edges: Sequence[EdgeTuple]) 
     out += _pack_q(node.faults for node in nodes)
     out += _pack_q(started)
     out += _pack_q(ended)
-    out += _pack_q(clock_sizes)
-    out += _pack_q(clock_pairs)
+    out += _encode_clock_block(nodes)
     out += _pack_q(read_sizes)
     out += _pack_q(read_pages)
     out += _pack_q(write_sizes)
@@ -317,7 +440,10 @@ def decode_payload(raw: bytes) -> Tuple[List[SubComputation], List[EdgeTuple]]:
     """Invert :func:`encode_payload`.
 
     Raises:
-        StoreError: If the payload is truncated or malformed.
+        StoreError: If the payload is truncated or malformed: a negative
+            length in any count column, a clock component that is not
+            positive, or a clock reference that is unknown or names no
+            earlier node of its thread.
     """
     data = memoryview(raw)
     if len(data) < 1:
@@ -332,14 +458,12 @@ def decode_payload(raw: bytes) -> Tuple[List[SubComputation], List[EdgeTuple]]:
     faults, pos = _unpack_q(data, pos, node_count)
     started, pos = _unpack_q(data, pos, node_count)
     ended, pos = _unpack_q(data, pos, node_count)
-    clock_sizes, pos = _unpack_q(data, pos, node_count)
-    clock_pairs, pos = _unpack_q(data, pos, 2 * sum(clock_sizes))
-    read_sizes, pos = _unpack_q(data, pos, node_count)
-    read_pages, pos = _unpack_q(data, pos, sum(read_sizes))
-    write_sizes, pos = _unpack_q(data, pos, node_count)
-    write_pages, pos = _unpack_q(data, pos, sum(write_sizes))
-    thunk_counts, pos = _unpack_q(data, pos, node_count)
-    thunk_total = sum(thunk_counts)
+    clocks, pos = _decode_clock_block(data, pos, tids)
+    read_sizes, read_total, pos = _unpack_counts(data, pos, node_count)
+    read_pages, pos = _unpack_q(data, pos, read_total)
+    write_sizes, write_total, pos = _unpack_counts(data, pos, node_count)
+    write_pages, pos = _unpack_q(data, pos, write_total)
+    thunk_counts, thunk_total, pos = _unpack_counts(data, pos, node_count)
     thunk_indexes, pos = _unpack_q(data, pos, thunk_total)
     thunk_instructions, pos = _unpack_q(data, pos, thunk_total)
     if pos + thunk_total > len(data):
@@ -348,49 +472,33 @@ def decode_payload(raw: bytes) -> Tuple[List[SubComputation], List[EdgeTuple]]:
     pos += thunk_total
     thunk_sites, pos = _unpack_q(data, pos, thunk_total)
 
+    branches = [
+        BranchRecord(site=site, taken=bool(flags & 2), is_indirect=bool(flags & 4))
+        if flags & 1
+        else None
+        for flags, site in zip(thunk_flags, thunk_sites)
+    ]
+    thunks = map(Thunk, thunk_indexes, branches, thunk_instructions)
+    reads = iter(read_pages)
+    writes = iter(write_pages)
     nodes: List[SubComputation] = []
-    clock_at = read_at = write_at = thunk_at = 0
-    for position in range(node_count):
-        size = clock_sizes[position]
-        clock = {
-            clock_pairs[2 * (clock_at + entry)]: clock_pairs[2 * (clock_at + entry) + 1]
-            for entry in range(size)
-        }
-        clock_at += size
-        node = SubComputation(
-            tid=tids[position],
-            index=indexes[position],
-            clock=VectorClock(clock),
-            started_by=deref(strings, started[position]),
-            ended_by=deref(strings, ended[position]),
-            faults=faults[position],
+    columns = zip(
+        tids, indexes, faults, started, ended, clocks, read_sizes, write_sizes, thunk_counts
+    )
+    for tid, index, fault, started_ref, ended_ref, clock, reads_n, writes_n, thunks_n in columns:
+        nodes.append(
+            SubComputation(
+                tid=tid,
+                index=index,
+                clock=VectorClock.adopt(clock),
+                read_set=set(islice(reads, reads_n)),
+                write_set=set(islice(writes, writes_n)),
+                thunks=list(islice(thunks, thunks_n)),
+                started_by=deref(strings, started_ref),
+                ended_by=deref(strings, ended_ref),
+                faults=fault,
+            )
         )
-        size = read_sizes[position]
-        node.read_set.update(read_pages[read_at : read_at + size])
-        read_at += size
-        size = write_sizes[position]
-        node.write_set.update(write_pages[write_at : write_at + size])
-        write_at += size
-        for entry in range(thunk_counts[position]):
-            flags = thunk_flags[thunk_at + entry]
-            branch = (
-                BranchRecord(
-                    site=thunk_sites[thunk_at + entry],
-                    taken=bool(flags & 2),
-                    is_indirect=bool(flags & 4),
-                )
-                if flags & 1
-                else None
-            )
-            node.thunks.append(
-                Thunk(
-                    index=thunk_indexes[thunk_at + entry],
-                    start_branch=branch,
-                    instructions=thunk_instructions[thunk_at + entry],
-                )
-            )
-        thunk_at += thunk_counts[position]
-        nodes.append(node)
 
     edge_count, pos = _unpack_u32(data, pos)
     sources, pos = _unpack_q(data, pos, 2 * edge_count)
@@ -399,43 +507,33 @@ def decode_payload(raw: bytes) -> Tuple[List[SubComputation], List[EdgeTuple]]:
         raise StoreError("truncated edge kinds (corrupt binary segment)")
     kind_codes = bytes(data[pos : pos + edge_count])
     pos += edge_count
-    sync_fields: List[Tuple[object, str]] = []
-    for code in kind_codes:
-        if code == KIND_TO_CODE[EdgeKind.SYNC]:
-            if pos + 17 > len(data):
-                raise StoreError("truncated sync edge block (corrupt binary segment)")
-            has_object = data[pos]
-            object_column, next_pos = _unpack_q(data, pos + 1, 1)
-            ref_column, next_pos = _unpack_q(data, next_pos, 1)
-            operation = deref(strings, ref_column[0])
-            sync_fields.append(
-                (object_column[0] if has_object else None, operation if operation is not None else "")
-            )
-            pos = next_pos
-    data_count = sum(1 for code in kind_codes if code == KIND_TO_CODE[EdgeKind.DATA])
-    data_sizes, pos = _unpack_q(data, pos, data_count)
-    data_pages, pos = _unpack_q(data, pos, sum(data_sizes))
+    if kind_codes and max(kind_codes) >= len(CODE_TO_KIND):  # codes are 0, 1, 2
+        raise StoreError(f"unknown edge kind code {max(kind_codes)}")
+    end = pos + _SYNC_FIELDS.size * kind_codes.count(_SYNC_CODE)
+    if end > len(data):
+        raise StoreError("truncated sync edge block (corrupt binary segment)")
+    sync_fields = _SYNC_FIELDS.iter_unpack(data[pos:end])
+    pos = end
+    data_sizes, data_total, pos = _unpack_counts(data, pos, kind_codes.count(_DATA_CODE))
+    data_pages, pos = _unpack_q(data, pos, data_total)
 
+    data_counts = iter(data_sizes)
+    edge_pages = iter(data_pages)
     edges: List[EdgeTuple] = []
-    sync_at = data_at = page_at = 0
-    for position, code in enumerate(kind_codes):
-        try:
-            kind = CODE_TO_KIND[code]
-        except KeyError as exc:
-            raise StoreError(f"unknown edge kind code {code}") from exc
-        source = (sources[2 * position], sources[2 * position + 1])
-        target = (targets[2 * position], targets[2 * position + 1])
+    for source, target, code in zip(
+        zip(sources[0::2], sources[1::2]), zip(targets[0::2], targets[1::2]), kind_codes
+    ):
         attrs: dict = {}
-        if kind is EdgeKind.SYNC:
-            object_id, operation = sync_fields[sync_at]
-            sync_at += 1
-            attrs = {"object_id": object_id, "operation": operation}
-        elif kind is EdgeKind.DATA:
-            size = data_sizes[data_at]
-            data_at += 1
-            attrs = {"pages": frozenset(data_pages[page_at : page_at + size])}
-            page_at += size
-        edges.append((source, target, kind, attrs))
+        if code == _SYNC_CODE:
+            has_object, object_id, operation_ref = next(sync_fields)
+            operation = deref(strings, operation_ref)
+            attrs = {
+                "object_id": object_id if has_object else None,
+                "operation": operation if operation is not None else "",
+            }
+        elif code == _DATA_CODE:
+            attrs = {"pages": frozenset(islice(edge_pages, next(data_counts)))}
+        edges.append((source, target, CODE_TO_KIND[code], attrs))
     return nodes, edges
 
 

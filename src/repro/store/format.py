@@ -1,6 +1,6 @@
 """On-disk layout of the persistent provenance store.
 
-A store is a directory (format version 7)::
+A store is a directory (format version 8)::
 
     <store>/
         MANIFEST.json                   # periodic checkpoint: run table, segment table
@@ -40,10 +40,11 @@ recovery sound.
 Every segment is one frame (:mod:`repro.store.segment`): the ``ISEG``
 magic, the frame byte :data:`SEGMENT_FRAME_BYTE`, the raw payload length,
 a CRC32 of the body, and the zlib-compressed columnar payload
-(:mod:`repro.store.codecs`).  The manifest records every segment's file
-CRC as well.  This build reads and writes format 7 only: a store stamped
-with any other version is refused on open, before anything is written,
-and must be re-ingested.
+(:mod:`repro.store.codecs`), whose vector clocks are stored as one base
+clock plus each node's differences from a reference clock.  The manifest
+records every segment's file CRC as well.  This build reads and writes
+format 8 only: a store stamped with any other version is refused on
+open, before anything is written, and must be re-ingested.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from typing import Dict, List, Optional
 from repro.errors import StoreError
 
 #: Version of the store directory layout, the only one this build reads.
-STORE_FORMAT_VERSION = 7
+STORE_FORMAT_VERSION = 8
 
 #: Identifies a manifest as belonging to this subsystem.
 STORE_KIND = "inspector-provenance-store"
@@ -443,7 +444,7 @@ class StoreManifest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StoreManifest":
-        """Parse a format-7 manifest document.
+        """Parse a format-8 manifest document.
 
         Raises:
             StoreError: For a document of another kind or format version

@@ -273,7 +273,7 @@ class ProvenanceStore:
         segment_cache: Optional[SegmentCache] = None,
         index_pinner: Optional[IndexPinner] = None,
     ) -> "ProvenanceStore":
-        """Open an existing store directory (format version 7).
+        """Open an existing store directory (format version 8).
 
         Opening reads the manifest checkpoint, then replays the committed
         tail of ``segments.log`` on top of it -- each record

@@ -4,7 +4,12 @@ Random segments -- arbitrary sub-computations (clocks, page sets, thunks,
 branch records, sync metadata) plus arbitrary edges of every kind -- must
 survive an encode/decode round trip with identical content, in a frame
 whose bytes are fixed by the format (columnar payload, zlib level 6,
-CRC32 of the body).  Corrupt frame bodies are rejected.
+CRC32 of the body) and equal each time the same batch is encoded.  The
+clocks exercise every shape the clock block stores: a shared base with
+per-node overrides, threads whose successive nodes extend the previous
+clock, and threads that drop a component.  Corrupt frame bodies are
+rejected, and registry runs decode with every clock equal through the
+sink, ``ingest`` and a whole-run ``compact``.
 """
 
 import zlib
@@ -17,6 +22,8 @@ from repro.core.cpg import EdgeKind
 from repro.core.thunk import BranchRecord, SubComputation, Thunk
 from repro.core.vector_clock import VectorClock
 from repro.errors import StoreError
+from repro.inspector.api import run_with_provenance
+from repro.store import ProvenanceStore
 from repro.store.codecs import encode_payload
 from repro.store.format import SEGMENT_MAGIC_PREFIX
 from repro.store.segment import SegmentPayload, decode_segment, encode_segment
@@ -26,12 +33,39 @@ _small = st.integers(min_value=0, max_value=12)
 _names = st.one_of(
     st.none(), st.sampled_from(["mutex_lock", "mutex_unlock", "barrier_wait", "thread_exit", ""])
 )
+_clock_tids = st.integers(min_value=-1, max_value=600)
+_clock_values = st.integers(min_value=1, max_value=2**40)
+_overrides = st.dictionaries(_clock_tids, _clock_values, max_size=4)
+
+
+@st.composite
+def clocks_for(draw, tids):
+    """One clock per node of thread ``tids[i]``, in segment order.
+
+    Each clock starts from a shared base, from the previous clock of its
+    thread grown component-wise (an extension), or from that clock with
+    one component dropped, and then takes a few overrides.
+    """
+    base = draw(st.dictionaries(_clock_tids, _clock_values, max_size=8))
+    previous = {}
+    clocks = []
+    for tid in tids:
+        shape = draw(st.sampled_from(("base", "extend", "drop")))
+        clock = dict(base if shape == "base" else previous.get(tid, base))
+        if shape == "extend":
+            clock = {key: value + draw(st.integers(0, 3)) for key, value in clock.items()}
+        elif shape == "drop" and clock:
+            del clock[draw(st.sampled_from(sorted(clock)))]
+        clock.update(draw(_overrides))
+        previous[tid] = clock
+        clocks.append(VectorClock(clock))
+    return clocks
 
 
 @st.composite
 def subcomputations(draw):
     """A batch of distinct sub-computations with rich payloads."""
-    count = draw(st.integers(min_value=1, max_value=8))
+    count = draw(st.integers(min_value=1, max_value=12))
     nodes = []
     identities = draw(
         st.lists(
@@ -41,19 +75,12 @@ def subcomputations(draw):
             unique=True,
         )
     )
-    for tid, index in identities:
+    clocks = draw(clocks_for([tid for tid, _ in identities]))
+    for (tid, index), clock in zip(identities, clocks):
         node = SubComputation(
             tid=tid,
             index=index,
-            clock=VectorClock(
-                draw(
-                    st.dictionaries(
-                        st.integers(min_value=-1, max_value=5),
-                        st.integers(min_value=0, max_value=2**33),
-                        max_size=4,
-                    )
-                )
-            ),
+            clock=clock,
             started_by=draw(_names),
             ended_by=draw(_names),
             faults=draw(_small),
@@ -163,6 +190,7 @@ def test_codecs_round_trip_identically(data):
         + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "little")
         + body
     )
+    assert encode_segment(nodes, edges)[0] == framed
     payload = decode_segment(framed)
     original = SegmentPayload.build(nodes, edges)
     assert canonical_nodes(payload) == canonical_nodes(original)
@@ -181,3 +209,27 @@ def test_compressed_codec_rejects_corrupt_bodies(data, cut):
     garbled = framed[:13] + bytes(reversed(framed[13:]))
     with pytest.raises(StoreError):
         decode_segment(garbled)
+
+
+def assert_clocks_equal(store, cpg):
+    loaded = store.load_cpg()
+    assert sorted(loaded.nodes()) == sorted(cpg.nodes())
+    for node_id in cpg.nodes():
+        assert loaded.subcomputation(node_id).clock == cpg.subcomputation(node_id).clock, node_id
+
+
+@pytest.mark.parametrize(
+    "workload, threads", [("kmeans", 16), ("reverse_index", 16), ("canneal", 4)]
+)
+def test_registry_clocks_round_trip_through_every_write_path(tmp_path, workload, threads):
+    """Sink epochs, ``ingest`` and a whole-run ``compact`` keep every clock."""
+    sunk = str(tmp_path / "sink")
+    cpg = run_with_provenance(workload, num_threads=threads, size="small", store_path=sunk).cpg
+    store = ProvenanceStore.open(sunk)
+    assert_clocks_equal(store, cpg)
+    ingested = ProvenanceStore.create(str(tmp_path / "ingest"))
+    ingested.ingest(cpg)
+    assert_clocks_equal(ingested, cpg)
+    store.compact(segment_nodes=len(cpg.nodes()))
+    assert len(store.manifest.segments) == 1
+    assert_clocks_equal(ProvenanceStore.open(sunk), cpg)
