@@ -113,7 +113,10 @@ def evaluate_placement(
 def first_touch_placement(
     cpg: ConcurrentProvenanceGraph, thread_to_node: Mapping[int, int]
 ) -> Dict[int, int]:
-    """The kernel's default policy: a page lives where it was first touched."""
+    """The kernel's default policy: a page lives where it was first touched.
+
+    "First" is the causal order (:func:`~repro.core.cpg.causal_key`).
+    """
     placement: Dict[int, int] = {}
     for node_id in cpg.topological_order():
         sub = cpg.subcomputation(node_id)

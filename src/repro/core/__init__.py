@@ -10,7 +10,6 @@ Where this package sits in the whole reproduction: ``docs/architecture.md``.
 from repro.core.algorithm import ProvenanceTracker, TrackerStats
 from repro.core.cpg import ConcurrentProvenanceGraph, EdgeKind
 from repro.core.dependencies import (
-    data_dependencies_of,
     derive_data_edges,
     readers_of_pages,
     writers_of_pages,
@@ -31,7 +30,6 @@ from repro.core.queries import (
     find_racy_pairs,
     forward_slice,
     graph_statistics,
-    happens_before_pairs,
     lineage_of_pages,
     propagate_taint,
     schedule_of,
@@ -61,7 +59,6 @@ __all__ = [
     "TrackerStats",
     "ConcurrentProvenanceGraph",
     "EdgeKind",
-    "data_dependencies_of",
     "derive_data_edges",
     "readers_of_pages",
     "writers_of_pages",
@@ -78,7 +75,6 @@ __all__ = [
     "find_racy_pairs",
     "forward_slice",
     "graph_statistics",
-    "happens_before_pairs",
     "lineage_of_pages",
     "propagate_taint",
     "schedule_of",

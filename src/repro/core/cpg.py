@@ -5,14 +5,16 @@ whose edges record the three dependency kinds of the paper: *control* edges
 (intra-thread program order), *synchronization* edges (release -> acquire
 pairs, i.e. the sync schedule), and *data* edges (update-use relationships
 between write sets and read sets, ordered by happens-before).
+
+Every consumer that walks the graph in order -- data-edge derivation,
+taint, schedules, NUMA first touch, the store's ingest, compaction and
+taint replay -- uses one order, :func:`causal_key`.
 """
 
 from __future__ import annotations
 
 import enum
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
 
 from repro.core.thunk import INPUT_NODE, NodeId, SubComputation
 from repro.errors import ProvenanceError
@@ -26,17 +28,39 @@ class EdgeKind(enum.Enum):
     DATA = "data"
 
 
+#: ``(source, target, attributes)``; ``attributes["kind"]`` is the
+#: :class:`EdgeKind`.
+Edge = Tuple[NodeId, NodeId, dict]
+
+
+def causal_key(node: SubComputation) -> Tuple[int, NodeId]:
+    """Sort key of the causal order: ``(sum of clock components, node id)``.
+
+    A linear extension of vector-clock happens-before: ``a``
+    happens-before ``b`` implies ``a.clock <= b.clock`` component-wise with
+    at least one strict inequality, so ``a``'s sum is smaller.  The virtual
+    input node carries the empty clock and comes first.  Because the
+    tracker keeps ``clock[tid] == index + 1``, the sum counts the
+    sub-computations in the node's causal past, itself included; the store
+    keeps it as each node's rank.
+    """
+    return (node.clock.total(), node.node_id)
+
+
 class ConcurrentProvenanceGraph:
     """The CPG: sub-computations plus control/sync/data dependency edges.
 
     The graph is built incrementally by the provenance tracker while the
     program runs; data edges are usually derived afterwards (or at snapshot
-    time) by :mod:`repro.core.dependencies`.
+    time) by :mod:`repro.core.dependencies`.  Edges are kept in one list
+    per kind and, for the walks, in per-node incoming and outgoing lists.
     """
 
     def __init__(self) -> None:
-        self._graph = nx.MultiDiGraph()
         self._subcomputations: Dict[NodeId, SubComputation] = {}
+        self._edges: Dict[EdgeKind, List[Edge]] = {kind: [] for kind in EdgeKind}
+        self._in: Dict[NodeId, List[Edge]] = {}
+        self._out: Dict[NodeId, List[Edge]] = {}
 
     # ------------------------------------------------------------------ #
     # Vertices
@@ -53,7 +77,8 @@ class ConcurrentProvenanceGraph:
         if node_id in self._subcomputations:
             raise ProvenanceError(f"sub-computation {node_id} already present in the CPG")
         self._subcomputations[node_id] = node
-        self._graph.add_node(node_id)
+        self._in[node_id] = []
+        self._out[node_id] = []
         return node_id
 
     def subcomputation(self, node_id: NodeId) -> SubComputation:
@@ -92,20 +117,23 @@ class ConcurrentProvenanceGraph:
     # Edges
     # ------------------------------------------------------------------ #
 
-    def _check_nodes(self, source: NodeId, target: NodeId) -> None:
+    def _add_edge(self, source: NodeId, target: NodeId, attrs: dict) -> None:
         if source not in self._subcomputations:
             raise ProvenanceError(f"edge source {source} is not a CPG vertex")
         if target not in self._subcomputations:
             raise ProvenanceError(f"edge target {target} is not a CPG vertex")
+        edge = (source, target, attrs)
+        self._edges[attrs["kind"]].append(edge)
+        self._out[source].append(edge)
+        self._in[target].append(edge)
 
     def add_control_edge(self, source: NodeId, target: NodeId) -> None:
         """Add an intra-thread program-order edge."""
-        self._check_nodes(source, target)
         if source[0] != target[0]:
             raise ProvenanceError(
                 f"control edge must stay within one thread: {source} -> {target}"
             )
-        self._graph.add_edge(source, target, kind=EdgeKind.CONTROL)
+        self._add_edge(source, target, {"kind": EdgeKind.CONTROL})
 
     def add_sync_edge(
         self,
@@ -115,51 +143,61 @@ class ConcurrentProvenanceGraph:
         operation: str = "",
     ) -> None:
         """Add a release -> acquire edge through synchronization object ``object_id``."""
-        self._check_nodes(source, target)
-        self._graph.add_edge(
-            source, target, kind=EdgeKind.SYNC, object_id=object_id, operation=operation
+        self._add_edge(
+            source, target, {"kind": EdgeKind.SYNC, "object_id": object_id, "operation": operation}
         )
 
     def add_data_edge(self, source: NodeId, target: NodeId, pages: Iterable[int]) -> None:
         """Add an update-use edge labelled with the pages that carry the data."""
-        self._check_nodes(source, target)
-        self._graph.add_edge(source, target, kind=EdgeKind.DATA, pages=frozenset(pages))
+        self._add_edge(source, target, {"kind": EdgeKind.DATA, "pages": frozenset(pages)})
 
-    def edges(self, kind: Optional[EdgeKind] = None) -> List[Tuple[NodeId, NodeId, dict]]:
+    def edges(self, kind: Optional[EdgeKind] = None) -> List[Edge]:
         """Return ``(source, target, attributes)`` for every edge of ``kind`` (or all)."""
-        result = []
-        for source, target, attrs in self._graph.edges(data=True):
-            if kind is None or attrs.get("kind") is kind:
-                result.append((source, target, attrs))
-        return result
+        if kind is not None:
+            return list(self._edges[kind])
+        return [edge for edges in self._edges.values() for edge in edges]
 
     def edge_count(self, kind: Optional[EdgeKind] = None) -> int:
         """Number of edges of ``kind`` (or all edges)."""
-        return len(self.edges(kind))
+        if kind is not None:
+            return len(self._edges[kind])
+        return sum(len(edges) for edges in self._edges.values())
 
     def successors(self, node_id: NodeId, kind: Optional[EdgeKind] = None) -> List[NodeId]:
         """Direct successors of ``node_id`` reachable through edges of ``kind``."""
-        result = []
-        for _, target, attrs in self._graph.out_edges(node_id, data=True):
-            if kind is None or attrs.get("kind") is kind:
-                result.append(target)
-        return result
+        return [
+            target
+            for _, target, attrs in self._out.get(node_id, ())
+            if kind is None or attrs["kind"] is kind
+        ]
 
     def predecessors(self, node_id: NodeId, kind: Optional[EdgeKind] = None) -> List[NodeId]:
         """Direct predecessors of ``node_id`` through edges of ``kind``."""
-        result = []
-        for source, _, attrs in self._graph.in_edges(node_id, data=True):
-            if kind is None or attrs.get("kind") is kind:
-                result.append(source)
-        return result
+        return [
+            source
+            for source, _, attrs in self._in.get(node_id, ())
+            if kind is None or attrs["kind"] is kind
+        ]
 
     # ------------------------------------------------------------------ #
     # Order and structure
     # ------------------------------------------------------------------ #
 
     def is_acyclic(self) -> bool:
-        """Whether the CPG is a DAG (it always should be)."""
-        return nx.is_directed_acyclic_graph(self._graph)
+        """Whether every edge goes forward in the causal order.
+
+        Every edge the tracker and
+        :func:`~repro.core.dependencies.derive_data_edges` add (control,
+        sync, data and input-node edges) does, and a graph whose edges all
+        go forward in one order has no cycle.  A hand-built graph whose
+        clocks contradict its edges fails the check even without a cycle.
+        """
+        keys = {node_id: causal_key(node) for node_id, node in self._subcomputations.items()}
+        return all(
+            keys[source] < keys[target]
+            for edges in self._edges.values()
+            for source, target, _ in edges
+        )
 
     def happens_before(self, first: NodeId, second: NodeId) -> bool:
         """Happens-before test using the recorded vector clocks."""
@@ -174,16 +212,8 @@ class ConcurrentProvenanceGraph:
         return not self.happens_before(first, second) and not self.happens_before(second, first)
 
     def topological_order(self) -> List[NodeId]:
-        """A linear extension of the recorded partial order (control + sync edges)."""
-        restricted = nx.MultiDiGraph()
-        restricted.add_nodes_from(self._graph.nodes)
-        for source, target, attrs in self._graph.edges(data=True):
-            if attrs.get("kind") in (EdgeKind.CONTROL, EdgeKind.SYNC):
-                restricted.add_edge(source, target)
-        try:
-            return list(nx.topological_sort(restricted))
-        except nx.NetworkXUnfeasible as exc:  # pragma: no cover - defensive
-            raise ProvenanceError("control/sync edges of the CPG contain a cycle") from exc
+        """Every vertex in the causal order (:func:`causal_key`)."""
+        return [node.node_id for node in sorted(self._subcomputations.values(), key=causal_key)]
 
     def ancestors(self, *node_ids: NodeId, kinds: Optional[Sequence[EdgeKind]] = None) -> Set[NodeId]:
         """Every vertex from which any of ``node_ids`` is reachable through edges of ``kinds``."""
@@ -203,21 +233,15 @@ class ConcurrentProvenanceGraph:
             if node_id not in self._subcomputations:
                 raise ProvenanceError(f"no sub-computation {node_id} in the CPG")
         allowed = set(kinds) if kinds is not None else None
+        adjacency, end = (self._out, 1) if forward else (self._in, 0)
         seen: Set[NodeId] = set()
         frontier = list(starts)
         while frontier:
             current = frontier.pop()
-            if forward:
-                neighbours = self._graph.out_edges(current, data=True)
-                step = lambda edge: edge[1]  # noqa: E731 - tiny local helper
-            else:
-                neighbours = self._graph.in_edges(current, data=True)
-                step = lambda edge: edge[0]  # noqa: E731
-            for edge in neighbours:
-                attrs = edge[2]
-                if allowed is not None and attrs.get("kind") not in allowed:
+            for edge in adjacency[current]:
+                if allowed is not None and edge[2]["kind"] not in allowed:
                     continue
-                nxt = step(edge)
+                nxt = edge[end]
                 if nxt not in seen:
                     seen.add(nxt)
                     if nxt not in starts:
@@ -225,12 +249,8 @@ class ConcurrentProvenanceGraph:
         return seen
 
     # ------------------------------------------------------------------ #
-    # Export and summary
+    # Summary
     # ------------------------------------------------------------------ #
-
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Return a copy of the underlying networkx graph (for external analysis)."""
-        return self._graph.copy()
 
     def summary(self) -> Dict[str, int]:
         """Return basic size statistics of the graph."""

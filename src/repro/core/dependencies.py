@@ -21,9 +21,8 @@ Three facts the derivation rests on:
 * **The walk order must be a linear extension of happens-before**, so
   every writer that happens-before a reader is registered before the
   reader is resolved.  A topological order of the control + sync edges is
-  not one (see above); ascending sum of clock components is, because
-  ``a`` happens-before ``b`` implies ``a.clock <= b.clock`` component-wise
-  with at least one strict inequality.
+  not one (see above); the causal order
+  (:func:`~repro.core.cpg.causal_key`) is.
 * **The lookup relies on ``clock[tid] == index + 1``**, which the tracker
   sets for every sub-computation it starts
   (:meth:`ProvenanceTracker._begin_subcomputation`).  With it, a writer
@@ -39,7 +38,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from typing import Dict, Iterable, List, Set, Tuple
 
-from repro.core.cpg import ConcurrentProvenanceGraph, EdgeKind
+from repro.core.cpg import ConcurrentProvenanceGraph, causal_key
 from repro.core.thunk import INPUT_TID, NodeId, SubComputation
 from repro.errors import ProvenanceError
 
@@ -47,8 +46,8 @@ from repro.errors import ProvenanceError
 def derive_data_edges(cpg: ConcurrentProvenanceGraph) -> int:
     """Add update-use edges to ``cpg`` and return how many were added.
 
-    The derivation walks the sub-computations in ascending order of the sum
-    of their clock components (then node id), a linear extension of the
+    The derivation walks the sub-computations in the causal order
+    (:func:`~repro.core.cpg.causal_key`), a linear extension of the
     vector-clock happens-before order.  For every page it keeps, per
     writing thread, the ascending indices of that thread's writers seen so
     far.  A writer ``(u, i)`` precedes a reader exactly when ``i + 1 <=
@@ -72,7 +71,7 @@ def derive_data_edges(cpg: ConcurrentProvenanceGraph) -> int:
                 f"sub-computation {node.node_id} has clock component "
                 f"{node.clock.get(node.tid)} for its own thread, expected {node.index + 1}"
             )
-    nodes.sort(key=lambda node: (sum(node.clock.as_dict().values()), node.node_id))
+    nodes.sort(key=causal_key)
     input_node = cpg.input_node
     input_pages = cpg.subcomputation(input_node).write_set if input_node is not None else set()
 
@@ -128,17 +127,6 @@ def _maximal_writers(
         chosen = [other for other in chosen if writer.clock.get(other.tid) <= other.index]
         chosen.append(writer)
     return chosen
-
-
-def data_dependencies_of(
-    cpg: ConcurrentProvenanceGraph, node_id: NodeId
-) -> List[Tuple[NodeId, frozenset]]:
-    """Return ``(source, pages)`` for every data edge ending at ``node_id``."""
-    result = []
-    for source, target, attrs in cpg.edges(EdgeKind.DATA):
-        if target == node_id:
-            result.append((source, attrs.get("pages", frozenset())))
-    return result
 
 
 def readers_of_pages(cpg: ConcurrentProvenanceGraph, pages: Iterable[int]) -> Set[NodeId]:

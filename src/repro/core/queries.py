@@ -128,7 +128,7 @@ def propagate_taint(
     source_pages: Iterable[int],
     through_thread_state: bool = False,
 ) -> TaintResult:
-    """Propagate page-granularity taint along the recorded partial order.
+    """Propagate page-granularity taint in the causal order.
 
     A sub-computation becomes tainted when it reads a tainted page; every
     page it subsequently writes becomes tainted as well (the conservative
@@ -147,23 +147,13 @@ def propagate_taint(
     return replay_taint(ordered, source_pages, through_thread_state=through_thread_state)
 
 
-def happens_before_pairs(cpg: ConcurrentProvenanceGraph) -> Set[tuple]:
-    """Return every ordered pair ``(a, b)`` with ``a`` happens-before ``b``.
-
-    Exponential in nothing but quadratic in the number of vertices; intended
-    for tests and small graphs.
-    """
-    nodes = [n for n in cpg.nodes() if n[0] >= 0]
-    return {
-        (a, b)
-        for a in nodes
-        for b in nodes
-        if a != b and cpg.happens_before(a, b)
-    }
-
-
 def schedule_of(cpg: ConcurrentProvenanceGraph) -> List[NodeId]:
-    """Return the recorded interleaving as a linear extension of the CPG order."""
+    """Return the real sub-computations in the causal order.
+
+    The order is :func:`~repro.core.cpg.causal_key`, a linear extension of
+    happens-before; concurrent sub-computations appear by clock sum, then
+    node id, not in the order the run interleaved them.
+    """
     return [node for node in cpg.topological_order() if node[0] >= 0]
 
 

@@ -145,6 +145,10 @@ class VectorClock:
         """Thread ids with non-zero components."""
         return self._entries.keys()
 
+    def total(self) -> int:
+        """Sum of the components (the first part of :func:`~repro.core.cpg.causal_key`)."""
+        return sum(self._entries.values())
+
     def __iter__(self) -> Iterator[Tuple[int, int]]:
         return iter(sorted(self._entries.items()))
 

@@ -9,7 +9,7 @@ happened in this run", "what happened in every run", and "what changed
 between these two runs".  It provides:
 
 * :class:`~repro.store.store.ProvenanceStore` -- an append-only, segmented
-  on-disk format (format 8) whose segments are checksummed, zlib-compressed
+  on-disk format (format 9) whose segments are checksummed, zlib-compressed
   columnar frames (:mod:`repro.store.segment`, :mod:`repro.store.codecs`)
   that store each segment's vector clocks as a base plus differences,
   with per-run page/thread/sync secondary indexes flushed as

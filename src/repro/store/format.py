@@ -1,6 +1,6 @@
 """On-disk layout of the persistent provenance store.
 
-A store is a directory (format version 8)::
+A store is a directory (format version 9)::
 
     <store>/
         MANIFEST.json                   # periodic checkpoint: run table, segment table
@@ -42,9 +42,10 @@ magic, the frame byte :data:`SEGMENT_FRAME_BYTE`, the raw payload length,
 a CRC32 of the body, and the zlib-compressed columnar payload
 (:mod:`repro.store.codecs`), whose vector clocks are stored as one base
 clock plus each node's differences from a reference clock.  The manifest
-records every segment's file CRC as well.  This build reads and writes
-format 8 only: a store stamped with any other version is refused on
-open, before anything is written, and must be re-ingested.
+records every segment's file CRC as well.  Since format 9, each node's
+rank in its run's index is the sum of its clock components.  This build
+reads and writes format 9 only: a store stamped with any other version
+is refused on open, before anything is written, and must be re-ingested.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from typing import Dict, List, Optional
 from repro.errors import StoreError
 
 #: Version of the store directory layout, the only one this build reads.
-STORE_FORMAT_VERSION = 8
+STORE_FORMAT_VERSION = 9
 
 #: Identifies a manifest as belonging to this subsystem.
 STORE_KIND = "inspector-provenance-store"
@@ -220,9 +221,6 @@ class RunInfo:
             path, or whatever the caller passed as run metadata.
         nodes: Sub-computations ingested for the run so far.
         edges: Edges ingested for the run so far.
-        next_topo: Next topological rank to hand out within the run; ranks
-            are assigned in ingest order, which every ingest path keeps a
-            linear extension of the run's happens-before order.
         index_base: Generation of the run's folded index base file
             (``base-<gen>.bin``); 0 while no base has been written.
         index_deltas: Generations of the append-only index delta files
@@ -242,7 +240,6 @@ class RunInfo:
     created_at: str = ""
     nodes: int = 0
     edges: int = 0
-    next_topo: int = 0
     index_base: int = 0
     index_deltas: List[int] = field(default_factory=list)
     next_index_gen: int = 1
@@ -269,7 +266,6 @@ class RunInfo:
             "created_at": self.created_at,
             "nodes": self.nodes,
             "edges": self.edges,
-            "next_topo": self.next_topo,
             "index_base": self.index_base,
             "index_deltas": list(self.index_deltas),
             "next_index_gen": self.next_index_gen,
@@ -292,7 +288,6 @@ class RunInfo:
             created_at=str(data.get("created_at", "")),
             nodes=int(data.get("nodes", 0)),
             edges=int(data.get("edges", 0)),
-            next_topo=int(data.get("next_topo", 0)),
             index_base=int(data.get("index_base", 0)),
             index_deltas=[int(gen) for gen in data.get("index_deltas", ())],
             next_index_gen=int(data.get("next_index_gen", 1)),
@@ -316,8 +311,7 @@ class StoreManifest:
     operation.
 
     Attributes:
-        segments: Sealed segments in append order (per run this is
-            topological order).
+        segments: Sealed segments in append order.
         runs: One entry per ingested run, in mint order.
         next_segment_id: Next segment id to mint (monotonic, never reused).
         next_run_id: Next run id to mint (monotonic, never reused).
@@ -365,7 +359,7 @@ class StoreManifest:
         return [segment.segment_id for segment in self.segments]
 
     def segments_of_run(self, run_id: int) -> List[SegmentInfo]:
-        """The run's segments, in append (= per-run topological) order."""
+        """The run's segments, in append order."""
         return [segment for segment in self.segments if segment.run == run_id]
 
     def run_ids(self) -> List[int]:

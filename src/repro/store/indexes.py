@@ -10,10 +10,11 @@ separate index namespace per run, persisted under ``index/run-<id>/``.
 
 Five index families exist:
 
-* **nodes** -- node id -> owning segment and topological rank.  The rank is
-  the node's position in the ingest order, which every ingest path keeps a
-  linear extension of the CPG's control+sync partial order; the taint
-  replay sorts by it.
+* **nodes** -- node id -> owning segment and causal rank.  The rank is
+  the sum of the node's clock components, the first part of
+  :func:`~repro.core.cpg.causal_key`; taint replay and compaction sort by
+  :meth:`StoreIndexes.causal_key`, so every ingest path yields the same
+  order as the in-memory graph.
 * **pages** -- page -> writer/reader node ids (the same inverted index
   :func:`repro.core.queries.build_page_index` computes in memory).
 * **threads** -- thread id -> its sub-computation indexes and segments.
@@ -34,7 +35,7 @@ from __future__ import annotations
 import os
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.cpg import EdgeKind
+from repro.core.cpg import EdgeKind, causal_key
 from repro.core.serialization import node_key, parse_node_key
 from repro.core.thunk import NodeId, SubComputation
 from repro.errors import StoreError
@@ -106,8 +107,8 @@ class StoreIndexes:
     def __init__(self) -> None:
         #: node key -> segment id
         self.node_segments: Dict[str, int] = {}
-        #: node key -> topological rank (ingest order)
-        self.node_topo: Dict[str, int] = {}
+        #: node key -> causal rank (sum of the node's clock components)
+        self.node_rank: Dict[str, int] = {}
         #: page -> node keys that wrote it
         self.page_writers: Dict[int, List[str]] = {}
         #: page -> node keys that read it
@@ -134,12 +135,13 @@ class StoreIndexes:
     # Construction
     # ------------------------------------------------------------------ #
 
-    def add_node(self, segment_id: int, node: SubComputation, topo: int) -> None:
+    def add_node(self, segment_id: int, node: SubComputation) -> None:
         """Register one stored sub-computation (journalled for the next delta)."""
+        rank = causal_key(node)[0]
         reads = sorted(node.read_set)
         writes = sorted(node.write_set)
-        self._apply_node(segment_id, node.tid, node.index, topo, reads, writes)
-        self._pending.append((_OP_NODE, segment_id, node.tid, node.index, topo, reads, writes))
+        self._apply_node(segment_id, node.tid, node.index, rank, reads, writes)
+        self._pending.append((_OP_NODE, segment_id, node.tid, node.index, rank, reads, writes))
 
     def add_edge(self, segment_id: int, edge: EdgeTuple) -> None:
         """Register one stored edge (journalled for the next delta)."""
@@ -158,7 +160,7 @@ class StoreIndexes:
         segment_id: int,
         tid: int,
         index: int,
-        topo: int,
+        rank: int,
         read_pages: Sequence[int],
         write_pages: Sequence[int],
     ) -> None:
@@ -166,7 +168,7 @@ class StoreIndexes:
         if key in self.node_segments:
             raise StoreError(f"node {key} ingested twice")
         self.node_segments[key] = segment_id
-        self.node_topo[key] = topo
+        self.node_rank[key] = rank
         for page in write_pages:
             self.page_writers.setdefault(page, []).append(key)
         for page in read_pages:
@@ -218,10 +220,10 @@ class StoreIndexes:
         except KeyError as exc:
             raise StoreError(f"no sub-computation {node_id} in the store") from exc
 
-    def topo_of(self, node_id: NodeId) -> int:
-        """Topological rank of ``node_id`` (ingest order)."""
+    def causal_key(self, node_id: NodeId) -> Tuple[int, NodeId]:
+        """``(rank, node id)``: :func:`repro.core.cpg.causal_key` from the index."""
         try:
-            return self.node_topo[node_key(node_id)]
+            return (self.node_rank[node_key(node_id)], node_id)
         except KeyError as exc:
             raise StoreError(f"no sub-computation {node_id} in the store") from exc
 
@@ -313,11 +315,11 @@ class StoreIndexes:
         for op in self._pending:
             body.append(op[0])
             if op[0] == _OP_NODE:
-                _tag, segment_id, tid, index, topo, reads, writes = op
+                _tag, segment_id, tid, index, rank, reads, writes = op
                 write_uvarint(body, segment_id)
                 write_svarint(body, tid)
                 write_uvarint(body, index)
-                write_uvarint(body, topo)
+                write_uvarint(body, rank)
                 _write_sorted_ints(body, reads)
                 _write_sorted_ints(body, writes)
             else:
@@ -348,7 +350,7 @@ class StoreIndexes:
         for key, segment_id in self.node_segments.items():
             _write_node_id(body, parse_node_key(key))
             write_uvarint(body, segment_id)
-            write_uvarint(body, self.node_topo[key])
+            write_uvarint(body, self.node_rank[key])
         for family in (self.page_writers, self.page_readers):
             write_uvarint(body, len(family))
             for page, keys in family.items():
@@ -446,10 +448,10 @@ class StoreIndexes:
             for _ in range(count):
                 node_id, pos = _read_node_id(data, pos)
                 segment_id, pos = read_uvarint(data, pos)
-                topo, pos = read_uvarint(data, pos)
+                rank, pos = read_uvarint(data, pos)
                 key = node_key(node_id)
                 self.node_segments[key] = segment_id
-                self.node_topo[key] = topo
+                self.node_rank[key] = rank
             for family in (self.page_writers, self.page_readers):
                 pages, pos = read_uvarint(data, pos)
                 for _ in range(pages):
@@ -525,10 +527,10 @@ class StoreIndexes:
                     segment_id, pos = read_uvarint(data, pos)
                     tid, pos = read_svarint(data, pos)
                     index, pos = read_uvarint(data, pos)
-                    topo, pos = read_uvarint(data, pos)
+                    rank, pos = read_uvarint(data, pos)
                     reads, pos = _read_sorted_ints(data, pos)
                     writes, pos = _read_sorted_ints(data, pos)
-                    self._apply_node(segment_id, tid, index, topo, reads, writes)
+                    self._apply_node(segment_id, tid, index, rank, reads, writes)
                 elif tag == _OP_EDGE:
                     segment_id, pos = read_uvarint(data, pos)
                     source, pos = _read_node_id(data, pos)

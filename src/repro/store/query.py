@@ -14,12 +14,11 @@ run, and :meth:`StoreQueryEngine.compare_lineage` diffs the lineage of a
 page between two runs -- the longitudinal "what changed between yesterday's
 run and today's" query the multi-run store exists for.
 
-On a store built from a finalized CPG (:meth:`ProvenanceStore.ingest`)
-every query returns exactly what the in-memory functions return on that
-CPG.  Slices and lineage are set-valued and exact for every ingest path;
-taint replay on a sink-streamed store uses the runtime arrival order,
-which agrees with the in-memory result on race-free executions but may
-resolve a data race differently (see ``docs/store.md``).
+Every query returns exactly what the in-memory functions return on the
+stored CPG, whichever path wrote the run (``ingest``, a streaming sink,
+or a server).  Taint replays in the causal order both sides share
+(:func:`repro.core.cpg.causal_key`; the index keeps each node's rank), so
+racy executions agree as well.
 
 Slices walk the edge-segment index (node -> segments holding its in-/out-
 edges), so a slice confined to one corner of the graph touches only the
@@ -30,14 +29,13 @@ segments are looked up once however many writers share it.
 Taint propagation first computes, from the page and thread indexes alone
 (no segment I/O), a closed superset of the nodes the taint frontier can
 ever reach, then replays the in-memory policy over just those nodes in
-stored topological rank order -- nodes outside the closure can neither
-become tainted nor taint a page, so restricting the replay preserves the
-result bit for bit.  When the closure floods (the frontier touches a
-majority of the run's *read* pages -- write-only pages never spread taint
-further) the engine stops expanding it and falls back to one sequential
-sweep of the run's segments in topological order: each segment is
-processed exactly once, which is the optimal access pattern for a query
-whose answer genuinely spans the run.
+the causal order -- nodes outside the closure can neither become tainted
+nor taint a page, so restricting the replay preserves the result bit for
+bit.  When the closure floods (the frontier touches a majority of the
+run's *read* pages -- write-only pages never spread taint further) the
+engine stops expanding it and falls back to one sequential sweep of the
+run's segments: each segment is processed exactly once, which is the
+optimal access pattern for a query whose answer genuinely spans the run.
 
 Every segment read goes through the store's byte-budgeted decoded-segment
 cache (:mod:`repro.store.cache`), so repeated queries on a warm engine --
@@ -444,7 +442,7 @@ class StoreQueryEngine:
             return self._sweep_taint(sources, through_thread_state, run_id)
         self.last_taint_mode = "indexed"
         indexes = self.store.indexes_for(run_id)
-        order = sorted(candidates, key=indexes.topo_of)
+        order = sorted(candidates, key=indexes.causal_key)
         # The segments the replay needs are known up front from the node
         # index; scan them once and keep only the candidate *node
         # records* -- the replay needs them all anyway, while each
@@ -460,7 +458,7 @@ class StoreQueryEngine:
                 records[node_id] = payload.nodes[node_id]
         # A quarantined segment drops its nodes from the replay (the scope
         # reports the answer as degraded); every healthy node still plays
-        # in stored topological order.
+        # in the causal order.
         ordered = ((node_id, records[node_id]) for node_id in order if node_id in records)
         return replay_taint(ordered, sources, through_thread_state=through_thread_state)
 
@@ -520,19 +518,18 @@ class StoreQueryEngine:
     ) -> TaintResult:
         """Replay the taint policy over one scan of the run's segments.
 
-        Segments of a run are appended in topological order and compaction
-        preserves that order, but nodes are still sorted by their stored
-        rank (an index lookup, no extra I/O) so the replay is a guaranteed
-        linear extension of happens-before.  The scan goes through the
+        Nodes are sorted by
+        :meth:`~repro.store.indexes.StoreIndexes.causal_key` (an index
+        lookup, no extra I/O), whatever order the segments hold them in,
+        so the replay is the in-memory one.  The scan goes through the
         decoded-segment cache -- on a warm engine the flood fallback costs
         no decode at all -- and each segment is processed exactly once.
         """
         indexes = self.store.indexes_for(run)
         segment_ids = [info.segment_id for info in self.store.manifest.segments_of_run(run)]
-        entries: List[Tuple[int, NodeId, SubComputation]] = []
+        records: Dict[NodeId, SubComputation] = {}
         for _, payload in self._iter_payloads(segment_ids):
-            for node_id, node in payload.nodes.items():
-                entries.append((indexes.topo_of(node_id), node_id, node))
-        entries.sort(key=lambda entry: entry[0])
-        ordered = ((node_id, node) for _, node_id, node in entries)
+            records.update(payload.nodes)
+        order = sorted(records, key=indexes.causal_key)
+        ordered = ((node_id, records[node_id]) for node_id in order)
         return replay_taint(ordered, source_pages, through_thread_state=through_thread_state)

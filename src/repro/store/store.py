@@ -58,7 +58,6 @@ from repro.core.serialization import (
     edge_from_dict,
     edge_to_dict,
     node_key,
-    parse_node_key,
     FORMAT_VERSION_V2,
 )
 from repro.core.thunk import SubComputation
@@ -273,7 +272,7 @@ class ProvenanceStore:
         segment_cache: Optional[SegmentCache] = None,
         index_pinner: Optional[IndexPinner] = None,
     ) -> "ProvenanceStore":
-        """Open an existing store directory (format version 8).
+        """Open an existing store directory (format version 9).
 
         Opening reads the manifest checkpoint, then replays the committed
         tail of ``segments.log`` on top of it -- each record
@@ -452,19 +451,14 @@ class ProvenanceStore:
     def _rebuild_indexes_from_segments(self, run_id: int) -> StoreIndexes:
         """Reconstruct one run's indexes from its committed segments.
 
-        Recovery path for torn or missing index generations.  Exact by
-        construction: a run's segments are appended -- and compaction
-        rewrites them -- in topological order, and every ingest path
-        assigns ranks sequentially from 0, so a node's rank is precisely
-        its position in the run's segment-order traversal.
+        Recovery path for torn or missing index generations.  Exact in
+        any segment order: a node's rank comes from its own clock.
         """
         indexes = StoreIndexes()
-        rank = 0
         for info in self.manifest.segments_of_run(run_id):
             payload = self.segment(info.segment_id)
-            for node in payload.nodes.values():  # insertion order = encode order
-                indexes.add_node(info.segment_id, node, rank)
-                rank += 1
+            for node in payload.nodes.values():
+                indexes.add_node(info.segment_id, node)
             for edge in payload.edges:
                 indexes.add_edge(info.segment_id, edge)
         # The rebuilt state is not reproducible from any on-disk
@@ -778,14 +772,8 @@ class ProvenanceStore:
         nodes: Sequence[SubComputation],
         edges: Sequence[EdgeTuple],
         run: Optional[int] = None,
-        topo_positions: Optional[Sequence[int]] = None,
     ) -> int:
         """Seal ``nodes`` + ``edges`` into a new segment of ``run``.
-
-        Topological ranks default to arrival order (the run's
-        ``next_topo`` onwards); the whole-graph ingest path passes
-        explicit ranks from
-        :meth:`ConcurrentProvenanceGraph.topological_order` instead.
 
         The manifest and indexes are only updated in memory; call
         :meth:`flush` once the batch of appends is complete.
@@ -793,12 +781,6 @@ class ProvenanceStore:
         run_id = self.resolve_run(run)
         run_info = self.manifest.run_info(run_id)
         indexes = self.run_indexes[run_id]
-        if topo_positions is None:
-            topo_positions = range(run_info.next_topo, run_info.next_topo + len(nodes))
-        elif len(topo_positions) != len(nodes):
-            raise StoreError(
-                f"got {len(topo_positions)} topological ranks for {len(nodes)} nodes"
-            )
         # Check collisions (against the run and within the batch) before
         # any file is written, so a duplicate node cannot leave an orphan
         # segment or a half-updated index behind.
@@ -815,8 +797,8 @@ class ProvenanceStore:
         with open(os.path.join(self.path, SEGMENTS_DIR, segment_file_name(segment_id)), "wb") as handle:
             handle.write(framed)
         self.manifest.next_segment_id += 1
-        for node, topo in zip(nodes, topo_positions):
-            indexes.add_node(segment_id, node, topo)
+        for node in nodes:
+            indexes.add_node(segment_id, node)
         for edge in edges:
             indexes.add_edge(segment_id, edge)
         self.manifest.segments.append(
@@ -834,9 +816,6 @@ class ProvenanceStore:
         self.manifest.edge_count += len(edges)
         run_info.nodes += len(nodes)
         run_info.edges += len(edges)
-        run_info.next_topo = max(
-            run_info.next_topo, max(topo_positions, default=run_info.next_topo - 1) + 1
-        )
         # Keep the in-memory cross-run page summary current (O(batch)).
         # Appends to a *complete* run must force a summary rewrite: the
         # on-disk file already covers the run and would under-report it.
@@ -863,7 +842,7 @@ class ProvenanceStore:
     ) -> int:
         """Ingest a finalized CPG as a **new run**; returns segments written.
 
-        Nodes are batched in topological order (so segment locality follows
+        Nodes are batched in the causal order (so segment locality follows
         causality) and every edge is co-located with its target node.  The
         minted run id is ``store.manifest.runs[-1].run_id`` afterwards.
         """
@@ -876,7 +855,6 @@ class ProvenanceStore:
             created_at=str(meta["created_at"]) if "created_at" in meta else None,
         )
         order = cpg.topological_order()
-        topo_by_node = {node_id: rank for rank, node_id in enumerate(order)}
         edges_by_target: Dict[object, List[EdgeTuple]] = defaultdict(list)
         for source, target, attrs in cpg.edges():
             kind = attrs["kind"]
@@ -889,12 +867,7 @@ class ProvenanceStore:
             edges: List[EdgeTuple] = []
             for node_id in batch:
                 edges.extend(edges_by_target.get(node_id, ()))
-            self.append_segment(
-                nodes,
-                edges,
-                run=run_id,
-                topo_positions=[topo_by_node[n] for n in batch],
-            )
+            self.append_segment(nodes, edges, run=run_id)
             segments_written += 1
         self.manifest.run_info(run_id).status = RUN_COMPLETE
         # Run completion is a natural checkpoint: the manifest on disk
@@ -1100,7 +1073,7 @@ class ProvenanceStore:
         Streamed ingests leave two kinds of fragmentation behind: epochs
         shorter than a full segment, and the edge-only tail segments the
         sink appends for post-run data edges.  Compaction rewrites the
-        run's segments in topological order (ranks are preserved), co-
+        run's segments in the causal order (rank, then node id), co-
         locates every edge with its target node again, and **folds the
         run's pending index deltas into a fresh base file**.  With
         ``run=None`` every run is compacted.
@@ -1177,14 +1150,13 @@ class ProvenanceStore:
         old_index = self.run_indexes[run_id]
         # Batch assignment from the (small, in-memory) node index alone:
         # node payloads are never materialized run-wide.
-        in_topo_order = sorted(old_index.node_topo.items(), key=lambda item: item[1])
+        in_order = sorted(old_index.nodes(), key=old_index.causal_key)
         batch_of_node = {
-            parse_node_key(key): position // segment_nodes
-            for position, (key, _) in enumerate(in_topo_order)
+            node_id: position // segment_nodes for position, node_id in enumerate(in_order)
         }
-        batch_count = max(1, -(-len(in_topo_order) // segment_nodes))
+        batch_count = max(1, -(-len(in_order) // segment_nodes))
         batch_sizes = [
-            min(segment_nodes, len(in_topo_order) - position * segment_nodes)
+            min(segment_nodes, len(in_order) - position * segment_nodes)
             for position in range(batch_count)
         ]
         spill_dir = os.path.join(self.path, _COMPACT_SPILL_DIR)
@@ -1218,7 +1190,7 @@ class ProvenanceStore:
                         encoding="utf-8",
                     ) as handle:
                         handle.write("\n".join(lines) + "\n")
-            # Pass 2: stream nodes in topological order, sealing each new
+            # Pass 2: stream nodes in the causal order, sealing each new
             # segment as soon as its batch is complete.
             new_index = StoreIndexes()
             new_infos: List[SegmentInfo] = []
@@ -1227,7 +1199,7 @@ class ProvenanceStore:
 
             def emit(position: int) -> None:
                 batch = sorted(
-                    buffers.pop(position, []), key=lambda node: old_index.topo_of(node.node_id)
+                    buffers.pop(position, []), key=lambda node: old_index.causal_key(node.node_id)
                 )
                 batch_edges: List[EdgeTuple] = []
                 spill_path = os.path.join(spill_dir, f"batch-{position:08d}.jsonl")
@@ -1245,7 +1217,7 @@ class ProvenanceStore:
                     handle.write(framed)
                 os.replace(scratch, path)
                 for node in batch:
-                    new_index.add_node(segment_id, node, old_index.topo_of(node.node_id))
+                    new_index.add_node(segment_id, node)
                 for edge in batch_edges:
                     new_index.add_edge(segment_id, edge)
                 new_infos.append(

@@ -1,4 +1,4 @@
-"""Data-edge derivation against two references.
+"""Data-edge derivation and taint against references.
 
 ``derive_data_edges`` must produce exactly the update-use edges of its
 definition: reader ``r`` gets an edge from writer ``w`` for page ``p`` when
@@ -17,19 +17,30 @@ barrier round (each party has a sync edge from the last arrival only), so
 that walk can resolve a reader before a writer that happens-before it; the
 pinned barrier execution below is such a case.  On the shipped workloads
 the two derivations agree, which the registry test checks.
+
+Taint replays the page policy in the causal order.  Over the same
+executions it must be closed under data edges, equal a replay in a random
+linear extension of happens-before when no conflicting pair is
+concurrent, and give the same answer in memory, on an ``ingest`` store
+and on a store a sink streamed while the execution was recorded.
 """
 
+import contextlib
+import graphlib
+import tempfile
 from collections import defaultdict
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from repro.core.algorithm import ProvenanceTracker
 from repro.core.cpg import EdgeKind
 from repro.core.dependencies import derive_data_edges
+from repro.core.queries import find_racy_pairs, propagate_taint, replay_taint
 from repro.core.thunk import INPUT_NODE
 from repro.inspector.api import run_with_provenance
+from repro.store import ProvenanceStore, StoreQueryEngine, StoreSink
 from repro.workloads.registry import list_workloads
 
 MAX_THREADS = 6
@@ -41,6 +52,9 @@ MUTEX = 100
 POST_ONLY, WAIT_ONLY, POST_AND_WAIT = 200, 201, 202
 BARRIER_BASE = 300
 START_TOKEN_BASE = 1000
+#: Small segments, so stored runs span several and the replay must order
+#: nodes across them.
+SEGMENT_NODES = 4
 
 
 def precedes(cpg, first, second):
@@ -69,12 +83,27 @@ def definition_edges(cpg):
     return {(source, target, frozenset(pages)) for (source, target), pages in pending.items()}
 
 
-def scan_reference(cpg):
-    """``{(source, target, pages)}`` from the earlier topological-order scan."""
-    order = cpg.topological_order()
+def control_sync_order(cpg):
+    """A topological order of the control + sync edges, input node first.
+
+    The order the earlier derivation walked, drawn from ``graphlib`` so it
+    stays apart from :meth:`ConcurrentProvenanceGraph.topological_order`,
+    which is the causal order.
+    """
+    sorter = graphlib.TopologicalSorter({node_id: () for node_id in cpg.nodes()})
+    for kind in (EdgeKind.CONTROL, EdgeKind.SYNC):
+        for source, target, _ in cpg.edges(kind):
+            sorter.add(target, source)
+    order = list(sorter.static_order())
     if cpg.input_node is not None:
         order.remove(cpg.input_node)
         order.insert(0, cpg.input_node)
+    return order
+
+
+def scan_reference(cpg):
+    """``{(source, target, pages)}`` from the earlier topological-order scan."""
+    order = control_sync_order(cpg)
     writers_by_page = defaultdict(list)
     pending = defaultdict(set)
     for node_id in order:
@@ -147,16 +176,20 @@ def barrier(tracker, parties, object_id):
         tracker.begin_next(tid)
 
 
-def record(execution):
+def record(execution, listener=None):
     """Replay an :func:`executions` draw on a tracker; return the finalized CPG.
 
     Threads ``1..initially_running`` start with no parent; a ``spawn``
     starts the next thread through a start token.  Actions that are not
     possible at their point (an unstarted thread, a mutex held by another
     thread, no thread left to spawn) are skipped, so every draw is valid.
+    ``listener`` (a :class:`StoreSink`, say) sees every published
+    sub-computation.
     """
     threads, initially_running, rounds, tail = execution
     tracker = ProvenanceTracker()
+    if listener is not None:
+        tracker.add_listener(listener)
     tracker.register_input_pages(INPUT_PAGES)
     running = list(range(1, initially_running + 1))
     for tid in running:
@@ -196,6 +229,83 @@ def record(execution):
     return tracker.finalize()
 
 
+def record_barrier_case(taint_path=False, listener=None):
+    """The pinned barrier execution; return the finalized CPG.
+
+    Thread 1 locks and unlocks a mutex, writes page 2 in ``(1, 2)``, and
+    arrives at the barrier first; thread 2 arrives last, so both parties'
+    sync edges come from thread 2's arrival.  After the barrier ``(2, 1)``
+    reads page 2.  ``taint_path`` adds a flow for taint to follow:
+    ``(1, 2)`` first reads input page 0, and ``(2, 1)`` writes page 3
+    after its read.
+    """
+    tracker = ProvenanceTracker()
+    if listener is not None:
+        tracker.add_listener(listener)
+    for tid in (1, 2):
+        tracker.on_thread_start(tid)
+    sync(tracker, 1, "mutex_lock", acquire=[MUTEX])
+    sync(tracker, 1, "mutex_unlock", release=[MUTEX])
+    if taint_path:
+        tracker.register_input_pages({0})
+        tracker.on_memory_access(1, 0, is_write=False)
+    tracker.on_memory_access(1, 2, is_write=True)
+    barrier(tracker, [1, 2], BARRIER_BASE)
+    tracker.on_memory_access(2, 2, is_write=False)
+    if taint_path:
+        tracker.on_memory_access(2, 3, is_write=True)
+    return tracker.finalize()
+
+
+@contextlib.contextmanager
+def recorded_in_stores(record_with):
+    """Record an execution into memory and two stores; yield ``(cpg, taint)``.
+
+    ``record_with(sink)`` records the execution while a :class:`StoreSink`
+    streams it into run 1; once data edges are derived, the finalized CPG
+    is ingested as run 2.  ``taint(sources, through_thread_state)`` returns
+    ``{path: (tainted nodes, tainted pages)}`` for the ``memory``,
+    ``sink`` and ``ingest`` paths.
+    """
+    with tempfile.TemporaryDirectory() as directory:
+        store = ProvenanceStore.create(directory)
+        sink = StoreSink(store, segment_nodes=SEGMENT_NODES)
+        cpg = record_with(sink)
+        derive_data_edges(cpg)
+        sink.finish(cpg)
+        store.ingest(cpg, segment_nodes=SEGMENT_NODES)
+        runs = {"sink": sink.run_id, "ingest": store.manifest.runs[-1].run_id}
+        engine = StoreQueryEngine(store)
+
+        def taint(sources, through_thread_state):
+            results = {"memory": propagate_taint(cpg, sources, through_thread_state)}
+            for path, run in runs.items():
+                results[path] = engine.propagate_taint(sources, through_thread_state, run=run)
+            return {
+                path: (result.tainted_nodes, result.tainted_pages)
+                for path, result in results.items()
+            }
+
+        yield cpg, taint
+
+
+def random_linear_extension(cpg, rng):
+    """A linear extension of :func:`precedes` over every vertex, drawn with ``rng``."""
+    nodes = cpg.nodes()
+    waiting = {node: sum(precedes(cpg, other, node) for other in nodes) for node in nodes}
+    ready = [node for node in nodes if not waiting[node]]
+    order = []
+    while ready:
+        node = ready.pop(rng.randrange(len(ready)))
+        order.append(node)
+        for later in nodes:
+            if precedes(cpg, node, later):
+                waiting[later] -= 1
+                if not waiting[later]:
+                    ready.append(later)
+    return order
+
+
 class TestDerivationOracle:
     @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None, max_examples=300)
     @given(executions())
@@ -206,26 +316,55 @@ class TestDerivationOracle:
         assert derived_edges(cpg) == expected
 
     def test_write_before_a_barrier_reaches_a_reader_with_no_sync_path_from_it(self):
-        # Thread 1 locks and unlocks a mutex, writes page 2, and arrives at
-        # the barrier first; thread 2 arrives last, so both parties' sync edges
-        # come from thread 2's arrival.  The clocks still order thread 1's
-        # write before thread 2's read after the barrier, but the write lies
-        # deeper in the control + sync graph than the read, and a walk in
-        # its topological order resolved the read first and missed it.
-        tracker = ProvenanceTracker()
-        for tid in (1, 2):
-            tracker.on_thread_start(tid)
-        sync(tracker, 1, "mutex_lock", acquire=[MUTEX])
-        sync(tracker, 1, "mutex_unlock", release=[MUTEX])
-        tracker.on_memory_access(1, 2, is_write=True)
-        barrier(tracker, [1, 2], BARRIER_BASE)
-        tracker.on_memory_access(2, 2, is_write=False)
-        cpg = tracker.finalize()
+        # The clocks order thread 1's write before thread 2's read after
+        # the barrier, but the write lies deeper in the control + sync
+        # graph than the read, and a walk in its topological order resolves
+        # the read first and misses the edge.
+        cpg = record_barrier_case()
         writer, reader = (1, 2), (2, 1)
         assert cpg.happens_before(writer, reader)
         assert writer not in cpg.ancestors(reader, kinds=[EdgeKind.CONTROL, EdgeKind.SYNC])
+        assert scan_reference(cpg) == set()
         derive_data_edges(cpg)
         assert derived_edges(cpg) == definition_edges(cpg) == {(writer, reader, frozenset({2}))}
+
+
+class TestTaintOracle:
+    def test_taint_reaches_a_reader_after_the_barrier(self):
+        # (1, 2) reads input page 0 and writes page 2; (2, 1) reads page 2
+        # after the barrier and writes page 3.  A topological order of the
+        # control + sync edges visits (2, 1) first, so a replay in it
+        # leaves (2, 1) and page 3 untainted.
+        with recorded_in_stores(
+            lambda sink: record_barrier_case(taint_path=True, listener=sink)
+        ) as (cpg, taint):
+            order = control_sync_order(cpg)
+            assert order.index((2, 1)) < order.index((1, 2))
+            answers = taint([0], through_thread_state=False)
+        expected = ({(1, 2), (2, 1)}, {0, 2, 3})
+        assert answers == {"memory": expected, "sink": expected, "ingest": expected}
+
+    @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None, max_examples=300)
+    @given(executions(), st.randoms(use_true_random=False))
+    def test_taint_is_closed_order_independent_and_equal_on_every_path(self, execution, rng):
+        with recorded_in_stores(lambda sink: record(execution, listener=sink)) as (cpg, taint):
+            race_free = not find_racy_pairs(cpg)
+            event("race-free" if race_free else "racy")
+            extension = random_linear_extension(cpg, rng) if race_free else None
+            for page in range(PAGES):
+                for through_thread_state in (False, True):
+                    answers = taint([page], through_thread_state)
+                    nodes, pages = answers["memory"]
+                    for source, target, _ in cpg.edges(EdgeKind.DATA):
+                        assert source not in nodes or target in nodes
+                    if extension is not None:
+                        replayed = replay_taint(
+                            ((node, cpg.subcomputation(node)) for node in extension),
+                            [page],
+                            through_thread_state,
+                        )
+                        assert (replayed.tainted_nodes, replayed.tainted_pages) == (nodes, pages)
+                    assert answers["sink"] == answers["ingest"] == answers["memory"]
 
 
 @pytest.mark.parametrize("workload", list_workloads())

@@ -266,6 +266,20 @@ class TestCPGStructure:
         with pytest.raises(ProvenanceError):
             cpg.add_sync_edge((1, 0), (9, 9), object_id=1)
 
+    def test_is_acyclic_checks_every_edge_against_the_clocks(self):
+        def graph(source, target):
+            cpg = ConcurrentProvenanceGraph()
+            cpg.add_subcomputation(SubComputation(tid=1, index=0, clock=VectorClock({1: 1})))
+            cpg.add_subcomputation(
+                SubComputation(tid=2, index=0, clock=VectorClock({1: 1, 2: 1}))
+            )
+            cpg.add_sync_edge(source, target, object_id=1)
+            return cpg
+
+        assert graph((1, 0), (2, 0)).is_acyclic()
+        # No cycle, but the edge runs against the clocks.
+        assert not graph((2, 0), (1, 0)).is_acyclic()
+
     def test_thread_nodes_sorted(self):
         cpg = ConcurrentProvenanceGraph()
         for index in (2, 0, 1):

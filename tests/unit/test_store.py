@@ -95,7 +95,7 @@ def _set(key, value):
 
 
 #: One-field edits of a valid manifest, each with the refusal it must
-#: produce: malformed fields, and every format version before 8.
+#: produce: malformed fields, and every format version before 9.
 MANIFEST_EDITS = {
     "segment-id-not-a-number": (
         lambda document: document["segments"][0].__setitem__("id", "x"),
@@ -111,9 +111,9 @@ MANIFEST_EDITS = {
     **{
         f"version-{version}": (
             _set("version", version),
-            rf"unsupported store format version {version} \(this build reads 8\); re-ingest",
+            rf"unsupported store format version {version} \(this build reads 9\); re-ingest",
         )
-        for version in (2, 3, 4, 5, 6, 7)
+        for version in (2, 3, 4, 5, 6, 7, 8)
     },
 }
 

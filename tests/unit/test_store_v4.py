@@ -161,7 +161,7 @@ class TestIndexDeltas:
         reopened = ProvenanceStore.open(store_dir)
         merged = reopened.indexes_for(sink.run_id)
         assert merged.node_segments == expected.node_segments
-        assert merged.node_topo == expected.node_topo
+        assert merged.node_rank == expected.node_rank
         assert merged.page_writers == expected.page_writers
         assert merged.page_readers == expected.page_readers
         assert merged.thread_indexes == expected.thread_indexes
@@ -273,13 +273,13 @@ class TestStreamingCompaction:
         store, sink = stream_run(store_dir, epochs=8)
         run_id = sink.run_id
         before = {
-            key: store.indexes_for(run_id).node_topo[key]
-            for key in store.indexes_for(run_id).node_topo
+            key: store.indexes_for(run_id).node_rank[key]
+            for key in store.indexes_for(run_id).node_rank
         }
         taint_before = StoreQueryEngine(store).propagate_taint([0], run=run_id)
         store.compact(segment_nodes=16)
         reopened = ProvenanceStore.open(store_dir)
-        assert reopened.indexes_for(run_id).node_topo == before
+        assert reopened.indexes_for(run_id).node_rank == before
         taint_after = StoreQueryEngine(reopened).propagate_taint([0], run=run_id)
         assert taint_after.tainted_nodes == taint_before.tainted_nodes
         assert taint_after.tainted_pages == taint_before.tainted_pages
