@@ -113,7 +113,7 @@ def replay_taint(
             # The virtual input node defines the sources; writing input
             # pages does not by itself taint the node.
             continue
-        tainted = bool(node.read_set & result.tainted_pages)
+        tainted = not node.read_set.isdisjoint(result.tainted_pages)
         if through_thread_state and node.tid in tainted_threads:
             tainted = True
         if tainted:

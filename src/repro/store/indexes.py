@@ -8,7 +8,8 @@ One :class:`StoreIndexes` instance covers one **run**: node ids
 ``(tid, index)`` are only unique within a run, so the store keeps a
 separate index namespace per run, persisted under ``index/run-<id>/``.
 
-Five index families exist:
+Five index families exist, each holding node ids as ``(tid, index)``
+tuples (``"tid:index"`` strings belong to the wire format only):
 
 * **nodes** -- node id -> owning segment and causal rank.  The rank is
   the sum of the node's clock components, the first part of
@@ -18,8 +19,13 @@ Five index families exist:
 * **pages** -- page -> writer/reader node ids (the same inverted index
   :func:`repro.core.queries.build_page_index` computes in memory).
 * **threads** -- thread id -> its sub-computation indexes and segments.
-* **sync** -- synchronization object id -> recorded release->acquire edges.
+* **sync** -- synchronization object id -> recorded release->acquire
+  edges as ``(source, target, operation, segment)`` tuples.
 * **edges** -- node id -> segments holding its incoming / outgoing edges.
+
+The **write map** (node id -> pages it wrote, the inversion of the page
+writers) is in memory only: added nodes fill it, and a base load rebuilds
+it from the page writers it has just read.
 
 Persistence is **append-only**: every
 :meth:`~StoreIndexes.add_node` / :meth:`~StoreIndexes.add_edge` call is
@@ -36,7 +42,7 @@ import os
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.cpg import EdgeKind, causal_key
-from repro.core.serialization import node_key, parse_node_key
+from repro.core.serialization import node_key
 from repro.core.thunk import NodeId, SubComputation
 from repro.errors import StoreError
 
@@ -105,24 +111,26 @@ class StoreIndexes:
     """All secondary indexes of one run, with load/save and query helpers."""
 
     def __init__(self) -> None:
-        #: node key -> segment id
-        self.node_segments: Dict[str, int] = {}
-        #: node key -> causal rank (sum of the node's clock components)
-        self.node_rank: Dict[str, int] = {}
-        #: page -> node keys that wrote it
-        self.page_writers: Dict[int, List[str]] = {}
-        #: page -> node keys that read it
-        self.page_readers: Dict[int, List[str]] = {}
+        #: node id -> segment id
+        self.node_segments: Dict[NodeId, int] = {}
+        #: node id -> causal rank (sum of the node's clock components)
+        self.node_rank: Dict[NodeId, int] = {}
+        #: page -> node ids that wrote it
+        self.page_writers: Dict[int, List[NodeId]] = {}
+        #: page -> node ids that read it
+        self.page_readers: Dict[int, List[NodeId]] = {}
+        #: node id -> pages it wrote (in memory only; absent if none)
+        self.node_writes: Dict[NodeId, Tuple[int, ...]] = {}
         #: tid -> sorted sub-computation indexes of the thread
         self.thread_indexes: Dict[int, List[int]] = {}
         #: tid -> segments holding the thread's nodes
         self.thread_segments: Dict[int, List[int]] = {}
-        #: sync object id -> recorded release->acquire edges
-        self.sync_edges: Dict[int, List[dict]] = {}
-        #: node key -> segments holding edges that end at the node
-        self.in_edge_segments: Dict[str, List[int]] = {}
-        #: node key -> segments holding edges that start at the node
-        self.out_edge_segments: Dict[str, List[int]] = {}
+        #: sync object id -> (source, target, operation, segment) per edge
+        self.sync_edges: Dict[int, List[Tuple[NodeId, NodeId, str, int]]] = {}
+        #: node id -> segments holding edges that end at the node
+        self.in_edge_segments: Dict[NodeId, List[int]] = {}
+        #: node id -> segments holding edges that start at the node
+        self.out_edge_segments: Dict[NodeId, List[int]] = {}
         #: Ops journalled since the last persisted generation (the next
         #: delta file's content).
         self._pending: List[tuple] = []
@@ -139,7 +147,7 @@ class StoreIndexes:
         """Register one stored sub-computation (journalled for the next delta)."""
         rank = causal_key(node)[0]
         reads = sorted(node.read_set)
-        writes = sorted(node.write_set)
+        writes = tuple(sorted(node.write_set))
         self._apply_node(segment_id, node.tid, node.index, rank, reads, writes)
         self._pending.append((_OP_NODE, segment_id, node.tid, node.index, rank, reads, writes))
 
@@ -164,15 +172,17 @@ class StoreIndexes:
         read_pages: Sequence[int],
         write_pages: Sequence[int],
     ) -> None:
-        key = node_key((tid, index))
-        if key in self.node_segments:
-            raise StoreError(f"node {key} ingested twice")
-        self.node_segments[key] = segment_id
-        self.node_rank[key] = rank
+        node_id = (tid, index)
+        if node_id in self.node_segments:
+            raise StoreError(f"node {node_key(node_id)} ingested twice")
+        self.node_segments[node_id] = segment_id
+        self.node_rank[node_id] = rank
+        if write_pages:
+            self.node_writes[node_id] = tuple(write_pages)
         for page in write_pages:
-            self.page_writers.setdefault(page, []).append(key)
+            self.page_writers.setdefault(page, []).append(node_id)
         for page in read_pages:
-            self.page_readers.setdefault(page, []).append(key)
+            self.page_readers.setdefault(page, []).append(node_id)
         indexes = self.thread_indexes.setdefault(tid, [])
         indexes.append(index)
         segments = self.thread_segments.setdefault(tid, [])
@@ -188,21 +198,15 @@ class StoreIndexes:
         object_id: Optional[int],
         operation: Optional[str],
     ) -> None:
-        source_key, target_key = node_key(source), node_key(target)
-        incoming = self.in_edge_segments.setdefault(target_key, [])
+        incoming = self.in_edge_segments.setdefault(target, [])
         if not incoming or incoming[-1] != segment_id:
             incoming.append(segment_id)
-        outgoing = self.out_edge_segments.setdefault(source_key, [])
+        outgoing = self.out_edge_segments.setdefault(source, [])
         if not outgoing or outgoing[-1] != segment_id:
             outgoing.append(segment_id)
         if kind is EdgeKind.SYNC and object_id is not None:
             self.sync_edges.setdefault(object_id, []).append(
-                {
-                    "source": source_key,
-                    "target": target_key,
-                    "operation": operation or "",
-                    "segment": segment_id,
-                }
+                (source, target, operation or "", segment_id)
             )
 
     # ------------------------------------------------------------------ #
@@ -211,37 +215,29 @@ class StoreIndexes:
 
     def has_node(self, node_id: NodeId) -> bool:
         """Whether the store holds ``node_id``."""
-        return node_key(node_id) in self.node_segments
+        return node_id in self.node_segments
 
     def segment_of(self, node_id: NodeId) -> int:
         """Segment holding ``node_id``'s record."""
         try:
-            return self.node_segments[node_key(node_id)]
+            return self.node_segments[node_id]
         except KeyError as exc:
             raise StoreError(f"no sub-computation {node_id} in the store") from exc
 
     def causal_key(self, node_id: NodeId) -> Tuple[int, NodeId]:
         """``(rank, node id)``: :func:`repro.core.cpg.causal_key` from the index."""
         try:
-            return (self.node_rank[node_key(node_id)], node_id)
+            return (self.node_rank[node_id], node_id)
         except KeyError as exc:
             raise StoreError(f"no sub-computation {node_id} in the store") from exc
 
     def writers_of_page(self, page: int) -> List[NodeId]:
-        """Node ids whose write set contains ``page``."""
-        return [parse_node_key(key) for key in self.page_writers.get(page, ())]
+        """Node ids whose write set contains ``page`` (a fresh list)."""
+        return list(self.page_writers.get(page, ()))
 
     def readers_of_page(self, page: int) -> List[NodeId]:
-        """Node ids whose read set contains ``page``."""
-        return [parse_node_key(key) for key in self.page_readers.get(page, ())]
-
-    def pages_written_by(self) -> Dict[NodeId, Set[int]]:
-        """Invert the writer index: node id -> pages it wrote."""
-        written: Dict[NodeId, Set[int]] = {}
-        for page, keys in self.page_writers.items():
-            for key in keys:
-                written.setdefault(parse_node_key(key), set()).add(page)
-        return written
+        """Node ids whose read set contains ``page`` (a fresh list)."""
+        return list(self.page_readers.get(page, ()))
 
     def pages_touched(self) -> Set[int]:
         """Every page some stored node read or wrote (the cross-run summary)."""
@@ -253,15 +249,15 @@ class StoreIndexes:
 
     def in_segments(self, node_id: NodeId) -> List[int]:
         """Segments holding edges that end at ``node_id``."""
-        return self.in_edge_segments.get(node_key(node_id), [])
+        return self.in_edge_segments.get(node_id, [])
 
     def out_segments(self, node_id: NodeId) -> List[int]:
         """Segments holding edges that start at ``node_id``."""
-        return self.out_edge_segments.get(node_key(node_id), [])
+        return self.out_edge_segments.get(node_id, [])
 
     def nodes(self) -> List[NodeId]:
         """Every stored node id, sorted."""
-        return sorted(parse_node_key(key) for key in self.node_segments)
+        return sorted(self.node_segments)
 
     def is_consistent_with(self, valid_segments: Iterable[int], expected_nodes: int) -> bool:
         """Whether this index generation matches a manifest generation.
@@ -280,8 +276,8 @@ class StoreIndexes:
         for segments in self.thread_segments.values():
             if any(segment not in valid for segment in segments):
                 return False
-        for edges in self.sync_edges.values():
-            if any(edge.get("segment", 0) not in valid for edge in edges):
+        for records in self.sync_edges.values():
+            if any(record[3] not in valid for record in records):
                 return False
         for family in (self.in_edge_segments, self.out_edge_segments):
             for segments in family.values():
@@ -347,17 +343,17 @@ class StoreIndexes:
         interner = StringInterner()
         body = bytearray()
         write_uvarint(body, len(self.node_segments))
-        for key, segment_id in self.node_segments.items():
-            _write_node_id(body, parse_node_key(key))
+        for node_id, segment_id in self.node_segments.items():
+            _write_node_id(body, node_id)
             write_uvarint(body, segment_id)
-            write_uvarint(body, self.node_rank[key])
+            write_uvarint(body, self.node_rank[node_id])
         for family in (self.page_writers, self.page_readers):
             write_uvarint(body, len(family))
-            for page, keys in family.items():
+            for page, node_ids in family.items():
                 write_svarint(body, page)
-                write_uvarint(body, len(keys))
-                for key in keys:
-                    _write_node_id(body, parse_node_key(key))
+                write_uvarint(body, len(node_ids))
+                for node_id in node_ids:
+                    _write_node_id(body, node_id)
         write_uvarint(body, len(self.thread_indexes))
         for tid, indexes in self.thread_indexes.items():
             write_svarint(body, tid)
@@ -369,18 +365,18 @@ class StoreIndexes:
             for segment_id in segments:
                 write_uvarint(body, segment_id)
         write_uvarint(body, len(self.sync_edges))
-        for object_id, edges in self.sync_edges.items():
+        for object_id, records in self.sync_edges.items():
             write_svarint(body, object_id)
-            write_uvarint(body, len(edges))
-            for edge in edges:
-                _write_node_id(body, parse_node_key(edge["source"]))
-                _write_node_id(body, parse_node_key(edge["target"]))
-                write_uvarint(body, interner.ref(edge.get("operation", "")))
-                write_uvarint(body, int(edge.get("segment", 0)))
+            write_uvarint(body, len(records))
+            for source, target, operation, segment_id in records:
+                _write_node_id(body, source)
+                _write_node_id(body, target)
+                write_uvarint(body, interner.ref(operation))
+                write_uvarint(body, segment_id)
         for family in (self.in_edge_segments, self.out_edge_segments):
             write_uvarint(body, len(family))
-            for key, segments in family.items():
-                _write_node_id(body, parse_node_key(key))
+            for node_id, segments in family.items():
+                _write_node_id(body, node_id)
                 write_uvarint(body, len(segments))
                 for segment_id in segments:
                     write_uvarint(body, segment_id)
@@ -449,19 +445,24 @@ class StoreIndexes:
                 node_id, pos = _read_node_id(data, pos)
                 segment_id, pos = read_uvarint(data, pos)
                 rank, pos = read_uvarint(data, pos)
-                key = node_key(node_id)
-                self.node_segments[key] = segment_id
-                self.node_rank[key] = rank
+                self.node_segments[node_id] = segment_id
+                self.node_rank[node_id] = rank
             for family in (self.page_writers, self.page_readers):
                 pages, pos = read_uvarint(data, pos)
                 for _ in range(pages):
                     page, pos = read_svarint(data, pos)
                     entries, pos = read_uvarint(data, pos)
-                    keys: List[str] = []
+                    node_ids: List[NodeId] = []
                     for _ in range(entries):
                         node_id, pos = _read_node_id(data, pos)
-                        keys.append(node_key(node_id))
-                    family[page] = keys
+                        node_ids.append(node_id)
+                    family[page] = node_ids
+            # The write map is not persisted: invert the page writers once.
+            written: Dict[NodeId, List[int]] = {}
+            for page, node_ids in self.page_writers.items():
+                for node_id in node_ids:
+                    written.setdefault(node_id, []).append(page)
+            self.node_writes = {node_id: tuple(page_list) for node_id, page_list in written.items()}
             threads, pos = read_uvarint(data, pos)
             for _ in range(threads):
                 tid, pos = read_svarint(data, pos)
@@ -481,22 +482,17 @@ class StoreIndexes:
             for _ in range(objects):
                 object_id, pos = read_svarint(data, pos)
                 entries, pos = read_uvarint(data, pos)
-                edges: List[dict] = []
+                records = []
                 for _ in range(entries):
                     source, pos = _read_node_id(data, pos)
                     target, pos = _read_node_id(data, pos)
                     ref, pos = read_uvarint(data, pos)
                     segment_id, pos = read_uvarint(data, pos)
                     operation = deref(strings, ref)
-                    edges.append(
-                        {
-                            "source": node_key(source),
-                            "target": node_key(target),
-                            "operation": operation if operation is not None else "",
-                            "segment": segment_id,
-                        }
+                    records.append(
+                        (source, target, operation if operation is not None else "", segment_id)
                     )
-                self.sync_edges[object_id] = edges
+                self.sync_edges[object_id] = records
             for family in (self.in_edge_segments, self.out_edge_segments):
                 count, pos = read_uvarint(data, pos)
                 for _ in range(count):
@@ -506,7 +502,7 @@ class StoreIndexes:
                     for _ in range(entries):
                         value, pos = read_uvarint(data, pos)
                         segments.append(value)
-                    family[node_key(node_id)] = segments
+                    family[node_id] = segments
         except (IndexError, ValueError) as exc:
             raise StoreError(
                 f"corrupt index base generation {generation}: {exc}"

@@ -26,16 +26,17 @@ segments of that corner.  Lineage is the pages' writers plus one backward
 walk over data edges started from all of them at once, so each ancestor's
 segments are looked up once however many writers share it.
 
-Taint propagation first computes, from the page and thread indexes alone
-(no segment I/O), a closed superset of the nodes the taint frontier can
-ever reach, then replays the in-memory policy over just those nodes in
-the causal order -- nodes outside the closure can neither become tainted
-nor taint a page, so restricting the replay preserves the result bit for
-bit.  When the closure floods (the frontier touches a majority of the
-run's *read* pages -- write-only pages never spread taint further) the
-engine stops expanding it and falls back to one sequential sweep of the
-run's segments: each segment is processed exactly once, which is the
-optimal access pattern for a query whose answer genuinely spans the run.
+Taint propagation first computes, from the in-memory indexes alone (no
+segment I/O), a closed superset of the nodes the taint frontier can ever
+reach -- readers of reached pages, the pages they wrote, to a fixpoint --
+then replays the in-memory policy over just those nodes in the causal
+order -- nodes outside the closure can neither become tainted nor taint a
+page, so restricting the replay preserves the result bit for bit.  When
+the closure floods (the frontier touches a majority of the run's *read*
+pages -- write-only pages never spread taint further) the engine stops
+expanding it and falls back to one sequential sweep of the run's
+segments: each segment is processed exactly once, which is the optimal
+access pattern for a query whose answer genuinely spans the run.
 
 Every segment read goes through the store's byte-budgeted decoded-segment
 cache (:mod:`repro.store.cache`), so repeated queries on a warm engine --
@@ -57,6 +58,7 @@ from repro.core.thunk import NodeId, SubComputation
 from repro.errors import CorruptSegmentError
 
 from repro.store.cache import ReadScope
+from repro.store.indexes import StoreIndexes
 from repro.store.segment import EdgeTuple
 from repro.store.store import ProvenanceStore
 
@@ -237,8 +239,7 @@ class StoreQueryEngine:
         payload = self._segment(self.store.indexes_for(run).segment_of(node_id))
         return payload.nodes[node_id]
 
-    def _edges_at(self, node_id: NodeId, forward: bool, run: int) -> List[EdgeTuple]:
-        indexes = self.store.indexes_for(run)
+    def _edges_at(self, node_id: NodeId, forward: bool, indexes: StoreIndexes) -> List[EdgeTuple]:
         segments = indexes.out_segments(node_id) if forward else indexes.in_segments(node_id)
         edges: List[EdgeTuple] = []
         for segment_id in segments:
@@ -267,7 +268,7 @@ class StoreQueryEngine:
         frontier = list(starts)
         while frontier:
             current = frontier.pop()
-            for source, target, kind, _ in self._edges_at(current, forward, run):
+            for source, target, kind, _ in self._edges_at(current, forward, indexes):
                 if allowed is not None and kind not in allowed:
                     continue
                 nxt = target if forward else source
@@ -435,13 +436,13 @@ class StoreQueryEngine:
         pattern (not the result) changes.
         """
         run_id = self.store.resolve_run(run)
+        indexes = self.store.indexes_for(run_id)
         sources = set(source_pages)
-        candidates = self._taint_candidates(sources, through_thread_state, run_id)
+        candidates = self._taint_candidates(sources, through_thread_state, indexes)
         if candidates is None:
             self.last_taint_mode = "sweep"
             return self._sweep_taint(sources, through_thread_state, run_id)
         self.last_taint_mode = "indexed"
-        indexes = self.store.indexes_for(run_id)
         order = sorted(candidates, key=indexes.causal_key)
         # The segments the replay needs are known up front from the node
         # index; scan them once and keep only the candidate *node
@@ -463,54 +464,46 @@ class StoreQueryEngine:
         return replay_taint(ordered, sources, through_thread_state=through_thread_state)
 
     def _taint_candidates(
-        self, source_pages: Set[int], through_thread_state: bool, run: int
+        self, source_pages: Set[int], through_thread_state: bool, indexes: StoreIndexes
     ) -> Optional[Set[NodeId]]:
         """Closed superset of the nodes taint can reach, from indexes alone.
 
-        Worklist fixpoint: every page and node is expanded exactly once, so
-        the closure is linear in its output rather than quadratic.  Returns
-        ``None`` when the page frontier floods past
-        :data:`TAINT_FLOOD_FRACTION` of the run's read pages -- the signal
-        to stop paying for the closure and sweep sequentially.
+        Expands in rounds of set operations: the readers of the pages new
+        in the last round, then the pages the new nodes wrote (the index's
+        write map), each minus what was already reached -- work linear in
+        the closure, not in the run.  Returns ``None`` when the reached
+        read pages flood past :data:`TAINT_FLOOD_FRACTION` of the run's
+        read pages -- the signal to sweep sequentially.  That count only
+        grows, so the decision is the closure's, whatever the order.
         """
-        indexes = self.store.indexes_for(run)
-        written_by: Dict[NodeId, Set[int]] = indexes.pages_written_by()
         # Only pages somebody *reads* spread taint further, so the flood
         # metric counts read-pages: write-only pages (e.g. final outputs)
         # grow the result but never the frontier.
-        readable = set(indexes.page_readers)
-        flood_at = len(readable) * TAINT_FLOOD_FRACTION
+        readers = indexes.page_readers
+        written = indexes.node_writes
+        flood_at = len(readers) * TAINT_FLOOD_FRACTION
         pages = set(source_pages)
-        reached = len(pages & readable)
-        if readable and reached > flood_at:
-            return None
+        reached = len(pages & readers.keys())
         candidates: Set[NodeId] = set()
-        page_frontier = list(pages)
-        node_frontier: List[NodeId] = []
-
-        def add_node(node_id: NodeId) -> None:
-            if node_id not in candidates:
-                candidates.add(node_id)
-                node_frontier.append(node_id)
-
-        while page_frontier or node_frontier:
-            while page_frontier:
-                page = page_frontier.pop()
-                for reader in indexes.readers_of_page(page):
-                    add_node(reader)
-            while node_frontier:
-                node_id = node_frontier.pop()
-                for page in written_by.get(node_id, ()):
-                    if page not in pages:
-                        pages.add(page)
-                        page_frontier.append(page)
-                        if page in readable:
-                            reached += 1
-                            if reached > flood_at:
-                                return None
-                if through_thread_state:
-                    for later in indexes.thread_nodes_from(node_id[0], node_id[1]):
-                        add_node(later)
+        new_pages = pages
+        while new_pages:
+            if reached > flood_at:
+                return None
+            new_nodes: Set[NodeId] = set()
+            for page in new_pages:
+                new_nodes.update(readers.get(page, ()))
+            new_nodes -= candidates
+            if through_thread_state:
+                for tid, index in list(new_nodes):
+                    new_nodes.update(indexes.thread_nodes_from(tid, index))
+                new_nodes -= candidates
+            candidates |= new_nodes
+            new_pages = set()
+            for node_id in new_nodes:
+                new_pages.update(written.get(node_id, ()))
+            new_pages -= pages
+            pages |= new_pages
+            reached += len(new_pages & readers.keys())
         return candidates
 
     def _sweep_taint(

@@ -23,6 +23,12 @@ executions it must be closed under data edges, equal a replay in a random
 linear extension of happens-before when no conflicting pair is
 concurrent, and give the same answer in memory, on an ``ingest`` store
 and on a store a sink streamed while the execution was recorded.
+
+The store answers taint from a candidate closure computed over its
+indexes in set-level rounds.  :func:`worklist_taint_candidates` is the
+earlier closure, a page and node worklist that inverts the writer index
+on every call; on both stores the engine's candidates, and its decision
+to give up on a flood, must equal the worklist's.
 """
 
 import contextlib
@@ -41,6 +47,7 @@ from repro.core.queries import find_racy_pairs, propagate_taint, replay_taint
 from repro.core.thunk import INPUT_NODE
 from repro.inspector.api import run_with_provenance
 from repro.store import ProvenanceStore, StoreQueryEngine, StoreSink
+from repro.store.query import TAINT_FLOOD_FRACTION
 from repro.workloads.registry import list_workloads
 
 MAX_THREADS = 6
@@ -121,6 +128,53 @@ def scan_reference(cpg):
         for page in node.write_set:
             writers_by_page[page].append(node_id)
     return {(source, target, frozenset(pages)) for (source, target), pages in pending.items()}
+
+
+def worklist_taint_candidates(indexes, source_pages, through_thread_state):
+    """The nodes taint can reach in a stored run, by a page and node worklist.
+
+    Inverts the writer index, then expands one page or one node at a time
+    until nothing new is reached.  Returns ``None`` as soon as the reached
+    read pages exceed :data:`TAINT_FLOOD_FRACTION` of the run's read pages.
+    """
+    written_by = defaultdict(set)
+    for page in indexes.page_writers:
+        for node_id in indexes.writers_of_page(page):
+            written_by[node_id].add(page)
+    readable = set(indexes.page_readers)
+    flood_at = len(readable) * TAINT_FLOOD_FRACTION
+    pages = set(source_pages)
+    reached = len(pages & readable)
+    if readable and reached > flood_at:
+        return None
+    candidates = set()
+    page_frontier = list(pages)
+    node_frontier = []
+
+    def add_node(node_id):
+        if node_id not in candidates:
+            candidates.add(node_id)
+            node_frontier.append(node_id)
+
+    while page_frontier or node_frontier:
+        while page_frontier:
+            page = page_frontier.pop()
+            for reader in indexes.readers_of_page(page):
+                add_node(reader)
+        while node_frontier:
+            node_id = node_frontier.pop()
+            for page in written_by.get(node_id, ()):
+                if page not in pages:
+                    pages.add(page)
+                    page_frontier.append(page)
+                    if page in readable:
+                        reached += 1
+                        if reached > flood_at:
+                            return None
+            if through_thread_state:
+                for later in indexes.thread_nodes_from(node_id[0], node_id[1]):
+                    add_node(later)
+    return candidates
 
 
 def derived_edges(cpg):
@@ -259,13 +313,15 @@ def record_barrier_case(taint_path=False, listener=None):
 
 @contextlib.contextmanager
 def recorded_in_stores(record_with):
-    """Record an execution into memory and two stores; yield ``(cpg, taint)``.
+    """Record an execution into memory and two stores; yield ``(cpg, taint, closures)``.
 
     ``record_with(sink)`` records the execution while a :class:`StoreSink`
     streams it into run 1; once data edges are derived, the finalized CPG
     is ingested as run 2.  ``taint(sources, through_thread_state)`` returns
     ``{path: (tainted nodes, tainted pages)}`` for the ``memory``,
-    ``sink`` and ``ingest`` paths.
+    ``sink`` and ``ingest`` paths; ``closures(sources,
+    through_thread_state)`` returns ``{path: (engine candidates, worklist
+    candidates)}`` for the two store paths.
     """
     with tempfile.TemporaryDirectory() as directory:
         store = ProvenanceStore.create(directory)
@@ -286,7 +342,20 @@ def recorded_in_stores(record_with):
                 for path, result in results.items()
             }
 
-        yield cpg, taint
+        def closures(sources, through_thread_state):
+            return {
+                path: (
+                    engine._taint_candidates(
+                        set(sources), through_thread_state, store.indexes_for(run)
+                    ),
+                    worklist_taint_candidates(
+                        store.indexes_for(run), sources, through_thread_state
+                    ),
+                )
+                for path, run in runs.items()
+            }
+
+        yield cpg, taint, closures
 
 
 def random_linear_extension(cpg, rng):
@@ -337,7 +406,7 @@ class TestTaintOracle:
         # leaves (2, 1) and page 3 untainted.
         with recorded_in_stores(
             lambda sink: record_barrier_case(taint_path=True, listener=sink)
-        ) as (cpg, taint):
+        ) as (cpg, taint, _):
             order = control_sync_order(cpg)
             assert order.index((2, 1)) < order.index((1, 2))
             answers = taint([0], through_thread_state=False)
@@ -347,7 +416,11 @@ class TestTaintOracle:
     @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None, max_examples=300)
     @given(executions(), st.randoms(use_true_random=False))
     def test_taint_is_closed_order_independent_and_equal_on_every_path(self, execution, rng):
-        with recorded_in_stores(lambda sink: record(execution, listener=sink)) as (cpg, taint):
+        with recorded_in_stores(lambda sink: record(execution, listener=sink)) as (
+            cpg,
+            taint,
+            _,
+        ):
             race_free = not find_racy_pairs(cpg)
             event("race-free" if race_free else "racy")
             extension = random_linear_extension(cpg, rng) if race_free else None
@@ -365,6 +438,20 @@ class TestTaintOracle:
                         )
                         assert (replayed.tainted_nodes, replayed.tainted_pages) == (nodes, pages)
                     assert answers["sink"] == answers["ingest"] == answers["memory"]
+
+    @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None, max_examples=300)
+    @given(executions())
+    def test_store_closure_equals_the_worklist_reference(self, execution):
+        with recorded_in_stores(lambda sink: record(execution, listener=sink)) as (
+            _,
+            _,
+            closures,
+        ):
+            for sources in [[page] for page in range(PAGES)] + [sorted(INPUT_PAGES)]:
+                for through_thread_state in (False, True):
+                    for engine, reference in closures(sources, through_thread_state).values():
+                        event("flood" if reference is None else "closure")
+                        assert engine == reference
 
 
 @pytest.mark.parametrize("workload", list_workloads())

@@ -17,7 +17,6 @@ import zlib
 import pytest
 
 from repro.core.cpg import EdgeKind
-from repro.core.serialization import node_key
 from repro.core.thunk import SubComputation
 from repro.core.vector_clock import VectorClock
 from repro.errors import StoreError
@@ -220,4 +219,4 @@ class TestMalformedFrames:
             server.close()
         store = ProvenanceStore.open(store_dir)
         assert len(store.manifest.segments_of_run(run)) == 1
-        assert store.indexes_for(run).page_writers[7] == [node_key((1, 0))]
+        assert store.indexes_for(run).writers_of_page(7) == [(1, 0)]

@@ -1,0 +1,142 @@
+"""The store's write map on every path that fills a run's indexes.
+
+:attr:`StoreIndexes.node_writes` (node id -> pages it wrote) is the
+inversion of the page-writer family, kept in memory only; the taint
+closure reads it instead of inverting the writer index per query.  Every
+path that builds a run's indexes must fill it: a sink stream, ``ingest``,
+a writable server's ``append_epoch``, a reopen that replays deltas, a
+reopen after ``compact`` (the base file is the only source), a rebuild
+after a torn index generation, and a second handle served by an
+:class:`IndexPinner`.  On each, the map must equal the inversion and the
+run's write sets, and store taint from every written page, in both modes,
+must equal the in-memory answer.  kmeans writes about one page per node;
+canneal's nodes write a dozen or more each.
+"""
+
+import os
+import shutil
+from collections import defaultdict
+
+import pytest
+
+from repro.core.queries import propagate_taint
+from repro.inspector.api import run_with_provenance
+from repro.store import ProvenanceStore, StoreQueryEngine, StoreServer
+from repro.store.cache import IndexPinner
+from repro.store.format import INDEX_DIR, index_delta_file_name, run_index_dir_name
+
+WORKLOADS = ("kmeans", "canneal")
+THREADS = 4
+
+
+@pytest.fixture(scope="module", params=WORKLOADS)
+def traced(request, tmp_path_factory):
+    """A small traced run streamed into a store: the traced result."""
+    store_dir = str(tmp_path_factory.mktemp(request.param))
+    return run_with_provenance(request.param, THREADS, size="small", store_path=store_dir)
+
+
+def copy_store(traced, tmp_path):
+    """A copy of the traced run's store directory, for paths that change it."""
+    copy = str(tmp_path / "copy")
+    shutil.copytree(traced.store.path, copy)
+    return copy
+
+
+def inverted_writers(indexes):
+    written = defaultdict(set)
+    for page, writers in indexes.page_writers.items():
+        for node_id in writers:
+            written[node_id].add(page)
+    return dict(written)
+
+
+def assert_write_map_and_taint(store, run, cpg):
+    indexes = store.indexes_for(run)
+    assert all(type(pages) is tuple for pages in indexes.node_writes.values())
+    written = {node_id: set(pages) for node_id, pages in indexes.node_writes.items()}
+    assert written == inverted_writers(indexes)
+    assert written == {
+        node.node_id: set(node.write_set) for node in cpg.subcomputations() if node.write_set
+    }
+    engine = StoreQueryEngine(store)
+    for page in indexes.page_writers:
+        for through_thread_state in (False, True):
+            stored = engine.propagate_taint([page], through_thread_state, run=run)
+            expected = propagate_taint(cpg, [page], through_thread_state)
+            assert (stored.tainted_nodes, stored.tainted_pages) == (
+                expected.tainted_nodes,
+                expected.tainted_pages,
+            ), (page, through_thread_state)
+
+
+def test_sink_stream(traced):
+    assert_write_map_and_taint(traced.store, traced.store_run_id, traced.cpg)
+
+
+def test_ingest(traced, tmp_path):
+    store = ProvenanceStore.create(str(tmp_path / "ingest"))
+    store.ingest(traced.cpg)
+    assert_write_map_and_taint(store, store.run_ids()[-1], traced.cpg)
+
+
+def test_writable_server_append_epoch(traced, tmp_path):
+    store_dir = str(tmp_path / "remote")
+    ProvenanceStore.create(store_dir)
+    server = StoreServer(store_dir, writable=True)
+    host, port = server.start()
+    try:
+        remote = run_with_provenance(
+            traced.workload, THREADS, size="small", store_url=f"store://{host}:{port}"
+        )
+        # The writer handle's indexes were filled epoch by epoch.
+        assert_write_map_and_taint(server._writer, remote.store_run_id, remote.cpg)
+    finally:
+        server.close()
+
+
+def test_reopen_replays_deltas(traced):
+    store = ProvenanceStore.open(traced.store.path)
+    info = store.manifest.run_info(traced.store_run_id)
+    assert info.index_base == 0 and info.index_deltas
+    assert_write_map_and_taint(store, traced.store_run_id, traced.cpg)
+
+
+def compacted_copy(traced, tmp_path):
+    """A copy of the store whose run index is one base file and no deltas."""
+    store_dir = copy_store(traced, tmp_path)
+    ProvenanceStore.open(store_dir).compact(segment_nodes=16)
+    info = ProvenanceStore.open(store_dir).manifest.run_info(traced.store_run_id)
+    assert info.index_base and not info.index_deltas
+    return store_dir
+
+
+def test_reopen_after_compact_loads_the_base_only(traced, tmp_path):
+    store = ProvenanceStore.open(compacted_copy(traced, tmp_path))
+    assert_write_map_and_taint(store, traced.store_run_id, traced.cpg)
+
+
+def test_rebuild_after_torn_generation(traced, tmp_path):
+    store_dir = copy_store(traced, tmp_path)
+    run = traced.store_run_id
+    info = ProvenanceStore.open(store_dir).manifest.run_info(run)
+    victim = os.path.join(
+        store_dir, INDEX_DIR, run_index_dir_name(run), index_delta_file_name(info.index_deltas[0])
+    )
+    with open(victim, "rb") as handle:
+        data = handle.read()
+    with open(victim, "wb") as handle:
+        handle.write(data[: len(data) // 2])
+    store = ProvenanceStore.open(store_dir)
+    assert store.indexes_for(run).needs_base  # rebuilt from the segments
+    assert_write_map_and_taint(store, run, traced.cpg)
+
+
+def test_second_handle_served_by_the_pinner(traced, tmp_path):
+    store_dir = compacted_copy(traced, tmp_path)
+    run = traced.store_run_id
+    pinner = IndexPinner()
+    first = ProvenanceStore.open(store_dir, index_pinner=pinner).indexes_for(run)
+    second = ProvenanceStore.open(store_dir, index_pinner=pinner)
+    assert second.indexes_for(run) is first and pinner.stats.hits == 1
+    assert_write_map_and_taint(second, run, traced.cpg)
