@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.core.cpg import ConcurrentProvenanceGraph, EdgeKind
-from repro.core.dependencies import writers_of_pages
-from repro.core.queries import find_racy_pairs, lineage_of_pages, schedule_of
+from repro.core.queries import find_racy_pairs, lineage_of_pages
 from repro.core.thunk import NodeId
 from repro.memory.layout import DEFAULT_PAGE_SIZE, page_id
 
@@ -48,8 +47,8 @@ class MemoryExplanation:
         """Thread ids that contributed to the questioned memory state."""
         return {tid for tid, _ in self.explanation if tid >= 0}
 
-    def summary_lines(self, cpg: ConcurrentProvenanceGraph) -> List[str]:
-        """Human-readable rendering used by the example script."""
+    def summary_lines(self, view) -> List[str]:
+        """Human-readable rendering used by the example script (``view``: the run view)."""
         lines = [
             f"pages under question      : {sorted(self.pages)}",
             f"direct writers            : {sorted(self.direct_writers)}",
@@ -57,34 +56,37 @@ class MemoryExplanation:
             f"sub-computations in slice : {len(self.explanation)}",
             f"suspicious concurrent accesses : {len(self.racy_pairs)}",
         ]
+        records = view.records(self.schedule)
         for node_id in self.schedule:
-            node = cpg.subcomputation(node_id)
-            lines.append(
-                f"  {node_id} started_by={node.started_by!r} ended_by={node.ended_by!r} "
-                f"reads={len(node.read_set)} writes={len(node.write_set)}"
-            )
+            if node_id in records:
+                node = records[node_id]
+                lines.append(
+                    f"  {node_id} started_by={node.started_by!r} ended_by={node.ended_by!r} "
+                    f"reads={len(node.read_set)} writes={len(node.write_set)}"
+                )
         return lines
 
 
 def explain_memory_state(
-    cpg: ConcurrentProvenanceGraph,
+    view,
     addresses: Iterable[int],
     page_size: int = DEFAULT_PAGE_SIZE,
 ) -> MemoryExplanation:
-    """Explain the final contents of ``addresses`` using the CPG.
+    """Explain the final contents of ``addresses`` using the provenance graph.
 
     Args:
-        cpg: A completed CPG with data edges derived.
+        view: The run view: a completed CPG with data edges derived, or a
+            stored run.
         addresses: Byte addresses the user is asking about.
         page_size: Page size the run used (provenance is page granular).
     """
     pages = {page_id(address, page_size) for address in addresses}
-    writers = writers_of_pages(cpg, pages)
-    explanation = lineage_of_pages(cpg, pages)
-    order = [node for node in schedule_of(cpg) if node in explanation]
+    writers = {node for page in pages for node in view.page_writers.get(page, ())}
+    explanation = lineage_of_pages(view, pages)
+    order = sorted((node for node in explanation if node[0] >= 0), key=view.causal_key)
     racy = [
         (a, b, conflict)
-        for a, b, conflict in find_racy_pairs(cpg)
+        for a, b, conflict in find_racy_pairs(view)
         if conflict & pages
     ]
     return MemoryExplanation(

@@ -89,14 +89,15 @@ class PolicyChecker:
 
     def check(
         self,
-        cpg: ConcurrentProvenanceGraph,
+        view,
         outputs: Sequence[OutputRecord],
         enforce: bool = False,
     ) -> DIFTReport:
         """Propagate taint and judge every output operation.
 
         Args:
-            cpg: The completed CPG of the run.
+            view: The run view (see :mod:`repro.core.queries`): the
+                completed CPG of the run, or the stored run.
             outputs: Output records collected by the backend.
             enforce: When true and the policy action is DENY, raise
                 :class:`PolicyViolationError` on the first violation.
@@ -104,7 +105,7 @@ class PolicyChecker:
         Returns:
             The full report (always, unless ``enforce`` raises first).
         """
-        taint = propagate_taint(cpg, self.policy.sensitive_pages, through_thread_state=True)
+        taint = propagate_taint(view, self.policy.sensitive_pages, through_thread_state=True)
         report = DIFTReport(policy=self.policy, taint=taint)
         for record in outputs:
             source_pages = set(record.source_pages)
@@ -112,10 +113,7 @@ class PolicyChecker:
             # An output is also suspicious if the emitting sub-computation
             # itself observed tainted data, even when no source addresses
             # were declared (conservative page-level policy).
-            emitting_node = (record.tid, record.subcomputation)
-            node_tainted = (
-                cpg.has_node(emitting_node) and taint.is_node_tainted(emitting_node)
-            )
+            node_tainted = taint.is_node_tainted((record.tid, record.subcomputation))
             tainted = bool(tainted_sources) or (not source_pages and node_tainted)
             report.sinks.append(
                 SinkReport(record=record, tainted=tainted, reason=tainted_sources)

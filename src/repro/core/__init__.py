@@ -9,11 +9,7 @@ Where this package sits in the whole reproduction: ``docs/architecture.md``.
 
 from repro.core.algorithm import ProvenanceTracker, TrackerStats
 from repro.core.cpg import ConcurrentProvenanceGraph, EdgeKind
-from repro.core.dependencies import (
-    derive_data_edges,
-    readers_of_pages,
-    writers_of_pages,
-)
+from repro.core.dependencies import derive_data_edges
 from repro.core.events import (
     BranchEvent,
     EventLog,
@@ -60,8 +56,6 @@ __all__ = [
     "ConcurrentProvenanceGraph",
     "EdgeKind",
     "derive_data_edges",
-    "readers_of_pages",
-    "writers_of_pages",
     "BranchEvent",
     "EventLog",
     "MemoryAccessEvent",

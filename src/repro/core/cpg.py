@@ -9,11 +9,16 @@ between write sets and read sets, ordered by happens-before).
 Every consumer that walks the graph in order -- data-edge derivation,
 taint, schedules, NUMA first touch, the store's ingest, compaction and
 taint replay -- uses one order, :func:`causal_key`.
+
+The graph is also a *run view* (see :mod:`repro.core.queries`): the
+queries and :func:`closure` read it through the same members a stored run
+provides, so each algorithm is written once.
 """
 
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, insort
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.thunk import INPUT_NODE, NodeId, SubComputation
@@ -47,6 +52,45 @@ def causal_key(node: SubComputation) -> Tuple[int, NodeId]:
     return (node.clock.total(), node.node_id)
 
 
+def happens_before(first: SubComputation, second: SubComputation) -> bool:
+    """Happens-before between two sub-computations, from their vector clocks."""
+    if first.tid == second.tid:
+        return first.index < second.index
+    return first.clock.happens_before(second.clock)
+
+
+def concurrent(first: SubComputation, second: SubComputation) -> bool:
+    """Whether two sub-computations are unordered by happens-before."""
+    return not happens_before(first, second) and not happens_before(second, first)
+
+
+def closure(
+    view, starts: Iterable[NodeId], kinds: Optional[Sequence[EdgeKind]], forward: bool
+) -> Set[NodeId]:
+    """Every node reachable from ``starts`` across edges of ``kinds`` (all when ``None``).
+
+    ``view`` is a run view (:mod:`repro.core.queries`): the in-memory graph
+    or a stored run.  The walk goes along edges when ``forward``, against
+    them otherwise.  One walk from every start at once: each reached node
+    is expanded once, however many starts share it.  A start is part of
+    the result only when another start reaches it.  An unknown start
+    raises the view's own error (its ``check_nodes``).
+    """
+    starts = set(starts)
+    view.check_nodes(starts)
+    allowed = tuple(kinds) if kinds is not None else None
+    neighbours = view.neighbours
+    seen: Set[NodeId] = set()
+    frontier = list(starts)
+    while frontier:
+        for nxt in neighbours(frontier.pop(), forward, allowed):
+            if nxt not in seen:
+                seen.add(nxt)
+                if nxt not in starts:
+                    frontier.append(nxt)
+    return seen
+
+
 class ConcurrentProvenanceGraph:
     """The CPG: sub-computations plus control/sync/data dependency edges.
 
@@ -54,6 +98,14 @@ class ConcurrentProvenanceGraph:
     program runs; data edges are usually derived afterwards (or at snapshot
     time) by :mod:`repro.core.dependencies`.  Edges are kept in one list
     per kind and, for the walks, in per-node incoming and outgoing lists.
+
+    Adding a node also files it in the page maps, the per-thread index
+    list and a causal rank map, the way the store's ``StoreIndexes`` fills
+    its own.  The maps read the node's access sets and clock once, at
+    :meth:`add_subcomputation`, so
+    every path adds complete nodes: the tracker when a sub-computation
+    ends, :func:`~repro.core.serialization.cpg_from_dict`,
+    ``ProvenanceStore.load_cpg`` and the process-granularity baseline.
     """
 
     def __init__(self) -> None:
@@ -61,6 +113,16 @@ class ConcurrentProvenanceGraph:
         self._edges: Dict[EdgeKind, List[Edge]] = {kind: [] for kind in EdgeKind}
         self._in: Dict[NodeId, List[Edge]] = {}
         self._out: Dict[NodeId, List[Edge]] = {}
+        #: page -> node ids that wrote it, in the order they were added
+        self.page_writers: Dict[int, List[NodeId]] = {}
+        #: page -> node ids that read it, in the order they were added
+        self.page_readers: Dict[int, List[NodeId]] = {}
+        #: node id -> sorted pages it wrote (absent if none)
+        self.node_writes: Dict[NodeId, Tuple[int, ...]] = {}
+        #: tid -> sorted sub-computation indexes of the thread
+        self._thread_indexes: Dict[int, List[int]] = {}
+        #: node id -> causal rank (the first part of its causal_key)
+        self._rank: Dict[NodeId, int] = {}
 
     # ------------------------------------------------------------------ #
     # Vertices
@@ -79,6 +141,14 @@ class ConcurrentProvenanceGraph:
         self._subcomputations[node_id] = node
         self._in[node_id] = []
         self._out[node_id] = []
+        if node.write_set:
+            self.node_writes[node_id] = tuple(sorted(node.write_set))
+        for page in node.write_set:
+            self.page_writers.setdefault(page, []).append(node_id)
+        for page in node.read_set:
+            self.page_readers.setdefault(page, []).append(node_id)
+        insort(self._thread_indexes.setdefault(node.tid, []), node.index)
+        self._rank[node_id] = node.clock.total()
         return node_id
 
     def subcomputation(self, node_id: NodeId) -> SubComputation:
@@ -102,7 +172,12 @@ class ConcurrentProvenanceGraph:
 
     def thread_nodes(self, tid: int) -> List[NodeId]:
         """Vertices of thread ``tid`` in execution order."""
-        return sorted(node for node in self._subcomputations if node[0] == tid)
+        return [(tid, index) for index in self._thread_indexes.get(tid, ())]
+
+    def thread_nodes_from(self, tid: int, index: int) -> List[NodeId]:
+        """Vertices ``(tid, i)`` with ``i >= index``, in execution order."""
+        indexes = self._thread_indexes.get(tid, [])
+        return [(tid, i) for i in indexes[bisect_left(indexes, index):]]
 
     def threads(self) -> List[int]:
         """Thread ids present in the graph (excluding the virtual input node)."""
@@ -165,19 +240,42 @@ class ConcurrentProvenanceGraph:
 
     def successors(self, node_id: NodeId, kind: Optional[EdgeKind] = None) -> List[NodeId]:
         """Direct successors of ``node_id`` reachable through edges of ``kind``."""
-        return [
-            target
-            for _, target, attrs in self._out.get(node_id, ())
-            if kind is None or attrs["kind"] is kind
-        ]
+        return self.neighbours(node_id, True, None if kind is None else (kind,))
 
     def predecessors(self, node_id: NodeId, kind: Optional[EdgeKind] = None) -> List[NodeId]:
         """Direct predecessors of ``node_id`` through edges of ``kind``."""
+        return self.neighbours(node_id, False, None if kind is None else (kind,))
+
+    # ------------------------------------------------------------------ #
+    # Run view (see repro.core.queries)
+    # ------------------------------------------------------------------ #
+
+    def check_nodes(self, node_ids: Iterable[NodeId]) -> None:
+        """Raise :class:`ProvenanceError` for the first id that is not a vertex."""
+        for node_id in node_ids:
+            if node_id not in self._subcomputations:
+                raise ProvenanceError(f"no sub-computation {node_id} in the CPG")
+
+    def neighbours(
+        self, node_id: NodeId, forward: bool, kinds: Optional[Iterable[EdgeKind]] = None
+    ) -> List[NodeId]:
+        """Vertices across ``node_id``'s out-edges (``forward``) or in-edges of ``kinds``."""
+        adjacency, end = (self._out, 1) if forward else (self._in, 0)
         return [
-            source
-            for source, _, attrs in self._in.get(node_id, ())
-            if kind is None or attrs["kind"] is kind
+            edge[end]
+            for edge in adjacency.get(node_id, ())
+            if kinds is None or edge[2]["kind"] in kinds
         ]
+
+    def causal_key(self, node_id: NodeId) -> Tuple[int, NodeId]:
+        """:func:`causal_key` of the vertex ``node_id``, from the rank kept at insertion."""
+        return (self._rank[node_id], node_id)
+
+    def records(self, node_ids: Optional[Iterable[NodeId]] = None) -> Dict[NodeId, SubComputation]:
+        """The sub-computations of ``node_ids`` (every vertex when ``None``)."""
+        if node_ids is None:
+            return dict(self._subcomputations)
+        return {node_id: self._subcomputations[node_id] for node_id in node_ids}
 
     # ------------------------------------------------------------------ #
     # Order and structure
@@ -201,52 +299,23 @@ class ConcurrentProvenanceGraph:
 
     def happens_before(self, first: NodeId, second: NodeId) -> bool:
         """Happens-before test using the recorded vector clocks."""
-        a = self.subcomputation(first)
-        b = self.subcomputation(second)
-        if a.tid == b.tid:
-            return a.index < b.index
-        return a.clock.happens_before(b.clock)
+        return happens_before(self.subcomputation(first), self.subcomputation(second))
 
     def concurrent(self, first: NodeId, second: NodeId) -> bool:
         """Whether two sub-computations are unordered by happens-before."""
-        return not self.happens_before(first, second) and not self.happens_before(second, first)
+        return concurrent(self.subcomputation(first), self.subcomputation(second))
 
     def topological_order(self) -> List[NodeId]:
         """Every vertex in the causal order (:func:`causal_key`)."""
-        return [node.node_id for node in sorted(self._subcomputations.values(), key=causal_key)]
+        return sorted(self._subcomputations, key=self.causal_key)
 
     def ancestors(self, *node_ids: NodeId, kinds: Optional[Sequence[EdgeKind]] = None) -> Set[NodeId]:
         """Every vertex from which any of ``node_ids`` is reachable through edges of ``kinds``."""
-        return self._closure(node_ids, kinds, forward=False)
+        return closure(self, node_ids, kinds, forward=False)
 
     def descendants(self, *node_ids: NodeId, kinds: Optional[Sequence[EdgeKind]] = None) -> Set[NodeId]:
         """Every vertex reachable from any of ``node_ids`` through edges of ``kinds``."""
-        return self._closure(node_ids, kinds, forward=True)
-
-    def _closure(
-        self, starts: Iterable[NodeId], kinds: Optional[Sequence[EdgeKind]], forward: bool
-    ) -> Set[NodeId]:
-        # One walk from every start at once: each reached vertex is
-        # expanded once, however many starts share it.
-        starts = set(starts)
-        for node_id in starts:
-            if node_id not in self._subcomputations:
-                raise ProvenanceError(f"no sub-computation {node_id} in the CPG")
-        allowed = set(kinds) if kinds is not None else None
-        adjacency, end = (self._out, 1) if forward else (self._in, 0)
-        seen: Set[NodeId] = set()
-        frontier = list(starts)
-        while frontier:
-            current = frontier.pop()
-            for edge in adjacency[current]:
-                if allowed is not None and edge[2]["kind"] not in allowed:
-                    continue
-                nxt = edge[end]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    if nxt not in starts:
-                        frontier.append(nxt)
-        return seen
+        return closure(self, node_ids, kinds, forward=True)
 
     # ------------------------------------------------------------------ #
     # Summary

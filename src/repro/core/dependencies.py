@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.core.cpg import ConcurrentProvenanceGraph, causal_key
 from repro.core.thunk import INPUT_TID, NodeId, SubComputation
@@ -127,23 +127,3 @@ def _maximal_writers(
         chosen = [other for other in chosen if writer.clock.get(other.tid) <= other.index]
         chosen.append(writer)
     return chosen
-
-
-def readers_of_pages(cpg: ConcurrentProvenanceGraph, pages: Iterable[int]) -> Set[NodeId]:
-    """Return every sub-computation whose read set intersects ``pages``."""
-    wanted = set(pages)
-    return {
-        node.node_id
-        for node in cpg.subcomputations()
-        if node.read_set & wanted
-    }
-
-
-def writers_of_pages(cpg: ConcurrentProvenanceGraph, pages: Iterable[int]) -> Set[NodeId]:
-    """Return every sub-computation whose write set intersects ``pages``."""
-    wanted = set(pages)
-    return {
-        node.node_id
-        for node in cpg.subcomputations()
-        if node.write_set & wanted
-    }

@@ -1,19 +1,43 @@
-"""Provenance queries over the Concurrent Provenance Graph.
+"""Provenance queries over a run: the in-memory CPG or a stored run.
 
 These are the operations the paper's case studies (§VIII) need: backward
 and forward slices ("why does this memory look like this" for debugging),
 lineage of particular pages, taint propagation for dynamic information-flow
-tracking, and simple structural statistics.
+tracking, racy pairs, and simple structural statistics.
+
+Each query is written once, against a *run view*.  Two implementations
+exist: the in-memory :class:`~repro.core.cpg.ConcurrentProvenanceGraph`,
+and ``repro.store.query.StoredRun``, which answers from a stored run's
+indexes and reads node records and edges from its segments.  A view
+provides:
+
+* ``check_nodes(ids)`` -- raises the view's own error for an unknown id
+  (:class:`~repro.errors.ProvenanceError` in memory,
+  :class:`~repro.errors.StoreError` for a stored run);
+* ``neighbours(node, forward, kinds)`` -- the node ids across the node's
+  out-edges (``forward``) or in-edges of ``kinds`` (all kinds when
+  ``None``);
+* ``page_writers`` and ``page_readers`` -- page -> node ids that wrote /
+  read it;
+* ``node_writes`` -- node id -> the pages it wrote (absent if none);
+* ``causal_key(node_id)`` -- the node's
+  :func:`~repro.core.cpg.causal_key`;
+* ``thread_nodes_from(tid, index)`` -- node ids ``(tid, i)`` with
+  ``i >= index``, in execution order;
+* ``records(ids)`` -- node id -> sub-computation for ``ids``, or for
+  every node when ``ids`` is ``None``.  A stored run leaves out the nodes
+  of a quarantined segment and records the segment in its read scope.
+
+The page maps and the thread lists answer from memory on both views;
+``neighbours`` and ``records`` are what a stored run reads segments for.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.cpg import ConcurrentProvenanceGraph, EdgeKind
-from repro.core.dependencies import writers_of_pages
+from repro.core.cpg import ConcurrentProvenanceGraph, EdgeKind, closure, concurrent
 from repro.core.thunk import NodeId
 
 #: Edge kinds that carry provenance by default (control stays within a
@@ -21,9 +45,13 @@ from repro.core.thunk import NodeId
 #: data edges move data).
 DEFAULT_SLICE_KINDS = (EdgeKind.DATA, EdgeKind.CONTROL, EdgeKind.SYNC)
 
+#: Fraction of a run's read pages the taint frontier may reach before
+#: :func:`taint_candidates` gives up and taint replays every node.
+TAINT_FLOOD_FRACTION = 0.5
+
 
 def backward_slice(
-    cpg: ConcurrentProvenanceGraph,
+    view,
     node_id: NodeId,
     kinds: Sequence[EdgeKind] = (EdgeKind.DATA,),
     include_start: bool = True,
@@ -31,32 +59,32 @@ def backward_slice(
     """Return every sub-computation that ``node_id`` (transitively) depends on.
 
     Args:
-        cpg: The provenance graph (data edges must already be derived).
+        view: The run view (data edges must already be derived).
         node_id: The sub-computation being explained.
         kinds: Edge kinds to follow (data-only by default, i.e. a pure
             dataflow slice).
         include_start: Whether the starting node is part of the result.
     """
-    result = cpg.ancestors(node_id, kinds=kinds)
+    result = closure(view, (node_id,), kinds, forward=False)
     if include_start:
         result.add(node_id)
     return result
 
 
 def forward_slice(
-    cpg: ConcurrentProvenanceGraph,
+    view,
     node_id: NodeId,
     kinds: Sequence[EdgeKind] = (EdgeKind.DATA,),
     include_start: bool = True,
 ) -> Set[NodeId]:
     """Return every sub-computation (transitively) influenced by ``node_id``."""
-    result = cpg.descendants(node_id, kinds=kinds)
+    result = closure(view, (node_id,), kinds, forward=True)
     if include_start:
         result.add(node_id)
     return result
 
 
-def lineage_of_pages(cpg: ConcurrentProvenanceGraph, pages: Iterable[int]) -> Set[NodeId]:
+def lineage_of_pages(view, pages: Iterable[int]) -> Set[NodeId]:
     """Explain the final contents of ``pages``.
 
     Returns the sub-computations that wrote any of the pages plus everything
@@ -65,8 +93,10 @@ def lineage_of_pages(cpg: ConcurrentProvenanceGraph, pages: Iterable[int]) -> Se
     walk from all the writers at once expands each ancestor once, however
     many writers share it.
     """
-    writers = writers_of_pages(cpg, pages)
-    return writers | cpg.ancestors(*writers, kinds=(EdgeKind.DATA,))
+    writers: Set[NodeId] = set()
+    for page in pages:
+        writers.update(view.page_writers.get(page, ()))
+    return writers | closure(view, writers, (EdgeKind.DATA,), forward=False)
 
 
 @dataclass
@@ -77,11 +107,14 @@ class TaintResult:
         tainted_nodes: Sub-computations that observed tainted data.
         tainted_pages: Pages that (transitively) carry tainted data.
         source_pages: The original taint sources.
+        flooded: Whether the candidate closure flooded, so the replay
+            went over every node of the run (not part of equality).
     """
 
     tainted_nodes: Set[NodeId] = field(default_factory=set)
     tainted_pages: Set[int] = field(default_factory=set)
     source_pages: Set[int] = field(default_factory=set)
+    flooded: bool = field(default=False, compare=False)
 
     def is_node_tainted(self, node_id: NodeId) -> bool:
         """Whether ``node_id`` observed tainted data."""
@@ -100,10 +133,8 @@ def replay_taint(
     """Replay the page-level taint policy over ``(node_id, sub-computation)``
     pairs in a linear extension of the happens-before order.
 
-    This is the single definition of the DIFT policy: both the in-memory
-    :func:`propagate_taint` and the store's out-of-core
-    ``StoreQueryEngine.propagate_taint`` replay through it, which is what
-    keeps their results interchangeable.
+    This is the single definition of the DIFT policy; :func:`propagate_taint`
+    replays through it on every run view.
     """
     result = TaintResult(source_pages=set(source_pages))
     result.tainted_pages = set(result.source_pages)
@@ -123,8 +154,58 @@ def replay_taint(
     return result
 
 
+def taint_candidates(
+    view, source_pages: Iterable[int], through_thread_state: bool
+) -> Optional[Set[NodeId]]:
+    """Closed superset of the nodes taint can reach, from the page maps alone.
+
+    Expands in rounds of set operations: the readers of the pages new in
+    the last round, then the pages the new nodes wrote (``node_writes``),
+    each minus what was already reached -- work linear in the closure, not
+    in the run.  With ``through_thread_state`` a tainted node taints the
+    rest of its thread, so each round adds, per thread, the nodes from its
+    earliest new node on.  Returns ``None`` when the reached read pages
+    flood past :data:`TAINT_FLOOD_FRACTION` of the run's read pages.  That
+    count only grows, so the decision is the closure's, whatever the
+    order.
+    """
+    # Only pages somebody *reads* spread taint further, so the flood
+    # metric counts read-pages: write-only pages (e.g. final outputs)
+    # grow the result but never the frontier.
+    readers = view.page_readers
+    written = view.node_writes
+    flood_at = len(readers) * TAINT_FLOOD_FRACTION
+    pages = set(source_pages)
+    reached = len(pages & readers.keys())
+    candidates: Set[NodeId] = set()
+    new_pages = pages
+    while new_pages:
+        if reached > flood_at:
+            return None
+        new_nodes: Set[NodeId] = set()
+        for page in new_pages:
+            new_nodes.update(readers.get(page, ()))
+        new_nodes -= candidates
+        if through_thread_state:
+            earliest: Dict[int, int] = {}
+            for tid, index in new_nodes:
+                if index < earliest.get(tid, index + 1):
+                    earliest[tid] = index
+            for tid, index in earliest.items():
+                new_nodes.update(view.thread_nodes_from(tid, index))
+            new_nodes -= candidates
+        candidates |= new_nodes
+        new_pages = set()
+        for node_id in new_nodes:
+            new_pages.update(written.get(node_id, ()))
+        new_pages -= pages
+        pages |= new_pages
+        reached += len(new_pages & readers.keys())
+    return candidates
+
+
 def propagate_taint(
-    cpg: ConcurrentProvenanceGraph,
+    view,
     source_pages: Iterable[int],
     through_thread_state: bool = False,
 ) -> TaintResult:
@@ -134,8 +215,14 @@ def propagate_taint(
     page it subsequently writes becomes tainted as well (the conservative
     page-level policy of the DIFT case study).
 
+    The replay runs over :func:`taint_candidates` only: a node outside that
+    closure can neither become tainted nor taint a page, so the result is
+    the whole-run replay's, bit for bit.  When the closure floods, the
+    replay goes over every node (one sequential sweep of a stored run's
+    segments) and the result says ``flooded``.
+
     Args:
-        cpg: The provenance graph.
+        view: The run view.
         source_pages: Initially tainted pages (usually the input pages).
         through_thread_state: When true, a thread that once observed
             tainted data keeps carrying the taint in its registers/stack,
@@ -143,8 +230,13 @@ def propagate_taint(
             well.  This is the conservative setting the DIFT policy checker
             uses; the default keeps taint strictly page-carried.
     """
-    ordered = ((node_id, cpg.subcomputation(node_id)) for node_id in cpg.topological_order())
-    return replay_taint(ordered, source_pages, through_thread_state=through_thread_state)
+    sources = set(source_pages)
+    candidates = taint_candidates(view, sources, through_thread_state)
+    records = view.records(candidates)
+    ordered = ((node_id, records[node_id]) for node_id in sorted(records, key=view.causal_key))
+    result = replay_taint(ordered, sources, through_thread_state=through_thread_state)
+    result.flooded = candidates is None
+    return result
 
 
 def schedule_of(cpg: ConcurrentProvenanceGraph) -> List[NodeId]:
@@ -178,56 +270,7 @@ def graph_statistics(cpg: ConcurrentProvenanceGraph) -> Dict[str, float]:
     }
 
 
-@dataclass
-class PageAccessIndex:
-    """Inverted index mapping each page to the sub-computations touching it.
-
-    Built once per graph (O(sum of access-set sizes)); the persistent store
-    serializes the same structure as its page index, so in-memory analyses
-    and out-of-core queries share one definition of "who touched this page".
-
-    Attributes:
-        writers: page -> node ids whose write set contains the page,
-            sorted by ``(tid, index)``.
-        readers: page -> node ids whose read set contains the page,
-            sorted by ``(tid, index)``.
-    """
-
-    writers: Dict[int, List[NodeId]] = field(default_factory=dict)
-    readers: Dict[int, List[NodeId]] = field(default_factory=dict)
-
-    def writers_of(self, page: int) -> List[NodeId]:
-        """Node ids that wrote ``page`` (empty when nothing did)."""
-        return self.writers.get(page, [])
-
-    def readers_of(self, page: int) -> List[NodeId]:
-        """Node ids that read ``page`` (empty when nothing did)."""
-        return self.readers.get(page, [])
-
-    def accessors_of(self, page: int) -> Set[NodeId]:
-        """Every node id that read or wrote ``page``."""
-        return set(self.writers_of(page)) | set(self.readers_of(page))
-
-    def pages(self) -> Set[int]:
-        """Every page with at least one recorded access."""
-        return set(self.writers) | set(self.readers)
-
-
-def build_page_index(cpg: ConcurrentProvenanceGraph) -> PageAccessIndex:
-    """Build the page -> accessors inverted index over every vertex of ``cpg``
-    (including the virtual input node, whose write set is the program input)."""
-    writers: Dict[int, List[NodeId]] = defaultdict(list)
-    readers: Dict[int, List[NodeId]] = defaultdict(list)
-    for node_id in cpg.nodes():
-        node = cpg.subcomputation(node_id)
-        for page in node.write_set:
-            writers[page].append(node_id)
-        for page in node.read_set:
-            readers[page].append(node_id)
-    return PageAccessIndex(writers=dict(writers), readers=dict(readers))
-
-
-def find_racy_pairs(cpg: ConcurrentProvenanceGraph) -> List[tuple]:
+def find_racy_pairs(view) -> List[tuple]:
     """Return pairs of concurrent sub-computations with conflicting page accesses.
 
     Two sub-computations conflict when they are unordered by happens-before
@@ -237,18 +280,20 @@ def find_racy_pairs(cpg: ConcurrentProvenanceGraph) -> List[tuple]:
 
     Instead of testing every node pair (quadratic in the graph size, with a
     reachability test per pair), candidate pairs are generated from the
-    page -> accessors inverted index: only pairs that actually share a page
-    with at least one writer are checked for concurrency.  The accessor set
-    is built once per page (not per writer), and pages that cannot yield a
-    pair -- a single accessor, or all real accessors on one thread -- are
-    skipped before any pairing work.
+    page maps: only pairs that actually share a page with at least one
+    writer are checked for concurrency.  The accessor set is built once
+    per page (not per writer), and pages that cannot yield a pair -- a
+    single accessor, or all real accessors on one thread -- are skipped
+    before any pairing work.  Only the candidates' records are read; a
+    pair whose record a stored run could not read (a quarantined segment,
+    recorded in its scope) is left out.
     """
-    index = build_page_index(cpg)
     candidates: Set[Tuple[NodeId, NodeId]] = set()
-    for page, writers in index.writers.items():
-        if len(writers) == 1 and not index.readers_of(page):
+    for page, writers in view.page_writers.items():
+        readers = view.page_readers.get(page, ())
+        if len(writers) == 1 and not readers:
             continue  # the lone accessor cannot race with itself
-        accessors = index.accessors_of(page)
+        accessors = set(writers) | set(readers)
         if len({node[0] for node in accessors if node[0] >= 0}) < 2:
             continue  # a race needs two distinct real threads on the page
         for writer in writers:
@@ -258,14 +303,17 @@ def find_racy_pairs(cpg: ConcurrentProvenanceGraph) -> List[tuple]:
                 if other == writer or other[0] < 0 or other[0] == writer[0]:
                     continue
                 candidates.add((min(writer, other), max(writer, other)))
+    records = view.records({node_id for pair in candidates for node_id in pair})
     racy = []
     for a, b in sorted(candidates):
-        sub_a = cpg.subcomputation(a)
-        sub_b = cpg.subcomputation(b)
+        if a not in records or b not in records:
+            continue
+        sub_a = records[a]
+        sub_b = records[b]
         writes_conflict = (
             (sub_a.write_set & (sub_b.read_set | sub_b.write_set))
             or (sub_b.write_set & sub_a.read_set)
         )
-        if writes_conflict and cpg.concurrent(a, b):
+        if writes_conflict and concurrent(sub_a, sub_b):
             racy.append((a, b, frozenset(writes_conflict)))
     return racy

@@ -13,8 +13,11 @@ that question into a CI-style gate:
 * :func:`check_against_baseline` replays the same queries against a
   candidate run and reduces the comparison to a :class:`GateReport`
   whose page-level diffs are built on the store's own
-  :func:`~repro.store.query.diff_lineage` and the in-memory
+  :func:`~repro.store.query.diff_lineage` and
   :func:`~repro.core.queries.find_racy_pairs`.
+
+Racy pairs are found on the stored run itself, which reads only the
+segments that hold candidate nodes; the gate never loads a whole run.
 
 ``python -m repro.store check <store> --baseline <run-or-name>`` drives
 the report from the command line and exits non-zero on drift, which is
@@ -39,8 +42,9 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.queries import find_racy_pairs
 from repro.core.serialization import node_key, parse_node_key
-from repro.errors import StoreError
+from repro.errors import CorruptSegmentError, StoreError
 
+from repro.store.cache import ReadScope
 from repro.store.format import INDEX_DIR
 from repro.store.query import StoreQueryEngine, diff_lineage, normalize_pages
 from repro.store.store import ProvenanceStore
@@ -81,6 +85,26 @@ def _canonical_racy_pairs(pairs: Iterable[tuple]) -> List[List]:
         first, second = sorted((node_key(a), node_key(b)))
         canonical.add((first, second, tuple(sorted(pages))))
     return [[a, b, list(pages)] for a, b, pages in sorted(canonical)]
+
+
+def _racy_pairs(store: ProvenanceStore, run_id: int) -> List[List]:
+    """The run's canonical racy pairs, read from its candidates' segments.
+
+    Raises:
+        CorruptSegmentError: A segment holding a candidate node is
+            quarantined or corrupt.  Without both records a pair can be
+            neither confirmed nor ruled out, so there is no verdict.
+    """
+    scope = ReadScope()
+    pairs = find_racy_pairs(StoreQueryEngine(store, scope=scope).run_view(run_id))
+    if scope.quarantined_segments:
+        segment_id = min(scope.quarantined_segments)
+        raise CorruptSegmentError(
+            f"racy pairs of run {run_id} need quarantined segment {segment_id}",
+            segment_id=segment_id,
+            quarantined=True,
+        )
+    return _canonical_racy_pairs(pairs)
 
 
 def baselines_dir(store: ProvenanceStore) -> str:
@@ -231,8 +255,8 @@ def bless_baseline(
             iterables.  Defaults to one singleton set per page the run
             touched, which covers the whole run at page granularity.
         name: Baseline name; defaults to ``run-<id>``.
-        include_racy: Also record the run's racy pairs (materializes the
-            full graph once, like the debugging report does).
+        include_racy: Also record the run's racy pairs (reads the
+            segments that hold candidate nodes).
         meta: Free-form metadata stored with the baseline.
 
     The baseline is *not* persisted; call
@@ -260,11 +284,7 @@ def bless_baseline(
             "taint_pages": sorted(taint.tainted_pages),
             "taint_nodes": sorted(node_key(node) for node in taint.tainted_nodes),
         }
-    racy = (
-        _canonical_racy_pairs(find_racy_pairs(store.load_cpg(run_id)))
-        if include_racy
-        else None
-    )
+    racy = _racy_pairs(store, run_id) if include_racy else None
     run_info = store.manifest.run_info(run_id)
     return ProvenanceBaseline(
         name=resolved_name,
@@ -497,7 +517,7 @@ def check_against_baseline(
                 f"baseline {resolved.name!r} recorded no racy pairs; "
                 f"re-bless it without --no-racy to gate on races"
             )
-        candidate_racy = _canonical_racy_pairs(find_racy_pairs(store.load_cpg(candidate)))
+        candidate_racy = _racy_pairs(store, candidate)
         blessed = {tuple(pair[:2]) + (tuple(pair[2]),) for pair in resolved.racy_pairs}
         observed = {tuple(pair[:2]) + (tuple(pair[2]),) for pair in candidate_racy}
         report.racy_checked = True

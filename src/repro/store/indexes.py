@@ -16,8 +16,9 @@ tuples (``"tid:index"`` strings belong to the wire format only):
   :func:`~repro.core.cpg.causal_key`; taint replay and compaction sort by
   :meth:`StoreIndexes.causal_key`, so every ingest path yields the same
   order as the in-memory graph.
-* **pages** -- page -> writer/reader node ids (the same inverted index
-  :func:`repro.core.queries.build_page_index` computes in memory).
+* **pages** -- page -> writer/reader node ids (the same maps the
+  in-memory :class:`~repro.core.cpg.ConcurrentProvenanceGraph` keeps, so
+  both are run views for :mod:`repro.core.queries`).
 * **threads** -- thread id -> its sub-computation indexes and segments.
 * **sync** -- synchronization object id -> recorded release->acquire
   edges as ``(source, target, operation, segment)`` tuples.

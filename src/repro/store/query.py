@@ -2,9 +2,14 @@
 
 :class:`StoreQueryEngine` answers the same questions as
 :mod:`repro.core.queries` -- backward/forward slices, page lineage, taint
-propagation -- but against a :class:`~repro.store.store.ProvenanceStore`,
-loading only the segments the secondary indexes select instead of
-materializing the whole graph.
+propagation, racy pairs -- against a
+:class:`~repro.store.store.ProvenanceStore`, loading only the segments the
+secondary indexes select instead of materializing the whole graph.  It
+does so by running the very same functions: :class:`StoredRun` is a
+stored run as a *run view* (the protocol :mod:`repro.core.queries`
+documents), and each engine query is one call on
+:meth:`StoreQueryEngine.run_view`.  The algorithms exist once; only how a
+view reaches a node's edges and records differs.
 
 Every query is answered **within one run** (node ids are only unique per
 run); the ``run`` argument defaults to the store's only run and must be
@@ -14,29 +19,17 @@ run, and :meth:`StoreQueryEngine.compare_lineage` diffs the lineage of a
 page between two runs -- the longitudinal "what changed between yesterday's
 run and today's" query the multi-run store exists for.
 
-Every query returns exactly what the in-memory functions return on the
-stored CPG, whichever path wrote the run (``ingest``, a streaming sink,
-or a server).  Taint replays in the causal order both sides share
-(:func:`repro.core.cpg.causal_key`; the index keeps each node's rank), so
-racy executions agree as well.
-
-Slices walk the edge-segment index (node -> segments holding its in-/out-
-edges), so a slice confined to one corner of the graph touches only the
-segments of that corner.  Lineage is the pages' writers plus one backward
-walk over data edges started from all of them at once, so each ancestor's
-segments are looked up once however many writers share it.
-
-Taint propagation first computes, from the in-memory indexes alone (no
-segment I/O), a closed superset of the nodes the taint frontier can ever
-reach -- readers of reached pages, the pages they wrote, to a fixpoint --
-then replays the in-memory policy over just those nodes in the causal
-order -- nodes outside the closure can neither become tainted nor taint a
-page, so restricting the replay preserves the result bit for bit.  When
-the closure floods (the frontier touches a majority of the run's *read*
-pages -- write-only pages never spread taint further) the engine stops
-expanding it and falls back to one sequential sweep of the run's
-segments: each segment is processed exactly once, which is the optimal
-access pattern for a query whose answer genuinely spans the run.
+A stored run's page maps, write map, causal key and thread lists are its
+:class:`~repro.store.indexes.StoreIndexes`, all in memory.  Its
+``neighbours`` walk the edge-segment index (node -> segments holding its
+in-/out-edges), so a slice or lineage confined to one corner of the graph
+touches only the segments of that corner.  Its ``records`` read each
+needed segment once: taint replays over the candidate closure
+(:func:`~repro.core.queries.taint_candidates`, computed from the indexes
+with no segment I/O) and reads only the candidates' segments, falling
+back to one sequential sweep of the run's segments when the closure
+floods -- the optimal access pattern for an answer that spans the run.
+Racy pairs read only the segments that hold candidate nodes.
 
 Every segment read goes through the store's byte-budgeted decoded-segment
 cache (:mod:`repro.store.cache`), so repeated queries on a warm engine --
@@ -52,19 +45,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.core import queries
 from repro.core.cpg import EdgeKind
-from repro.core.queries import TaintResult, replay_taint
+from repro.core.queries import TAINT_FLOOD_FRACTION, TaintResult  # noqa: F401 (re-exported)
 from repro.core.thunk import NodeId, SubComputation
 from repro.errors import CorruptSegmentError
 
 from repro.store.cache import ReadScope
-from repro.store.indexes import StoreIndexes
-from repro.store.segment import EdgeTuple
 from repro.store.store import ProvenanceStore
-
-#: Fraction of a run's read pages the taint frontier may reach before the
-#: engine abandons the index closure for one sequential segment sweep.
-TAINT_FLOOD_FRACTION = 0.5
 
 
 # ---------------------------------------------------------------------- #
@@ -158,6 +146,96 @@ class LineageDiff:
         return not self.only_a and not self.only_b
 
 
+class StoredRun:
+    """One stored run as a run view (see :mod:`repro.core.queries`).
+
+    The page maps, write map, causal key and thread lists are the run's
+    :class:`~repro.store.indexes.StoreIndexes`; edges and node records
+    come from the run's segments, read through the store's decoded-segment
+    cache.  Set-valued answers degrade instead of aborting: a quarantined
+    or corrupt segment is skipped, the skip is recorded in ``scope``
+    (``degraded`` / ``quarantined_segments``), and the rest of the answer
+    comes from the healthy segments -- the single-store analogue of the
+    cluster's partial fan-out with its ``missing_shards``.
+
+    Args:
+        store: The store holding the run.
+        run: The run id (already resolved).
+        scope: Optional per-query read accounting.
+    """
+
+    def __init__(self, store: ProvenanceStore, run: int, scope: Optional[ReadScope] = None) -> None:
+        self.store = store
+        self.run = run
+        self.scope = scope
+        self.indexes = store.indexes_for(run)
+        self.page_writers = self.indexes.page_writers
+        self.page_readers = self.indexes.page_readers
+        self.node_writes = self.indexes.node_writes
+        self.causal_key = self.indexes.causal_key
+        self.thread_nodes_from = self.indexes.thread_nodes_from
+
+    def check_nodes(self, node_ids: Iterable[NodeId]) -> None:
+        """Raise :class:`~repro.errors.StoreError` for the first unknown id."""
+        for node_id in node_ids:
+            self.indexes.segment_of(node_id)
+
+    def _segment_or_none(self, segment_id: int):
+        """One segment's payload, or ``None`` (recorded in the scope) when it is damaged."""
+        try:
+            return self.store.segment(segment_id, scope=self.scope)
+        except CorruptSegmentError as exc:
+            if self.scope is not None:
+                self.scope.record_quarantined(
+                    (segment_id if exc.segment_id is None else exc.segment_id,)
+                )
+            return None
+
+    def neighbours(
+        self, node_id: NodeId, forward: bool, kinds: Optional[Iterable[EdgeKind]] = None
+    ) -> List[NodeId]:
+        """Nodes across ``node_id``'s out-edges (``forward``) or in-edges of ``kinds``."""
+        segments = self.indexes.out_segments(node_id) if forward else self.indexes.in_segments(node_id)
+        found: List[NodeId] = []
+        for segment_id in segments:
+            payload = self._segment_or_none(segment_id)
+            if payload is None:
+                continue
+            grouped = payload.edges_by_source if forward else payload.edges_by_target
+            for source, target, kind, _ in grouped.get(node_id, ()):
+                if kinds is None or kind in kinds:
+                    found.append(target if forward else source)
+        return found
+
+    def records(self, node_ids: Optional[Iterable[NodeId]] = None) -> Dict[NodeId, SubComputation]:
+        """Node id -> sub-computation for ``node_ids`` (every node when ``None``).
+
+        Each segment is read once, and only the wanted records are kept,
+        so a query decodes each segment at most once even when its nodes
+        outgrow the cache budget.  A quarantined segment's nodes are left
+        out.
+        """
+        wanted: Optional[Dict[int, List[NodeId]]] = None
+        if node_ids is None:
+            segment_ids = [info.segment_id for info in self.store.manifest.segments_of_run(self.run)]
+        else:
+            wanted = {}
+            for node_id in node_ids:
+                wanted.setdefault(self.indexes.segment_of(node_id), []).append(node_id)
+            segment_ids = list(wanted)
+        found: Dict[NodeId, SubComputation] = {}
+        for segment_id in segment_ids:
+            payload = self._segment_or_none(segment_id)
+            if payload is None:
+                continue
+            if wanted is None:
+                found.update(payload.nodes)
+            else:
+                for node_id in wanted[segment_id]:
+                    found[node_id] = payload.nodes[node_id]
+        return found
+
+
 class StoreQueryEngine:
     """Indexed queries over one provenance store (any number of runs).
 
@@ -192,91 +270,14 @@ class StoreQueryEngine:
     # Node access
     # ------------------------------------------------------------------ #
 
-    def _segment(self, segment_id: int):
-        return self.store.segment(segment_id, scope=self.scope)
-
-    def _note_quarantined(self, segment_ids: Iterable[int]) -> None:
-        if self.scope is not None:
-            self.scope.record_quarantined(segment_ids)
-
-    def _segment_or_none(self, segment_id: int):
-        """One segment's payload, or ``None`` when it is quarantined/corrupt.
-
-        Set-valued queries (slices, lineage, taint) degrade instead of
-        aborting: a damaged segment is skipped, the skip is recorded in
-        the engine's scope (``degraded`` / ``quarantined_segments``), and
-        the rest of the answer comes from the healthy segments -- the
-        single-store analogue of the cluster's partial fan-out with its
-        ``missing_shards``.  Point lookups (:meth:`subcomputation`) still
-        raise the typed :class:`~repro.errors.CorruptSegmentError`: there
-        is no partial answer to a question about one specific node.
-        """
-        if self.store.is_quarantined(segment_id):
-            self._note_quarantined((segment_id,))
-            return None
-        try:
-            return self._segment(segment_id)
-        except CorruptSegmentError as exc:
-            self._note_quarantined(
-                (segment_id if exc.segment_id is None else exc.segment_id,)
-            )
-            return None
-
-    def _iter_payloads(self, segment_ids: Sequence[int]):
-        """Yield ``(segment_id, payload)`` for each healthy segment, once each.
-
-        Payloads are handed out one at a time, so a scan's resident set is
-        whatever the caller keeps plus what the byte-budgeted cache
-        retains, even when the scanned segments exceed the cache budget.
-        """
-        for segment_id in dict.fromkeys(segment_ids):
-            payload = self._segment_or_none(segment_id)
-            if payload is not None:
-                yield segment_id, payload
+    def run_view(self, run: Optional[int] = None) -> StoredRun:
+        """``run`` as a run view for :mod:`repro.core.queries`, reading through this engine's scope."""
+        return StoredRun(self.store, self.store.resolve_run(run), self.scope)
 
     def subcomputation(self, node_id: NodeId, run: Optional[int] = None) -> SubComputation:
-        """Load the sub-computation stored at ``node_id`` of ``run``."""
-        payload = self._segment(self.store.indexes_for(run).segment_of(node_id))
-        return payload.nodes[node_id]
-
-    def _edges_at(self, node_id: NodeId, forward: bool, indexes: StoreIndexes) -> List[EdgeTuple]:
-        segments = indexes.out_segments(node_id) if forward else indexes.in_segments(node_id)
-        edges: List[EdgeTuple] = []
-        for segment_id in segments:
-            payload = self._segment_or_none(segment_id)
-            if payload is None:
-                continue
-            grouped = payload.edges_by_source if forward else payload.edges_by_target
-            edges.extend(grouped.get(node_id, ()))
-        return edges
-
-    def _closure(
-        self,
-        starts: Iterable[NodeId],
-        kinds: Optional[Sequence[EdgeKind]],
-        forward: bool,
-        run: int,
-    ) -> Set[NodeId]:
-        # Mirrors ConcurrentProvenanceGraph._closure, but expands through
-        # the edge-segment index instead of an in-memory adjacency list.
-        indexes = self.store.indexes_for(run)
-        starts = set(starts)
-        for node_id in starts:
-            indexes.segment_of(node_id)  # raises for unknown nodes
-        allowed = set(kinds) if kinds is not None else None
-        seen: Set[NodeId] = set()
-        frontier = list(starts)
-        while frontier:
-            current = frontier.pop()
-            for source, target, kind, _ in self._edges_at(current, forward, indexes):
-                if allowed is not None and kind not in allowed:
-                    continue
-                nxt = target if forward else source
-                if nxt not in seen:
-                    seen.add(nxt)
-                    if nxt not in starts:
-                        frontier.append(nxt)
-        return seen
+        """Load the sub-computation stored at ``node_id`` of ``run`` (a damaged segment raises)."""
+        segment_id = self.store.indexes_for(run).segment_of(node_id)
+        return self.store.segment(segment_id, scope=self.scope).nodes[node_id]
 
     # ------------------------------------------------------------------ #
     # Slices
@@ -290,11 +291,7 @@ class StoreQueryEngine:
         run: Optional[int] = None,
     ) -> Set[NodeId]:
         """Every sub-computation ``node_id`` transitively depends on (in ``run``)."""
-        run_id = self.store.resolve_run(run)
-        result = self._closure((node_id,), kinds, forward=False, run=run_id)
-        if include_start:
-            result.add(node_id)
-        return result
+        return queries.backward_slice(self.run_view(run), node_id, kinds, include_start)
 
     def forward_slice(
         self,
@@ -304,24 +301,11 @@ class StoreQueryEngine:
         run: Optional[int] = None,
     ) -> Set[NodeId]:
         """Every sub-computation transitively influenced by ``node_id`` (in ``run``)."""
-        run_id = self.store.resolve_run(run)
-        result = self._closure((node_id,), kinds, forward=True, run=run_id)
-        if include_start:
-            result.add(node_id)
-        return result
+        return queries.forward_slice(self.run_view(run), node_id, kinds, include_start)
 
     def lineage_of_pages(self, pages: Iterable[int], run: Optional[int] = None) -> Set[NodeId]:
-        """Writers of ``pages`` plus everything they depend on through data edges.
-
-        One backward walk from all the writers at once: every ancestor is
-        expanded once, however many writers share it.
-        """
-        run_id = self.store.resolve_run(run)
-        indexes = self.store.indexes_for(run_id)
-        writers: Set[NodeId] = set()
-        for page in pages:
-            writers.update(indexes.writers_of_page(page))
-        return writers | self._closure(writers, (EdgeKind.DATA,), forward=False, run=run_id)
+        """Writers of ``pages`` plus everything they depend on through data edges."""
+        return queries.lineage_of_pages(self.run_view(run), pages)
 
     # ------------------------------------------------------------------ #
     # Cross-run queries
@@ -426,103 +410,11 @@ class StoreQueryEngine:
     ) -> TaintResult:
         """Page-granularity taint propagation, replayed out of core.
 
-        Matches :func:`repro.core.queries.propagate_taint` on the stored
-        graph (see the module docstring for why restricting the replay to
-        the index-computed closure is exact).  When the closure floods --
-        taint reaches a majority of the run's read pages -- the engine
-        early-exits to one sequential sweep of the run's segments instead
-        of finishing the fixpoint and re-reading segments node by node;
-        the replay policy is identical either way, so only the access
-        pattern (not the result) changes.
+        :func:`repro.core.queries.propagate_taint` on the stored run: the
+        replay reads only the candidate closure's segments, or sweeps the
+        run's segments once when the closure floods (see
+        :attr:`last_taint_mode`).
         """
-        run_id = self.store.resolve_run(run)
-        indexes = self.store.indexes_for(run_id)
-        sources = set(source_pages)
-        candidates = self._taint_candidates(sources, through_thread_state, indexes)
-        if candidates is None:
-            self.last_taint_mode = "sweep"
-            return self._sweep_taint(sources, through_thread_state, run_id)
-        self.last_taint_mode = "indexed"
-        order = sorted(candidates, key=indexes.causal_key)
-        # The segments the replay needs are known up front from the node
-        # index; scan them once and keep only the candidate *node
-        # records* -- the replay needs them all anyway, while each
-        # payload's edge maps are dropped as the scan moves on, so each
-        # segment is decoded at most once per query even when the
-        # closure outgrows the cache budget.
-        wanted: Dict[int, List[NodeId]] = {}
-        for node_id in order:
-            wanted.setdefault(indexes.segment_of(node_id), []).append(node_id)
-        records: Dict[NodeId, SubComputation] = {}
-        for segment_id, payload in self._iter_payloads(list(wanted)):
-            for node_id in wanted[segment_id]:
-                records[node_id] = payload.nodes[node_id]
-        # A quarantined segment drops its nodes from the replay (the scope
-        # reports the answer as degraded); every healthy node still plays
-        # in the causal order.
-        ordered = ((node_id, records[node_id]) for node_id in order if node_id in records)
-        return replay_taint(ordered, sources, through_thread_state=through_thread_state)
-
-    def _taint_candidates(
-        self, source_pages: Set[int], through_thread_state: bool, indexes: StoreIndexes
-    ) -> Optional[Set[NodeId]]:
-        """Closed superset of the nodes taint can reach, from indexes alone.
-
-        Expands in rounds of set operations: the readers of the pages new
-        in the last round, then the pages the new nodes wrote (the index's
-        write map), each minus what was already reached -- work linear in
-        the closure, not in the run.  Returns ``None`` when the reached
-        read pages flood past :data:`TAINT_FLOOD_FRACTION` of the run's
-        read pages -- the signal to sweep sequentially.  That count only
-        grows, so the decision is the closure's, whatever the order.
-        """
-        # Only pages somebody *reads* spread taint further, so the flood
-        # metric counts read-pages: write-only pages (e.g. final outputs)
-        # grow the result but never the frontier.
-        readers = indexes.page_readers
-        written = indexes.node_writes
-        flood_at = len(readers) * TAINT_FLOOD_FRACTION
-        pages = set(source_pages)
-        reached = len(pages & readers.keys())
-        candidates: Set[NodeId] = set()
-        new_pages = pages
-        while new_pages:
-            if reached > flood_at:
-                return None
-            new_nodes: Set[NodeId] = set()
-            for page in new_pages:
-                new_nodes.update(readers.get(page, ()))
-            new_nodes -= candidates
-            if through_thread_state:
-                for tid, index in list(new_nodes):
-                    new_nodes.update(indexes.thread_nodes_from(tid, index))
-                new_nodes -= candidates
-            candidates |= new_nodes
-            new_pages = set()
-            for node_id in new_nodes:
-                new_pages.update(written.get(node_id, ()))
-            new_pages -= pages
-            pages |= new_pages
-            reached += len(new_pages & readers.keys())
-        return candidates
-
-    def _sweep_taint(
-        self, source_pages: Set[int], through_thread_state: bool, run: int
-    ) -> TaintResult:
-        """Replay the taint policy over one scan of the run's segments.
-
-        Nodes are sorted by
-        :meth:`~repro.store.indexes.StoreIndexes.causal_key` (an index
-        lookup, no extra I/O), whatever order the segments hold them in,
-        so the replay is the in-memory one.  The scan goes through the
-        decoded-segment cache -- on a warm engine the flood fallback costs
-        no decode at all -- and each segment is processed exactly once.
-        """
-        indexes = self.store.indexes_for(run)
-        segment_ids = [info.segment_id for info in self.store.manifest.segments_of_run(run)]
-        records: Dict[NodeId, SubComputation] = {}
-        for _, payload in self._iter_payloads(segment_ids):
-            records.update(payload.nodes)
-        order = sorted(records, key=indexes.causal_key)
-        ordered = ((node_id, records[node_id]) for node_id in order)
-        return replay_taint(ordered, source_pages, through_thread_state=through_thread_state)
+        result = queries.propagate_taint(self.run_view(run), source_pages, through_thread_state)
+        self.last_taint_mode = "sweep" if result.flooded else "indexed"
+        return result

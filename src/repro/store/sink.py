@@ -50,13 +50,9 @@ class StoreSink:
     Args:
         store: The destination store (may already hold other runs).
         segment_nodes: Epoch length -- sub-computations per sealed segment.
-        flush_every_epochs: How often the store state is committed.  1
-            (the default) makes every committed epoch durable; a flush
-            appends one O(epoch) index delta file and commits through one
-            O(epoch) record appended to the segment log -- the flush cost
-            does not grow with the run or the store.  Raising it amortizes the per-record
-            overhead when mid-run durability matters less than ingest
-            throughput.  ``finish`` always flushes.
+            Every sealed epoch is flushed: one O(epoch) index delta file
+            and one O(epoch) record appended to the segment log, so the
+            flush cost does not grow with the run or the store.
         workload: Workload name recorded in the minted run's manifest entry.
         run_meta: Initial run metadata (config, wall-clock args, ...);
             merged with whatever ``finish`` supplies.
@@ -66,17 +62,13 @@ class StoreSink:
         self,
         store: ProvenanceStore,
         segment_nodes: int = DEFAULT_SEGMENT_NODES,
-        flush_every_epochs: int = 1,
         workload: str = "",
         run_meta: Optional[dict] = None,
     ) -> None:
         if segment_nodes <= 0:
             raise ValueError(f"segment_nodes must be positive, got {segment_nodes}")
-        if flush_every_epochs <= 0:
-            raise ValueError(f"flush_every_epochs must be positive, got {flush_every_epochs}")
         self.store = store
         self.segment_nodes = segment_nodes
-        self.flush_every_epochs = flush_every_epochs
         self.workload = workload
         self.run_meta = dict(run_meta or {})
         self.epochs_committed = 0
@@ -115,11 +107,10 @@ class StoreSink:
             self.commit_epoch()
 
     def commit_epoch(self) -> Optional[int]:
-        """Seal the current buffer into a segment; returns its id (or None).
+        """Seal the current buffer into a segment and flush; returns its id (or None).
 
-        The manifest and indexes are flushed every ``flush_every_epochs``
-        epochs (default: every epoch), so the store stays readable -- up to
-        the last flushed epoch -- even if the traced process dies mid-run.
+        Every epoch is flushed, so the store stays readable -- up to the
+        last sealed epoch -- even if the traced process dies mid-run.
         """
         if not self._nodes and not self._edges:
             return None
@@ -127,8 +118,7 @@ class StoreSink:
         self._nodes = []
         self._edges = []
         self.epochs_committed += 1
-        if self.epochs_committed % self.flush_every_epochs == 0:
-            self.store.flush()
+        self.store.flush()
         return segment_id
 
     def finish(

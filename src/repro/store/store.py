@@ -1392,11 +1392,12 @@ class ProvenanceStore:
         references (superseded by a fold, or strays from a crashed
         flush/compaction), crashed-rename scratch files, and stale
         compaction spill directories.  Only maintenance
-        operations sweep (never :meth:`open`): a streaming sink with
-        ``flush_every_epochs > 1`` legitimately leaves committed segment
-        files briefly ahead of the manifest, and sweeping on every open
-        would race it.  Running compact/gc concurrently with an active
-        ingest is documented as unsupported.
+        operations sweep (never :meth:`open`): :meth:`append_segment`
+        writes a segment file before the flush that names it, so a live
+        writer legitimately keeps segment files briefly ahead of the
+        manifest, and sweeping on every open would race it.  Running
+        compact/gc concurrently with an active ingest is documented as
+        unsupported.
         """
         freed = 0
 

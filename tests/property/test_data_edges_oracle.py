@@ -22,13 +22,17 @@ Taint replays the page policy in the causal order.  Over the same
 executions it must be closed under data edges, equal a replay in a random
 linear extension of happens-before when no conflicting pair is
 concurrent, and give the same answer in memory, on an ``ingest`` store
-and on a store a sink streamed while the execution was recorded.
+and on a store a sink streamed while the execution was recorded.  Every
+path replays only a candidate closure, so a replay of the policy over
+every node of the graph in the causal order is the reference for all of
+them, racy draws included.
 
-The store answers taint from a candidate closure computed over its
-indexes in set-level rounds.  :func:`worklist_taint_candidates` is the
-earlier closure, a page and node worklist that inverts the writer index
-on every call; on both stores the engine's candidates, and its decision
-to give up on a flood, must equal the worklist's.
+Both the graph and the stores answer taint from a candidate closure
+computed over the page maps in set-level rounds.
+:func:`worklist_taint_candidates` is the earlier closure, a page and node
+worklist that inverts the writer index on every call; on both stores the
+closure, and its decision to give up on a flood, must equal the
+worklist's.
 """
 
 import contextlib
@@ -43,7 +47,7 @@ from hypothesis import strategies as st
 from repro.core.algorithm import ProvenanceTracker
 from repro.core.cpg import EdgeKind
 from repro.core.dependencies import derive_data_edges
-from repro.core.queries import find_racy_pairs, propagate_taint, replay_taint
+from repro.core.queries import find_racy_pairs, propagate_taint, replay_taint, taint_candidates
 from repro.core.thunk import INPUT_NODE
 from repro.inspector.api import run_with_provenance
 from repro.store import ProvenanceStore, StoreQueryEngine, StoreSink
@@ -345,9 +349,7 @@ def recorded_in_stores(record_with):
         def closures(sources, through_thread_state):
             return {
                 path: (
-                    engine._taint_candidates(
-                        set(sources), through_thread_state, store.indexes_for(run)
-                    ),
+                    taint_candidates(engine.run_view(run), set(sources), through_thread_state),
                     worklist_taint_candidates(
                         store.indexes_for(run), sources, through_thread_state
                     ),
@@ -428,6 +430,12 @@ class TestTaintOracle:
                 for through_thread_state in (False, True):
                     answers = taint([page], through_thread_state)
                     nodes, pages = answers["memory"]
+                    whole = replay_taint(
+                        ((node, cpg.subcomputation(node)) for node in cpg.topological_order()),
+                        [page],
+                        through_thread_state,
+                    )
+                    assert (whole.tainted_nodes, whole.tainted_pages) == (nodes, pages)
                     for source, target, _ in cpg.edges(EdgeKind.DATA):
                         assert source not in nodes or target in nodes
                     if extension is not None:

@@ -5,7 +5,8 @@ so sync, control, *and* data edges plus racy structure all appear) are
 recorded through the tracker, ingested into a store, and read back: the
 round trip must preserve every vertex and every edge with its attributes,
 and the out-of-core query engine must return exactly what the in-memory
-query functions return on the same graph.
+query functions return on the same graph.  Racy pairs on the stored run
+must equal the in-memory answer and the brute-force pair scan.
 """
 
 import os
@@ -18,6 +19,7 @@ from repro.core.cpg import EdgeKind
 from repro.core.queries import (
     DEFAULT_SLICE_KINDS,
     backward_slice,
+    find_racy_pairs,
     forward_slice,
     lineage_of_pages,
     propagate_taint,
@@ -25,6 +27,7 @@ from repro.core.queries import (
 from repro.store import ProvenanceStore, StoreQueryEngine
 
 from helpers.executions import random_cpg
+from tests.unit.test_store import _reference_racy_pairs
 
 
 def canonical_edges(cpg):
@@ -96,6 +99,9 @@ class TestStoreRoundTripProperties:
             assert engine.backward_slice(node_id, kinds=DEFAULT_SLICE_KINDS) == backward_slice(
                 cpg, node_id, kinds=DEFAULT_SLICE_KINDS
             )
+        racy = find_racy_pairs(cpg)
+        assert racy == _reference_racy_pairs(cpg)
+        assert find_racy_pairs(engine.run_view()) == racy
         starts = cpg.nodes()[::3]
         for walk in (cpg.ancestors, cpg.descendants):
             # One walk from many starts reaches what a walk from each reaches.

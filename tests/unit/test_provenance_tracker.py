@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.algorithm import ProvenanceTracker
 from repro.core.cpg import ConcurrentProvenanceGraph, EdgeKind
-from repro.core.dependencies import derive_data_edges, readers_of_pages, writers_of_pages
+from repro.core.dependencies import derive_data_edges
 from repro.core.queries import (
     backward_slice,
     find_racy_pairs,
@@ -319,8 +319,8 @@ class TestDataDependencyDerivation:
 
     def test_readers_and_writers_of_pages(self):
         _, cpg = build_lock_example()
-        assert T2A in readers_of_pages(cpg, [100])
-        assert T1A in writers_of_pages(cpg, [100])
+        assert T2A in cpg.page_readers[100]
+        assert T1A in cpg.page_writers[100]
 
     def test_derive_is_idempotent_on_edge_count(self):
         tracker, cpg = build_lock_example()

@@ -11,7 +11,6 @@ from repro.core.dependencies import derive_data_edges
 from repro.core.queries import (
     DEFAULT_SLICE_KINDS,
     backward_slice,
-    build_page_index,
     find_racy_pairs,
     forward_slice,
     lineage_of_pages,
@@ -349,7 +348,7 @@ class TestStoreQueryEngine:
     def test_lineage_matches_in_memory(self, stored):
         cpg, store = stored
         engine = StoreQueryEngine(store)
-        pages = sorted(build_page_index(cpg).pages())
+        pages = sorted(cpg.page_writers.keys() | cpg.page_readers.keys())
         assert engine.lineage_of_pages(pages[:2]) == lineage_of_pages(cpg, pages[:2])
 
     def test_taint_matches_in_memory(self, stored):
@@ -555,18 +554,27 @@ def _reference_racy_pairs(cpg):
     return racy
 
 
+def _stored_racy_pairs(cpg, tmp_path):
+    """:func:`find_racy_pairs` on ``cpg`` ingested into a store, three nodes a segment."""
+    store = ProvenanceStore.create(str(tmp_path / "racy"))
+    store.ingest(cpg, segment_nodes=3)
+    return find_racy_pairs(StoreQueryEngine(store).run_view())
+
+
 class TestFindRacyPairsIndexed:
-    def test_matches_reference_on_race_free_graph(self):
+    def test_matches_reference_on_race_free_graph(self, tmp_path):
         cpg = build_example_cpg()
         assert find_racy_pairs(cpg) == _reference_racy_pairs(cpg) == []
+        assert _stored_racy_pairs(cpg, tmp_path) == []
 
-    def test_matches_reference_on_racy_graph(self):
+    def test_matches_reference_on_racy_graph(self, tmp_path):
         cpg = build_example_cpg(racy=True)
         result = find_racy_pairs(cpg)
         assert result == _reference_racy_pairs(cpg)
         assert result, "the racy example must actually race"
+        assert _stored_racy_pairs(cpg, tmp_path) == result
 
-    def test_matches_reference_on_unsynchronized_writers(self):
+    def test_matches_reference_on_unsynchronized_writers(self, tmp_path):
         tracker = ProvenanceTracker()
         tracker.on_thread_start(1)
         tracker.on_thread_start(2)
@@ -575,16 +583,16 @@ class TestFindRacyPairsIndexed:
         cpg = tracker.finalize()
         assert find_racy_pairs(cpg) == _reference_racy_pairs(cpg)
         assert len(find_racy_pairs(cpg)) == 1
+        assert _stored_racy_pairs(cpg, tmp_path) == find_racy_pairs(cpg)
 
     def test_page_index_covers_all_accesses(self):
         cpg = build_example_cpg()
-        index = build_page_index(cpg)
         for node_id in cpg.nodes():
             node = cpg.subcomputation(node_id)
             for page in node.write_set:
-                assert node_id in index.writers_of(page)
+                assert node_id in cpg.page_writers[page]
             for page in node.read_set:
-                assert node_id in index.readers_of(page)
+                assert node_id in cpg.page_readers[page]
 
 
 # ---------------------------------------------------------------------- #

@@ -46,7 +46,7 @@ def stream_epochs(store_dir, epochs=5, nodes_per_epoch=4, finish=False):
     """
     store = ProvenanceStore.open_or_create(store_dir)
     sink = StoreSink(
-        store, segment_nodes=nodes_per_epoch, flush_every_epochs=1, workload="synthetic"
+        store, segment_nodes=nodes_per_epoch, workload="synthetic"
     )
     for position in range(epochs * nodes_per_epoch):
         node = make_node(1, position, reads={position % 7}, writes={100 + position})

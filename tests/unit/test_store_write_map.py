@@ -11,6 +11,14 @@ after a torn index generation, and a second handle served by an
 run's write sets, and store taint from every written page, in both modes,
 must equal the in-memory answer.  kmeans writes about one page per node;
 canneal's nodes write a dozen or more each.
+
+The in-memory graph keeps the same maps (``page_writers``,
+``page_readers``, ``node_writes``) and a per-thread index list, filled as
+nodes are added, so the queries run on either.  On every path that builds
+a graph -- the tracker, ``cpg_from_dict``, ``load_cpg`` and the
+process-granularity collapse -- they must equal the inversion of the
+nodes' read and write sets, and for a stored run they must equal the
+run's index maps.
 """
 
 import os
@@ -19,7 +27,9 @@ from collections import defaultdict
 
 import pytest
 
+from repro.baselines.process_prov import collapse_to_process_granularity
 from repro.core.queries import propagate_taint
+from repro.core.serialization import cpg_from_dict, cpg_to_dict
 from repro.inspector.api import run_with_provenance
 from repro.store import ProvenanceStore, StoreQueryEngine, StoreServer
 from repro.store.cache import IndexPinner
@@ -140,3 +150,51 @@ def test_second_handle_served_by_the_pinner(traced, tmp_path):
     second = ProvenanceStore.open(store_dir, index_pinner=pinner)
     assert second.indexes_for(run) is first and pinner.stats.hits == 1
     assert_write_map_and_taint(second, run, traced.cpg)
+
+
+def assert_graph_maps(cpg):
+    """The graph's page maps and thread lists equal the inversion of its nodes."""
+    writers, readers, threads = defaultdict(list), defaultdict(list), defaultdict(list)
+    for node in cpg.subcomputations():
+        for page in node.write_set:
+            writers[page].append(node.node_id)
+        for page in node.read_set:
+            readers[page].append(node.node_id)
+        threads[node.tid].append(node.node_id)
+    assert {page: sorted(ids) for page, ids in cpg.page_writers.items()} == {
+        page: sorted(ids) for page, ids in writers.items()
+    }
+    assert {page: sorted(ids) for page, ids in cpg.page_readers.items()} == {
+        page: sorted(ids) for page, ids in readers.items()
+    }
+    assert cpg.node_writes == {
+        node.node_id: tuple(sorted(node.write_set))
+        for node in cpg.subcomputations()
+        if node.write_set
+    }
+    for tid, node_ids in threads.items():
+        assert cpg.thread_nodes(tid) == sorted(node_ids)
+        assert cpg.thread_nodes_from(tid, 1) == sorted(node_ids)[1:]
+
+
+def test_graph_maps_on_every_graph_building_path(traced):
+    assert_graph_maps(traced.cpg)
+    assert_graph_maps(cpg_from_dict(cpg_to_dict(traced.cpg)))
+    assert_graph_maps(traced.store.load_cpg(run=traced.store_run_id))
+    assert_graph_maps(collapse_to_process_granularity(traced.cpg))
+
+
+def test_graph_maps_equal_the_stored_run_indexes(traced):
+    cpg = traced.cpg
+    indexes = traced.store.indexes_for(traced.store_run_id)
+    for graph_map, index_map in (
+        (cpg.page_writers, indexes.page_writers),
+        (cpg.page_readers, indexes.page_readers),
+    ):
+        assert {page: sorted(ids) for page, ids in graph_map.items()} == {
+            page: sorted(ids) for page, ids in index_map.items()
+        }
+    assert cpg.node_writes == indexes.node_writes
+    assert {node_id[0] for node_id in cpg.nodes()} == set(indexes.thread_indexes)
+    for tid in indexes.thread_indexes:
+        assert cpg.thread_nodes(tid) == indexes.thread_nodes_from(tid, 0)
