@@ -12,6 +12,7 @@ unordered by happens-before.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
@@ -117,11 +118,7 @@ def compare_schedules(
     }
 
 
-def blame_threads(cpg: ConcurrentProvenanceGraph, pages: Sequence[int]) -> Dict[int, int]:
-    """Count, per thread, how many sub-computations wrote the given pages."""
-    wanted = set(pages)
-    blame: Dict[int, int] = {}
-    for node in cpg.subcomputations():
-        if node.tid >= 0 and node.write_set & wanted:
-            blame[node.tid] = blame.get(node.tid, 0) + 1
-    return blame
+def blame_threads(view, pages: Sequence[int]) -> Dict[int, int]:
+    """Count, per thread, how many sub-computations wrote the given pages (any run view)."""
+    writers = {node for page in pages for node in view.page_writers.get(page, ())}
+    return dict(Counter(tid for tid, _ in writers if tid >= 0))

@@ -101,8 +101,7 @@ class ConcurrentProvenanceGraph:
 
     Adding a node also files it in the page maps, the per-thread index
     list and a causal rank map, the way the store's ``StoreIndexes`` fills
-    its own.  The maps read the node's access sets and clock once, at
-    :meth:`add_subcomputation`, so
+    its own.  The maps read the node's access sets and clock once, so
     every path adds complete nodes: the tracker when a sub-computation
     ends, :func:`~repro.core.serialization.cpg_from_dict`,
     ``ProvenanceStore.load_cpg`` and the process-granularity baseline.
@@ -290,9 +289,8 @@ class ConcurrentProvenanceGraph:
         go forward in one order has no cycle.  A hand-built graph whose
         clocks contradict its edges fails the check even without a cycle.
         """
-        keys = {node_id: causal_key(node) for node_id, node in self._subcomputations.items()}
         return all(
-            keys[source] < keys[target]
+            self.causal_key(source) < self.causal_key(target)
             for edges in self._edges.values()
             for source, target, _ in edges
         )

@@ -93,9 +93,7 @@ def lineage_of_pages(view, pages: Iterable[int]) -> Set[NodeId]:
     walk from all the writers at once expands each ancestor once, however
     many writers share it.
     """
-    writers: Set[NodeId] = set()
-    for page in pages:
-        writers.update(view.page_writers.get(page, ()))
+    writers = {node_id for page in pages for node_id in view.page_writers.get(page, ())}
     return writers | closure(view, writers, (EdgeKind.DATA,), forward=False)
 
 

@@ -17,7 +17,9 @@ that question into a CI-style gate:
   :func:`~repro.core.queries.find_racy_pairs`.
 
 Racy pairs are found on the stored run itself, which reads only the
-segments that hold candidate nodes; the gate never loads a whole run.
+segments that hold candidate nodes; the gate never loads a whole run,
+and raises :class:`~repro.errors.CorruptSegmentError` rather than give
+a verdict on answers that skipped a quarantined segment.
 
 ``python -m repro.store check <store> --baseline <run-or-name>`` drives
 the report from the command line and exits non-zero on drift, which is
@@ -87,24 +89,19 @@ def _canonical_racy_pairs(pairs: Iterable[tuple]) -> List[List]:
     return [[a, b, list(pages)] for a, b, pages in sorted(canonical)]
 
 
-def _racy_pairs(store: ProvenanceStore, run_id: int) -> List[List]:
-    """The run's canonical racy pairs, read from its candidates' segments.
+def _require_intact(scope: ReadScope, run_id: int) -> None:
+    """Raise :class:`CorruptSegmentError` if the gate's queries skipped a damaged segment.
 
-    Raises:
-        CorruptSegmentError: A segment holding a candidate node is
-            quarantined or corrupt.  Without both records a pair can be
-            neither confirmed nor ruled out, so there is no verdict.
+    The store's queries degrade past one; a gate must not bless or judge
+    a partial lineage, taint or racy-pair answer.
     """
-    scope = ReadScope()
-    pairs = find_racy_pairs(StoreQueryEngine(store, scope=scope).run_view(run_id))
     if scope.quarantined_segments:
         segment_id = min(scope.quarantined_segments)
         raise CorruptSegmentError(
-            f"racy pairs of run {run_id} need quarantined segment {segment_id}",
+            f"run {run_id} needs quarantined segment {segment_id} for an exact answer",
             segment_id=segment_id,
             quarantined=True,
         )
-    return _canonical_racy_pairs(pairs)
 
 
 def baselines_dir(store: ProvenanceStore) -> str:
@@ -261,6 +258,10 @@ def bless_baseline(
 
     The baseline is *not* persisted; call
     :meth:`ProvenanceBaseline.save` for that.
+
+    Raises:
+        CorruptSegmentError: A segment the fingerprints need is
+            quarantined or corrupt.
     """
     run_id = store.resolve_run(run)
     if pages is None:
@@ -274,7 +275,7 @@ def bless_baseline(
         raise StoreError(
             f"baseline name {resolved_name!r} must be alphanumeric with ._- only"
         )
-    engine = StoreQueryEngine(store)
+    engine = StoreQueryEngine(store, scope=ReadScope())
     fingerprints: Dict[str, dict] = {}
     for page_set in page_sets:
         lineage = engine.lineage_of_pages(page_set, run=run_id)
@@ -284,7 +285,12 @@ def bless_baseline(
             "taint_pages": sorted(taint.tainted_pages),
             "taint_nodes": sorted(node_key(node) for node in taint.tainted_nodes),
         }
-    racy = _racy_pairs(store, run_id) if include_racy else None
+    racy = (
+        _canonical_racy_pairs(find_racy_pairs(engine.run_view(run_id)))
+        if include_racy
+        else None
+    )
+    _require_intact(engine.scope, run_id)
     run_info = store.manifest.run_info(run_id)
     return ProvenanceBaseline(
         name=resolved_name,
@@ -470,11 +476,15 @@ def check_against_baseline(
 
     Returns a :class:`GateReport`; drift is any page set whose lineage
     or taint closure moved, or any racy pair appearing/disappearing.
+
+    Raises:
+        CorruptSegmentError: A segment the candidate's answers need is
+            quarantined or corrupt.
     """
     resolved = resolve_baseline(store, baseline)
     run_ids = store.run_ids()
     candidate = store.resolve_run(run if run is not None else (run_ids[-1] if run_ids else None))
-    engine = StoreQueryEngine(store)
+    engine = StoreQueryEngine(store, scope=ReadScope())
     report = GateReport(
         baseline_name=resolved.name,
         baseline_run=resolved.run_id,
@@ -517,7 +527,7 @@ def check_against_baseline(
                 f"baseline {resolved.name!r} recorded no racy pairs; "
                 f"re-bless it without --no-racy to gate on races"
             )
-        candidate_racy = _racy_pairs(store, candidate)
+        candidate_racy = _canonical_racy_pairs(find_racy_pairs(engine.run_view(candidate)))
         blessed = {tuple(pair[:2]) + (tuple(pair[2]),) for pair in resolved.racy_pairs}
         observed = {tuple(pair[:2]) + (tuple(pair[2]),) for pair in candidate_racy}
         report.racy_checked = True
@@ -527,4 +537,5 @@ def check_against_baseline(
         report.racy_removed = [
             [a, b, list(pages)] for a, b, pages in sorted(blessed - observed)
         ]
+    _require_intact(engine.scope, candidate)
     return report

@@ -215,24 +215,18 @@ class StoredRun:
         outgrow the cache budget.  A quarantined segment's nodes are left
         out.
         """
-        wanted: Optional[Dict[int, List[NodeId]]] = None
+        wanted: Dict[int, Optional[List[NodeId]]]
         if node_ids is None:
-            segment_ids = [info.segment_id for info in self.store.manifest.segments_of_run(self.run)]
+            wanted = dict.fromkeys(info.segment_id for info in self.store.manifest.segments_of_run(self.run))
         else:
             wanted = {}
             for node_id in node_ids:
                 wanted.setdefault(self.indexes.segment_of(node_id), []).append(node_id)
-            segment_ids = list(wanted)
         found: Dict[NodeId, SubComputation] = {}
-        for segment_id in segment_ids:
+        for segment_id, ids in wanted.items():
             payload = self._segment_or_none(segment_id)
-            if payload is None:
-                continue
-            if wanted is None:
-                found.update(payload.nodes)
-            else:
-                for node_id in wanted[segment_id]:
-                    found[node_id] = payload.nodes[node_id]
+            if payload is not None:
+                found.update(payload.nodes if ids is None else {n: payload.nodes[n] for n in ids})
         return found
 
 

@@ -7,10 +7,12 @@ and ``check`` never load a whole run: on a sink-streamed kmeans-16 run the
 candidates live in the 20 node segments of its 40 (the rest are the
 edge-only segments ``finish`` appends), on word_count-16 in 2 of 4.
 Without a candidate's record a race can be neither confirmed nor ruled
-out, so a quarantined candidate segment makes ``check`` raise.  On all 24
-registry configurations (12 workloads, 4 and 16 threads) the stored
-answer equals the in-memory one, and the two case studies give the same
-report on either view.
+out, so a quarantined candidate segment makes ``check`` raise.  So does
+any other segment the gate's lineage and taint answers would skip (the
+store's queries degrade there): a gate must not bless or judge a partial
+answer.  On all 24 registry configurations (12 workloads, 4 and 16
+threads) the stored answer equals the in-memory one, and the two case
+studies give the same report on either view.
 """
 
 import pytest
@@ -93,6 +95,24 @@ def test_check_raises_when_a_candidate_segment_is_quarantined(traced):
     store.quarantine_segment(store.indexes_for(run).segment_of(candidate), "damaged for the test")
     with pytest.raises(CorruptSegmentError):
         check_against_baseline(store, baseline, run=run)
+
+
+def test_gate_refuses_answers_that_skip_an_edge_segment(traced):
+    # The edge-only segments hold no candidate node, but lineage walks
+    # the data edges they hold.
+    run = traced("word_count", 16).store_run_id
+    store = ProvenanceStore.open(traced.path)
+    baseline = bless_baseline(store, run=run)
+    indexes = store.indexes_for(run)
+    edge_only = {info.segment_id for info in store.manifest.segments_of_run(run)}
+    edge_only -= set(indexes.node_segments.values())
+    assert edge_only
+    for segment_id in edge_only:
+        store.quarantine_segment(segment_id, "damaged for the test")
+    with pytest.raises(CorruptSegmentError):
+        bless_baseline(store, run=run)
+    with pytest.raises(CorruptSegmentError):
+        check_against_baseline(store, baseline, run=run, include_racy=False)
 
 
 def test_case_studies_on_a_stored_run_equal_memory(traced):
