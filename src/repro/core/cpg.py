@@ -53,9 +53,19 @@ def causal_key(node: SubComputation) -> Tuple[int, NodeId]:
 
 
 def happens_before(first: SubComputation, second: SubComputation) -> bool:
-    """Happens-before between two sub-computations, from their vector clocks."""
+    """Happens-before between two sub-computations, from their vector clocks.
+
+    When ``first`` keeps the tracker's invariant ``clock[tid] == index + 1``
+    (see :mod:`repro.core.dependencies`), ``second`` knows ``first`` exactly
+    when its own component for ``first``'s thread passed ``first.index``:
+    every clock is the join of the clocks in its causal past, so one
+    lookup decides.  Other nodes (the virtual input node, hand-built
+    graphs) get the full component-wise comparison.
+    """
     if first.tid == second.tid:
         return first.index < second.index
+    if first.clock.get(first.tid) == first.index + 1:
+        return second.clock.get(first.tid) > first.index
     return first.clock.happens_before(second.clock)
 
 

@@ -87,11 +87,18 @@ class VectorClock:
         """Merge ``other`` into this clock component-wise (in place).
 
         This is the ``max`` update performed on release (into the sync
-        object's clock) and on acquire (into the thread's clock).
+        object's clock) and on acquire (into the thread's clock).  Both
+        paths stay at C level for the common cases: an empty clock (a
+        fresh token, a thread's first acquire) copies ``other``, and
+        otherwise only the components that differ are visited.
         """
-        for tid, value in other._entries.items():
-            if value > self._entries.get(tid, 0):
-                self._entries[tid] = value
+        mine = self._entries
+        if not mine:
+            mine.update(other._entries)
+            return
+        for tid, value in other._entries.items() - mine.items():
+            if value > mine.get(tid, 0):
+                mine[tid] = value
 
     def merged(self, other: "VectorClock") -> "VectorClock":
         """Return a new clock equal to the component-wise max of both."""

@@ -69,7 +69,7 @@ class SharedAddressSpace:
             InvalidAddressError: If the address is outside every region.
         """
         for region in self.regions:
-            if region.contains(address):
+            if region.base <= address < region.base + region.size:
                 return region
         raise InvalidAddressError(f"address {address:#x} is not mapped")
 
@@ -91,7 +91,7 @@ class SharedAddressSpace:
     def check_range(self, address: int, size: int) -> Region:
         """Validate that ``[address, address + size)`` lies inside one region."""
         region = self.region_of(address)
-        if size > 0 and not region.contains(address + size - 1):
+        if size > 0 and address + size > region.base + region.size:
             raise InvalidAddressError(
                 f"access of {size} bytes at {address:#x} crosses the end of region "
                 f"{region.name!r}"

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.memory.address_space import SharedAddressSpace
-from repro.memory.layout import page_id, page_offset
 from repro.memory.page import PROT_NONE, PageTable
 
 
@@ -84,12 +83,14 @@ class ProcessView:
         cursor = address
         page_size = self.shared.page_size
         while remaining > 0:
-            page = page_id(cursor, page_size)
-            offset = page_offset(cursor, page_size)
-            chunk = min(remaining, page_size - offset)
+            page, offset = divmod(cursor, page_size)
             source = self.private_pages.get(page)
             if source is None:
                 source = self.shared.page(page)
+            if remaining == size and offset + size <= page_size:
+                # The whole access lies in its first page (every word access does).
+                return bytes(source[offset : offset + size])
+            chunk = min(remaining, page_size - offset)
             out += source[offset : offset + chunk]
             cursor += chunk
             remaining -= chunk
@@ -97,14 +98,21 @@ class ProcessView:
 
     def write_bytes(self, address: int, data: bytes) -> None:
         """Write ``data`` at ``address`` into private copy-on-write pages."""
+        size = len(data)
+        remaining = size
         cursor = address
-        view = memoryview(data)
         page_size = self.shared.page_size
-        while view.nbytes > 0:
-            page = page_id(cursor, page_size)
-            offset = page_offset(cursor, page_size)
-            chunk = min(view.nbytes, page_size - offset)
-            target = self.ensure_private_copy(page)
-            target[offset : offset + chunk] = view[:chunk]
+        while remaining > 0:
+            page, offset = divmod(cursor, page_size)
+            target = self.private_pages.get(page)
+            if target is None:
+                target = self.ensure_private_copy(page)
+            if remaining == size and offset + size <= page_size:
+                # The whole access lies in its first page (every word access does).
+                target[offset : offset + size] = data
+                return
+            chunk = min(remaining, page_size - offset)
+            done = cursor - address
+            target[offset : offset + chunk] = memoryview(data)[done : done + chunk]
             cursor += chunk
-            view = view[chunk:]
+            remaining -= chunk

@@ -18,7 +18,6 @@ from repro.errors import ProtectionError
 from repro.memory.address_space import SharedAddressSpace
 from repro.memory.cow import ProcessView
 from repro.memory.fault_handler import FaultDispatcher, FaultKind
-from repro.memory.layout import pages_spanned
 from repro.memory.page import PROT_NONE, PROT_READ, PROT_WRITE
 
 _WORD_STRUCT = struct.Struct("<q")
@@ -106,12 +105,17 @@ class MMU:
     # ------------------------------------------------------------------ #
 
     def _check_pages(self, view: ProcessView, address: int, size: int, write: bool) -> None:
-        """Fault in every page spanned by the access until it is permitted."""
-        kind = FaultKind.WRITE if write else FaultKind.READ
+        """Fault in every page spanned by a non-empty access until it is permitted."""
         needed = PROT_WRITE if write else PROT_READ
-        for page in pages_spanned(address, size, self.shared.page_size):
-            entry = view.page_table.entry(page)
+        page_size = self.shared.page_size
+        table = view.page_table
+        entries = table.entries
+        for page in range(address // page_size, (address + size - 1) // page_size + 1):
+            entry = entries.get(page)
+            if entry is None:
+                entry = table.entry(page)
             if not entry.prot & needed:
+                kind = FaultKind.WRITE if write else FaultKind.READ
                 self.dispatcher.deliver(view.pid, page, kind, entry)
                 if not entry.prot & needed:
                     raise ProtectionError(
@@ -124,25 +128,32 @@ class MMU:
     def read(self, pid: int, address: int, size: int) -> bytes:
         """Perform a load of ``size`` bytes on behalf of process ``pid``."""
         region = self.shared.check_range(address, size)
-        view = self.register_process(pid)
-        if region.tracked:
-            self._check_pages(view, address, size, write=False)
-        self.stats.loads += 1
-        self.stats.bytes_read += size
-        self.stats.per_pid_loads[pid] = self.stats.per_pid_loads.get(pid, 0) + 1
+        view = self.views.get(pid)
+        if view is None:
+            view = self.register_process(pid)
+        if region.tracked and size > 0:
+            self._check_pages(view, address, size, False)
+        stats = self.stats
+        stats.loads += 1
+        stats.bytes_read += size
+        stats.per_pid_loads[pid] = stats.per_pid_loads.get(pid, 0) + 1
         if region.shared:
             return view.read_bytes(address, size)
         return self.shared.read(address, size)
 
     def write(self, pid: int, address: int, data: bytes) -> None:
         """Perform a store of ``data`` on behalf of process ``pid``."""
-        region = self.shared.check_range(address, len(data))
-        view = self.register_process(pid)
-        if region.tracked:
-            self._check_pages(view, address, len(data), write=True)
-        self.stats.stores += 1
-        self.stats.bytes_written += len(data)
-        self.stats.per_pid_stores[pid] = self.stats.per_pid_stores.get(pid, 0) + 1
+        size = len(data)
+        region = self.shared.check_range(address, size)
+        view = self.views.get(pid)
+        if view is None:
+            view = self.register_process(pid)
+        if region.tracked and size > 0:
+            self._check_pages(view, address, size, True)
+        stats = self.stats
+        stats.stores += 1
+        stats.bytes_written += size
+        stats.per_pid_stores[pid] = stats.per_pid_stores.get(pid, 0) + 1
         if region.shared:
             view.write_bytes(address, data)
         else:

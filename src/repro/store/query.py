@@ -323,26 +323,6 @@ class StoreQueryEngine:
             "segments": len(self.store.manifest.segments_of_run(run_id)),
         }
 
-    def runs_containing(self, node_id: NodeId) -> List[int]:
-        """Every run that recorded a sub-computation named ``node_id``."""
-        return [
-            run_id
-            for run_id in self.store.run_ids()
-            if self.store.indexes_for(run_id).has_node(node_id)
-        ]
-
-    def backward_slice_across_runs(
-        self,
-        node_id: NodeId,
-        kinds: Sequence[EdgeKind] = (EdgeKind.DATA,),
-        include_start: bool = True,
-    ) -> Dict[int, Set[NodeId]]:
-        """:meth:`backward_slice` in every run that holds ``node_id``."""
-        return {
-            run_id: self.backward_slice(node_id, kinds=kinds, include_start=include_start, run=run_id)
-            for run_id in self.runs_containing(node_id)
-        }
-
     def lineage_across_runs(self, pages: Iterable[int]) -> Dict[int, Set[NodeId]]:
         """:meth:`lineage_of_pages` in every run of the store.
 

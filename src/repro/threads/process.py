@@ -49,6 +49,9 @@ class SimProcess:
             exits and acquired by joiners; set by the threading facade.
         user_data: Scratch dictionary for higher layers (backends attach
             per-process tracking state here).
+        thread: The Python thread hosting the process (set by the runtime).
+        wake: Lock the hosting thread waits on for the CPU.  It is created
+            held; the runtime releases it to hand the CPU to this process.
     """
 
     def __init__(
@@ -72,6 +75,8 @@ class SimProcess:
         self.exit_token: Optional[object] = None
         self.user_data: dict = {}
         self.thread: Optional[threading.Thread] = None
+        self.wake = threading.Lock()
+        self.wake.acquire()
 
     @property
     def terminated(self) -> bool:

@@ -1,18 +1,25 @@
 """The simulated operating system: process creation, scheduling, blocking.
 
 Every simulated process is hosted by a real Python thread, but only one of
-them runs at any moment: the runtime hands the "CPU" to exactly one process
-and takes it back when that process reaches a scheduling point (a
-synchronization operation, a voluntary yield, or termination).  Because the
-release-consistency model restricts inter-thread communication to
-synchronization points, scheduling only at those points loses no behaviour
-that the provenance layer could observe, while keeping runs deterministic
-and replayable under a deterministic scheduler.
+them runs at any moment: the one holding the "CPU".  A process gives the
+CPU up only at a scheduling point (a synchronization operation, a
+voluntary yield, or termination), and it hands the CPU over itself: it
+asks the scheduler to pick among the runnable processes, releases the
+chosen process's wake lock, and then waits on its own (or its thread
+ends).  No coordinator thread sits between two processes, and the
+runnable pids are kept as a sorted list that changes only when a process
+changes state, so a switch costs one scheduler call and one lock hand-off.
+
+Because the release-consistency model restricts inter-thread communication
+to synchronization points, scheduling only at those points loses no
+behaviour that the provenance layer could observe, while keeping runs
+deterministic and replayable under a deterministic scheduler.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import insort
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import DeadlockError, ThreadingError
@@ -49,12 +56,19 @@ class SimRuntime:
     def __init__(self, scheduler: Optional[Scheduler] = None, backend: Optional[object] = None) -> None:
         self.scheduler = scheduler if scheduler is not None else RoundRobinScheduler()
         self.backend = backend
-        self._cond = threading.Condition()
         self._processes: Dict[int, SimProcess] = {}
+        #: pids of the RUNNABLE processes, ascending; changed only on state transitions
+        self._runnable: List[int] = []
+        #: processes not yet terminated
+        self._live = 0
         self._next_pid = 0
         self._next_sync_id = 0
-        self._current: Optional[int] = None
         self._last_scheduled: Optional[int] = None
+        #: taken around every release of a wake lock, so a hand-off and a
+        #: shutdown never release the same one twice
+        self._switch = threading.Lock()
+        #: set when the last process exits or a shutdown begins
+        self._done = threading.Event()
         self._shutdown = False
         self._abort_error: Optional[BaseException] = None
         self.context_switches = 0
@@ -111,14 +125,15 @@ class SimRuntime:
         proc = SimProcess(pid=pid, entry=entry, name=name, parent_pid=parent.pid if parent else None)
         self._processes[pid] = proc
         self.process_creations += 1
+        self._live += 1
         thread = threading.Thread(target=self._process_body, args=(proc,), name=proc.name, daemon=True)
         proc.thread = thread
-        proc.state = ProcessState.RUNNABLE
+        self._ready(proc)
         thread.start()
         return proc
 
     # ------------------------------------------------------------------ #
-    # The coordinator loop
+    # Running a program
     # ------------------------------------------------------------------ #
 
     def run(self, entry: Callable[[SimProcess], Any], name: str = "main") -> Any:
@@ -130,13 +145,17 @@ class SimRuntime:
         Raises:
             DeadlockError: If at some point no process is runnable but some
                 are still blocked.
-            Exception: The first exception raised by any simulated process
-                is re-raised here after the run is torn down.
+            ThreadingError: If the scheduler picks a process that is not
+                runnable.
+            Exception: The first exception raised by any simulated process,
+                or else by the scheduler, is re-raised here after the run
+                is torn down.
         """
         self._reset_run_state()
         main = self.spawn(entry, name=name)
         try:
-            self._coordinate()
+            self._dispatch()
+            self._done.wait()
         finally:
             self._teardown_threads()
         failed = [p for p in self.processes if p.exception is not None]
@@ -150,45 +169,61 @@ class SimRuntime:
         if self._processes:
             raise ThreadingError("SimRuntime.run() may only be called once per runtime instance")
         self.scheduler.reset()
-        self._shutdown = False
-        self._abort_error = None
 
-    def _coordinate(self) -> None:
-        with self._cond:
-            while True:
-                procs = list(self._processes.values())
-                if all(p.state is ProcessState.TERMINATED for p in procs):
-                    return
-                if any(p.exception is not None for p in procs):
-                    self._begin_shutdown()
-                    return
-                runnable = sorted(p.pid for p in procs if p.state is ProcessState.RUNNABLE)
-                if not runnable:
-                    blocked = [p for p in procs if p.state is ProcessState.BLOCKED]
-                    self._abort_error = DeadlockError(
-                        "no runnable process; blocked: "
-                        + ", ".join(f"{p.name} on {p.waiting_on!r}" for p in blocked)
-                    )
-                    self._begin_shutdown()
-                    return
-                pid = self.scheduler.pick(runnable, self._last_scheduled)
-                if pid not in runnable:
-                    raise ThreadingError(f"scheduler chose pid {pid} which is not runnable")
-                self._last_scheduled = pid
-                self._current = pid
-                self.context_switches += 1
-                self._cond.notify_all()
-                while self._current is not None:
-                    self._cond.wait()
+    def _dispatch(self) -> None:
+        """Hand the CPU to the runnable process the scheduler picks.
 
-    def _begin_shutdown(self) -> None:
-        """Ask every hosted thread that is parked in the runtime to unwind."""
-        self._shutdown = True
-        self._cond.notify_all()
+        Called by whoever gives the CPU up: a process that yields, blocks
+        or exits, and :meth:`run` once to start the main process.  No
+        runnable process (a deadlock), a pick outside the runnable set, or
+        a scheduler that raises aborts the run instead; :meth:`run` raises
+        the error.
+        """
+        if self._shutdown:
+            return
+        runnable = self._runnable
+        if not runnable:
+            blocked = [p for p in self.processes if p.state is ProcessState.BLOCKED]
+            self._begin_shutdown(
+                DeadlockError(
+                    "no runnable process; blocked: "
+                    + ", ".join(f"{p.name} on {p.waiting_on!r}" for p in blocked)
+                )
+            )
+            return
+        try:
+            pid = self.scheduler.pick(list(runnable), self._last_scheduled)
+        except Exception as exc:  # noqa: BLE001 - raised from run()
+            self._begin_shutdown(exc)
+            return
+        if pid not in runnable:
+            self._begin_shutdown(ThreadingError(f"scheduler chose pid {pid} which is not runnable"))
+            return
+        runnable.remove(pid)
+        self._last_scheduled = pid
+        self.context_switches += 1
+        with self._switch:
+            if not self._shutdown:
+                self._processes[pid].wake.release()
+
+    def _begin_shutdown(self, error: Optional[BaseException] = None) -> None:
+        """Unwind every parked hosted thread and let :meth:`run` return.
+
+        ``error``, when given, is what aborted the run; :meth:`run` raises
+        it unless a process failed with an exception of its own.
+        """
+        with self._switch:
+            if self._shutdown:
+                return
+            self._shutdown = True
+            self._abort_error = error
+            for proc in list(self._processes.values()):
+                if proc.wake.locked():
+                    proc.wake.release()
+        self._done.set()
 
     def _teardown_threads(self) -> None:
-        with self._cond:
-            self._begin_shutdown()
+        self._begin_shutdown()
         for proc in self.processes:
             if proc.thread is not None and proc.thread.is_alive():
                 proc.thread.join(timeout=5.0)
@@ -199,7 +234,7 @@ class SimRuntime:
 
     def _process_body(self, proc: SimProcess) -> None:
         try:
-            self._wait_until_scheduled(proc)
+            self._park(proc)
         except _RuntimeShutdown:
             self._finish(proc)
             return
@@ -216,32 +251,40 @@ class SimRuntime:
         finally:
             self._finish(proc)
 
-    def _wait_until_scheduled(self, proc: SimProcess) -> None:
-        with self._cond:
-            while self._current != proc.pid:
-                if self._shutdown:
-                    raise _RuntimeShutdown()
-                self._cond.wait()
-            proc.state = ProcessState.RUNNING
+    def _park(self, proc: SimProcess) -> None:
+        """Wait until ``proc`` is handed the CPU; unwind if the run shuts down."""
+        if not self._shutdown:
+            proc.wake.acquire()
+        if self._shutdown:
+            raise _RuntimeShutdown()
+        proc.state = ProcessState.RUNNING
 
     def _finish(self, proc: SimProcess) -> None:
-        with self._cond:
-            proc.state = ProcessState.TERMINATED
-            for waiter in proc.joiners:
-                if waiter.state is ProcessState.BLOCKED:
-                    waiter.state = ProcessState.RUNNABLE
-                    waiter.waiting_on = None
-            proc.joiners.clear()
-            if self._current == proc.pid:
-                self._current = None
-            self._cond.notify_all()
+        """Terminate ``proc``, wake its joiners and give the CPU up for good."""
+        proc.state = ProcessState.TERMINATED
+        if self._shutdown:
+            return
+        for waiter in proc.joiners:
+            self.make_runnable(waiter)
+        proc.joiners.clear()
+        self._live -= 1
+        if proc.exception is not None:
+            self._begin_shutdown()
+        elif self._live:
+            self._dispatch()
+        else:
+            self._done.set()
+
+    def _ready(self, proc: SimProcess) -> None:
+        proc.state = ProcessState.RUNNABLE
+        insort(self._runnable, proc.pid)
 
     # ------------------------------------------------------------------ #
     # Scheduling points used by the synchronization layer
     # ------------------------------------------------------------------ #
 
     def yield_control(self, proc: SimProcess, new_state: ProcessState = ProcessState.RUNNABLE) -> None:
-        """Give the CPU back to the coordinator and wait to be rescheduled.
+        """Hand the CPU to the next process and wait to be handed it again.
 
         Args:
             proc: The currently running process (must be the caller).
@@ -249,15 +292,12 @@ class SimRuntime:
                 (``RUNNABLE`` for a voluntary yield, ``BLOCKED`` when the
                 caller is waiting on a synchronization object).
         """
-        with self._cond:
+        if new_state is ProcessState.RUNNABLE:
+            self._ready(proc)
+        else:
             proc.state = new_state
-            self._current = None
-            self._cond.notify_all()
-            while self._current != proc.pid:
-                if self._shutdown:
-                    raise _RuntimeShutdown()
-                self._cond.wait()
-            proc.state = ProcessState.RUNNING
+        self._dispatch()
+        self._park(proc)
 
     def block_current(self, proc: SimProcess, waiting_on: object) -> None:
         """Block ``proc`` on ``waiting_on`` until someone makes it runnable again."""
@@ -267,11 +307,9 @@ class SimRuntime:
 
     def make_runnable(self, proc: SimProcess) -> None:
         """Move a blocked process back to the runnable set."""
-        with self._cond:
-            if proc.state is ProcessState.BLOCKED:
-                proc.state = ProcessState.RUNNABLE
-                proc.waiting_on = None
-                self._cond.notify_all()
+        if proc.state is ProcessState.BLOCKED:
+            proc.waiting_on = None
+            self._ready(proc)
 
     def preempt(self, proc: SimProcess) -> None:
         """Voluntary yield: let the scheduler pick again (caller stays runnable)."""

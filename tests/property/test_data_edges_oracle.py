@@ -45,7 +45,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from repro.core.algorithm import ProvenanceTracker
-from repro.core.cpg import EdgeKind
+from repro.core.cpg import EdgeKind, happens_before
 from repro.core.dependencies import derive_data_edges
 from repro.core.queries import find_racy_pairs, propagate_taint, replay_taint, taint_candidates
 from repro.core.thunk import INPUT_NODE
@@ -385,6 +385,17 @@ class TestDerivationOracle:
         expected = definition_edges(cpg)
         derive_data_edges(cpg)
         assert derived_edges(cpg) == expected
+
+    @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None, max_examples=300)
+    @given(executions())
+    def test_one_lookup_happens_before_equals_the_clock_order(self, execution):
+        # ``happens_before`` answers tracker nodes with one clock lookup; on
+        # every ordered pair (the input node included) it must agree with
+        # the full component-wise comparison.
+        nodes = list(record(execution).subcomputations())
+        for first in nodes:
+            for second in nodes:
+                assert happens_before(first, second) == first.clock.happens_before(second.clock)
 
     def test_write_before_a_barrier_reaches_a_reader_with_no_sync_path_from_it(self):
         # The clocks order thread 1's write before thread 2's read after

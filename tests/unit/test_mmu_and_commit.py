@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.errors import ProtectionError
+from repro.errors import InvalidAddressError, ProtectionError
 from repro.memory.address_space import SharedAddressSpace
 from repro.memory.cow import ProcessView
 from repro.memory.diff import apply_diff, diff_page
 from repro.memory.fault_handler import FaultDispatcher, FaultKind, permissive_handler
-from repro.memory.layout import HEAP_BASE, STACK_BASE
+from repro.memory.layout import GLOBALS_BASE, GLOBALS_SIZE, HEAP_BASE, STACK_BASE
 from repro.memory.mmu import MMU
 from repro.memory.page import PROT_NONE, PROT_READ, PROT_READ_WRITE, PageTable
 from repro.memory.shared_commit import SharedMemoryCommitter
@@ -252,3 +252,62 @@ class TestCopyOnWriteAndCommit:
         mmu.write_word(2, HEAP_BASE, 77)
         committer.commit(mmu.view(2))
         assert mmu.read_word(1, HEAP_BASE) == 77
+
+
+class TestPageBoundariesThroughAView:
+    """Word and straddling accesses through the MMU and a process's COW view."""
+
+    def test_word_ending_on_the_last_byte_of_a_page(self, space, mmu):
+        committer = SharedMemoryCommitter(space)
+        address = HEAP_BASE + PAGE - 8
+        mmu.write_word(1, address, -5)
+        assert mmu.read_word(1, address) == -5
+        assert mmu.dispatcher.stats.write_faults == 1
+        assert mmu.dispatcher.stats.read_faults == 0
+        assert mmu.view(1).dirty_pages() == [HEAP_BASE // PAGE]
+        committer.commit(mmu.view(1))
+        assert space.read_word(address) == -5
+
+    def test_access_from_the_last_byte_spans_two_pages(self, space, mmu):
+        committer = SharedMemoryCommitter(space)
+        first_page = HEAP_BASE // PAGE
+        address = HEAP_BASE + PAGE - 1
+        private = bytes(range(1, 9))
+        mmu.write(1, address, private)
+        assert mmu.dispatcher.stats.write_faults == 2
+        assert [e.page for e in mmu.dispatcher.log] == [first_page, first_page + 1]
+        assert mmu.view(1).dirty_pages() == [first_page, first_page + 1]
+        # Before the commit the writer reads its private bytes, others the shared ones.
+        assert mmu.read(1, address, 8) == private
+        assert mmu.read(1, address - 2, 4) == b"\x00\x00" + private[:2]
+        assert mmu.read(2, address, 8) == bytes(8)
+        assert space.read(address, 8) == bytes(8)
+        mmu.write(1, address, private)
+        assert mmu.dispatcher.stats.total == 4  # pid 1's 2 write faults, pid 2's 2 read faults
+        committer.commit(mmu.view(1))
+        mmu.protect_all(1)
+        assert mmu.read(1, address, 8) == private
+        assert mmu.read(2, address, 8) == private
+        assert space.read(address, 8) == private
+
+    def test_zero_length_accesses_fault_nothing(self, space, mmu):
+        for address in (HEAP_BASE, HEAP_BASE + PAGE - 1, HEAP_BASE + 3):
+            assert mmu.read(1, address, 0) == b""
+            mmu.write(1, address, b"")
+        assert mmu.dispatcher.stats.total == 0
+        assert mmu.view(1).dirty_pages() == []
+        assert space.materialized_pages() == []
+        assert mmu.stats.loads == mmu.stats.stores == 3
+
+    @pytest.mark.parametrize(
+        "start",
+        [GLOBALS_BASE + GLOBALS_SIZE - 4, GLOBALS_BASE - 4],
+        ids=["crosses-region-end", "starts-unmapped"],
+    )
+    def test_invalid_access_raises(self, mmu, start):
+        with pytest.raises(InvalidAddressError):
+            mmu.read(1, start, 8)
+        with pytest.raises(InvalidAddressError):
+            mmu.write(1, start, b"x" * 8)
+        assert mmu.dispatcher.stats.total == 0
+        assert mmu.stats.loads == mmu.stats.stores == 0

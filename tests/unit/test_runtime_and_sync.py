@@ -1,8 +1,11 @@
 """Unit tests for the simulated runtime, schedulers, and sync primitives."""
 
+import sys
+
 import pytest
 
-from repro.errors import DeadlockError, InvalidSyncStateError, ThreadingError
+from repro.errors import DeadlockError, InvalidSyncStateError, SchedulerError, ThreadingError
+from repro.inspector.api import run_with_provenance
 from repro.threads.backend import DirectBackend
 from repro.threads.process import ProcessState
 from repro.threads.program import ProgramAPI
@@ -465,3 +468,223 @@ class TestScheduleIndependence:
             result, _, _ = run_program(main, scheduler=RandomScheduler(seed=seed))
             results.add(result)
         assert results == {15}
+
+
+class _RecordingScheduler(RandomScheduler):
+    """A seeded random scheduler that remembers every pick."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.picks = []
+
+    def pick(self, runnable, last):
+        pid = super().pick(runnable, last)
+        self.picks.append(pid)
+        return pid
+
+
+class _FailingScheduler(RoundRobinScheduler):
+    """Round-robin for the first ``good`` picks; then ``failure`` happens."""
+
+    def __init__(self, good, failure):
+        self.good = good
+        self.failure = failure
+        self.picks = 0
+
+    def pick(self, runnable, last):
+        self.picks += 1
+        if self.picks <= self.good:
+            return super().pick(runnable, last)
+        if self.failure == "not runnable":
+            return max(runnable) + 1
+        raise SchedulerError("scheduler gave up")
+
+    def reset(self):
+        self.picks = 0
+
+
+def _locking_children(api):
+    def child(api, mutex, index):
+        api.lock(mutex)
+        api.compute(index)
+        api.unlock(mutex)
+        return index
+
+    mutex = api.mutex()
+    handles = [api.spawn(child, mutex, i) for i in range(3)]
+    return [api.join(h) for h in handles]
+
+
+def _failing_child(api):
+    def child(api, sem):
+        api.sem_wait(sem)
+        raise ValueError("child failed")
+
+    def bystander(api, sem):
+        api.sem_wait(sem)
+
+    sem = api.semaphore(0)
+    handles = [api.spawn(bystander, sem), api.spawn(child, sem)]
+    api.sem_post(sem)
+    api.sem_post(sem)
+    api.sem_post(sem)
+    for handle in handles:
+        api.join(handle)
+
+
+def _deadlocked(api):
+    def child(api, sem):
+        api.sem_wait(sem)
+
+    never = api.semaphore(0)
+    api.spawn(child, never)
+    api.sem_wait(never)
+
+
+class TestRuntimeErrorsAndTeardown:
+    @pytest.mark.parametrize("good", [0, 5])
+    def test_pick_outside_the_runnable_set_raises(self, good):
+        # good=0 fails on run()'s first dispatch, good=5 on a hosted thread.
+        with pytest.raises(ThreadingError, match="not runnable"):
+            run_program(_locking_children, scheduler=_FailingScheduler(good, "not runnable"))
+
+    def test_scheduler_error_is_raised_from_run(self):
+        with pytest.raises(SchedulerError, match="gave up"):
+            run_program(_locking_children, scheduler=_FailingScheduler(5, "raise"))
+
+    @pytest.mark.parametrize(
+        "program, scheduler, error",
+        [
+            (_locking_children, None, None),
+            (_failing_child, None, ValueError),
+            (_deadlocked, None, DeadlockError),
+            (_locking_children, _FailingScheduler(5, "not runnable"), ThreadingError),
+            (_locking_children, _FailingScheduler(5, "raise"), SchedulerError),
+        ],
+        ids=["normal", "child-exception", "deadlock", "bad-pick", "scheduler-error"],
+    )
+    def test_every_hosted_thread_exits(self, program, scheduler, error):
+        backend = DirectBackend(page_size=256)
+        runtime = SimRuntime(scheduler=scheduler, backend=backend)
+
+        def entry(proc):
+            return program(ProgramAPI(runtime, backend, proc))
+
+        if error is None:
+            runtime.run(entry)
+        else:
+            with pytest.raises(error):
+                runtime.run(entry)
+        assert len(runtime.processes) > 1
+        assert all(not proc.thread.is_alive() for proc in runtime.processes)
+
+    def test_deadlock_names_every_blocked_process(self):
+        with pytest.raises(DeadlockError, match=r"main on .*Semaphore.*, proc-1 on .*Semaphore"):
+            run_program(_deadlocked)
+
+    def test_hand_off_runs_one_process_at_a_time_under_a_short_switch_interval(self):
+        # With the interpreter switching threads every microsecond, a hand-off
+        # that let two hosted threads run at once would trip the ``running``
+        # check or lose an update of ``total``.
+        workers, rounds = 12, 25
+
+        def run_once(seed):
+            running, total = [None], [0]
+
+            def worker(api):
+                pid = api.process.pid
+                for _ in range(rounds):
+                    assert running[0] is None
+                    running[0] = pid
+                    value = total[0]
+                    sum(range(200))
+                    total[0] = value + 1
+                    assert running[0] == pid
+                    running[0] = None
+                    api.yield_()
+
+            def main(api):
+                for handle in [api.spawn(worker) for _ in range(workers)]:
+                    api.join(handle)
+                return total[0]
+
+            scheduler = _RecordingScheduler(seed)
+            result, _, runtime = run_program(main, scheduler=scheduler)
+            return result, runtime.context_switches, scheduler.picks
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            first, again = run_once(5), run_once(5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert first[0] == workers * rounds
+        assert first == again
+
+
+def _mixed_sync_program(api):
+    mutex, cond = api.mutex(), api.condvar()
+    barrier, sem, rwlock = api.barrier(3), api.semaphore(0), api.rwlock()
+    counter, flag = api.malloc(8), api.malloc(8)
+
+    def worker(api):
+        api.lock(mutex)
+        api.store(counter, api.load(counter) + 1)
+        api.unlock(mutex)
+        api.barrier_wait(barrier)
+        api.sem_post(sem)
+        api.rw_rdlock(rwlock)
+        seen = api.load(counter)
+        api.rw_unlock(rwlock)
+        api.lock(mutex)
+        while api.branch(api.load(flag) == 0, "mixed.wait"):
+            api.cond_wait(cond, mutex)
+        api.unlock(mutex)
+        return seen
+
+    handles = [api.spawn(worker) for _ in range(3)]
+    api.rw_wrlock(rwlock)
+    for _ in handles:
+        api.sem_wait(sem)
+    api.store(counter, api.load(counter) * 10)
+    api.rw_unlock(rwlock)
+    api.lock(mutex)
+    api.store(flag, 1)
+    api.cond_broadcast(cond)
+    api.unlock(mutex)
+    return [api.join(h) for h in handles]
+
+
+class TestSchedulePinned:
+    """The interleaving itself, so a runtime rewrite cannot change it silently."""
+
+    #: (context switches, process creations) of the high-switch registry
+    #: workloads at small size, 4 threads, dataset seed 3.
+    REGISTRY_COUNTS = {
+        "kmeans": (313, 105),
+        "reverse_index": (1958, 5),
+        "streamcluster": (154, 5),
+        "canneal": (102, 5),
+        "pca": (43, 5),
+    }
+
+    #: Every pick of ``RandomScheduler(13)`` over :func:`_mixed_sync_program`;
+    #: with this seed some process blocks on each primitive and in a join.
+    MIXED_PICKS = [
+        0, 1, 0, 2, 0, 3, 0, 0, 1, 1, 2, 2, 3, 2, 3, 3, 3, 0, 2, 1,
+        0, 2, 3, 2, 1, 0, 1, 0, 0, 3, 3, 2, 3, 2, 0, 2, 3, 2, 1, 2,
+        0, 1, 1, 0, 2, 0, 1, 2, 1, 2, 3, 1, 2, 2, 0, 3, 0, 0, 3, 3,
+        0, 0,
+    ]
+
+    @pytest.mark.parametrize("workload", sorted(REGISTRY_COUNTS))
+    def test_registry_switch_counts(self, workload):
+        stats = run_with_provenance(workload, num_threads=4, size="small", seed=3).stats
+        assert (stats.context_switches, stats.process_creations) == self.REGISTRY_COUNTS[workload]
+
+    def test_random_pick_sequence_over_every_primitive(self):
+        scheduler = _RecordingScheduler(13)
+        result, _, runtime = run_program(_mixed_sync_program, scheduler=scheduler)
+        assert result == [30, 30, 30]
+        assert scheduler.picks == self.MIXED_PICKS
+        assert runtime.context_switches == len(self.MIXED_PICKS)
