@@ -54,6 +54,7 @@ from repro.core.serialization import node_key, parse_node_key
 from repro.core.thunk import NodeId
 from repro.errors import StoreError, StoreUnreachableError
 
+from repro.store import files
 from repro.store.cache import DEFAULT_CACHE_BYTES, ReadScope
 from repro.store.format import MANIFEST_NAME, SEGMENT_LOG_NAME, file_size_crc
 from repro.store.query import LineageDiff, diff_lineage, normalize_pages, order_across_runs, untouched_taint
@@ -608,8 +609,8 @@ class StoreCluster:
         (``manifest_digest``); every replica endpoint that carries a local
         store ``path`` is diffed against it and exactly the files that are
         missing or checksum-differently are streamed over
-        (``fetch_file``, verified again on arrival, installed via
-        temp-file + atomic rename).  The primary's ``segments.log`` and
+        (``fetch_file``, verified again on arrival, installed by
+        :func:`repro.store.files.replace`).  The primary's ``segments.log`` and
         ``MANIFEST.json`` are copied last -- the manifest rename is the
         commit point, and since the primary's manifest carries no
         quarantine marks for healthy segments, a replica whose scrub had
@@ -716,7 +717,7 @@ class StoreCluster:
         }
 
     def _fetch_into(self, source, rel: str, root: str) -> int:
-        """Fetch one file from the repair source and install it atomically."""
+        """Fetch one file from the repair source and install it durably."""
         result = source.result("fetch_file", path=rel)
         data = base64.b64decode(str(result["data"]), validate=True)
         crc = binascii.crc32(data) & 0xFFFFFFFF
@@ -726,18 +727,9 @@ class StoreCluster:
                 f"({len(data)} bytes crc {crc:#010x}, source said "
                 f"{result['size']} bytes crc {int(result['crc']):#010x})"
             )
-        target = os.path.join(root, *rel.split("/"))
-        parent = os.path.dirname(target)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        # The scratch name ends in .tmp so a crashed repair leaves an
-        # orphan the store's own sweep (and fsck --repair) removes.
-        scratch = target + ".repair.tmp"
-        with open(scratch, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(scratch, target)
+        # A crashed install leaves the old file and a scratch file the
+        # store's own sweep (and fsck --repair) removes.
+        files.replace(os.path.join(root, *rel.split("/")), data)
         return len(data)
 
     def fanout_stats(self) -> dict:

@@ -9,6 +9,7 @@ A store is a directory (format version 9)::
         index/pages_runs.json           # cross-run summary: page -> run ids
         index/run-<id>/base-<gen>.bin   # folded secondary indexes of the run
         index/run-<id>/delta-<gen>.bin  # append-only per-flush index deltas
+        index/baselines/<name>.json     # blessed baselines (repro.store.gate)
 
 One store holds **many traced runs**.  Every run gets a :class:`RunInfo`
 entry in the manifest (minted at ingest, carrying workload name, config and
@@ -31,11 +32,18 @@ Maintenance rewrites are run-scoped:
 segments with fewer, denser ones (streaming, segment by segment) and folds
 its index deltas into a fresh base file;
 :meth:`~repro.store.store.ProvenanceStore.gc` drops whole runs.  Both
-commit through the manifest (temp file + atomic rename) before any old
-file is deleted, so a crash at any point leaves a consistent store.
+commit through a manifest checkpoint before any old file is deleted, so a
+crash at any point leaves a consistent store.
+
 Segment ids and index generations are minted from monotonic counters and
-never reused, which is what makes "the manifest is the commit point"
-recovery sound.
+never reused, so a segment or index file is written once under a name no
+commit has named yet; only the files kept under a fixed name (the
+manifest, the log, the page summary, baselines) are replaced, through a
+scratch file ending in :data:`SCRATCH_SUFFIX`.  :mod:`repro.store.files`
+does every such write, and lists as *orphans* whatever is on disk that
+:meth:`StoreManifest.files` does not name.  This module owns the names:
+the builders (:func:`segment_file_name` ...) and the parsers
+(:func:`parse_segment_file_name` ...) sit side by side.
 
 Every segment is one frame (:mod:`repro.store.segment`): the ``ISEG``
 magic, the frame byte :data:`SEGMENT_FRAME_BYTE`, the raw payload length,
@@ -50,9 +58,10 @@ is refused on open, before anything is written, and must be re-ingested.
 
 from __future__ import annotations
 
+import re
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.errors import StoreError
 
@@ -80,6 +89,19 @@ DEFAULT_CHECKPOINT_INTERVAL = 64
 #: :data:`INDEX_DIR`; lets ``*_across_runs`` queries skip runs without
 #: opening their per-run indexes.
 PAGES_RUNS_FILE = "pages_runs.json"
+
+#: Directory inside :data:`INDEX_DIR` holding blessed baselines
+#: (:mod:`repro.store.gate`).  It does not parse as a run index directory,
+#: so the orphan sweep removes only scratch files there.
+BASELINES_DIR = "baselines"
+
+#: Suffix of the scratch file a replacement is written to before its
+#: rename; anything on disk ending in it is crash residue.
+SCRATCH_SUFFIX = ".tmp"
+
+#: Directory compaction spills per-batch edges into (inside the store, so
+#: a crash leaves it for the next maintenance sweep to remove).
+COMPACT_SPILL_DIR = "tmp-compact"
 
 #: Magic heading every segment frame.
 SEGMENT_MAGIC_PREFIX = b"ISEG"
@@ -116,6 +138,57 @@ def index_base_file_name(generation: int) -> str:
 def index_delta_file_name(generation: int) -> str:
     """File name of one append-only index delta at ``generation``."""
     return f"delta-{generation:08d}.bin"
+
+
+def baseline_file_name(name: str) -> str:
+    """File name of baseline ``name`` inside :data:`BASELINES_DIR`."""
+    return f"{name}.json"
+
+
+_SEGMENT_FILE_RE = re.compile(r"seg-(\d{8})\.seg")
+_RUN_DIR_RE = re.compile(r"run-(\d{8})")
+_INDEX_FILE_RE = re.compile(r"(?:base|delta)-\d{8}\.bin")
+
+
+def parse_segment_file_name(name: str) -> Optional[int]:
+    """The segment id ``name`` encodes, or None for any other name."""
+    match = _SEGMENT_FILE_RE.fullmatch(name)
+    return int(match.group(1)) if match else None
+
+
+def parse_run_index_dir_name(name: str) -> Optional[int]:
+    """The run id a run index directory name encodes, or None."""
+    match = _RUN_DIR_RE.fullmatch(name)
+    return int(match.group(1)) if match else None
+
+
+def parse_baseline_file_name(file_name: str) -> Optional[str]:
+    """The baseline name a baseline file name encodes, or None."""
+    return file_name[: -len(".json")] if file_name.endswith(".json") else None
+
+
+def is_index_file_name(name: str) -> bool:
+    """Whether ``name`` is an index base or delta generation file name."""
+    return _INDEX_FILE_RE.fullmatch(name) is not None
+
+
+def is_store_file(rel: str) -> bool:
+    """Whether ``/``-separated ``rel`` is a structural store file name.
+
+    Only the manifest, the segment log, a segment, the page summary or a
+    run's index generation pass: never ``..``, an absolute path, or more.
+    """
+    parts = rel.split("/")
+    return (
+        rel in (MANIFEST_NAME, SEGMENT_LOG_NAME, f"{INDEX_DIR}/{PAGES_RUNS_FILE}")
+        or (len(parts) == 2 and parts[0] == SEGMENTS_DIR and parse_segment_file_name(parts[1]) is not None)
+        or (
+            len(parts) == 3
+            and parts[0] == INDEX_DIR
+            and parse_run_index_dir_name(parts[1]) is not None
+            and is_index_file_name(parts[2])
+        )
+    )
 
 
 def file_size_crc(path: str) -> List[int]:
@@ -250,10 +323,15 @@ class RunInfo:
         """Remember ``(size, crc)`` of one just-written index file."""
         self.index_checksums[file_name] = [int(size), int(crc)]
 
+    def index_file_names(self) -> List[str]:
+        """The index files the run references: its base (if any), then its deltas."""
+        names = [index_base_file_name(self.index_base)] if self.index_base else []
+        names.extend(index_delta_file_name(gen) for gen in self.index_deltas)
+        return names
+
     def prune_index_checksums(self) -> None:
         """Drop checksum entries for files the run no longer references."""
-        live = {index_base_file_name(self.index_base)} if self.index_base else set()
-        live.update(index_delta_file_name(gen) for gen in self.index_deltas)
+        live = set(self.index_file_names())
         self.index_checksums = {
             name: pair for name, pair in self.index_checksums.items() if name in live
         }
@@ -297,6 +375,14 @@ class RunInfo:
             },
             meta=dict(data.get("meta", {})),
         )
+
+
+class StoreFile(NamedTuple):
+    """One file a manifest names (see :meth:`StoreManifest.files`)."""
+
+    path: str  # store-relative, "/"-separated (the wire form)
+    checksum: Optional[List[int]]  # the recorded [size, crc], if any
+    segment_id: Optional[int] = None  # set for segment files only
 
 
 @dataclass
@@ -365,6 +451,28 @@ class StoreManifest:
     def run_ids(self) -> List[int]:
         """Every run id, in mint order."""
         return [run.run_id for run in self.runs]
+
+    def files(self) -> List[StoreFile]:
+        """Every file this manifest names, with its recorded checksum.
+
+        Segments in append order, then each run's index base and deltas,
+        then the cross-run page summary when a checksum for it is
+        recorded (an unrecorded summary is not trusted, so not named).
+        fsck, scrub and the replica digest all walk this one list.
+        """
+        named = [
+            StoreFile(f"{SEGMENTS_DIR}/{info.file_name}", [info.stored_bytes, info.crc], info.segment_id)
+            for info in self.segments
+        ]
+        for run in self.runs:
+            run_dir = f"{INDEX_DIR}/{run_index_dir_name(run.run_id)}"
+            named.extend(
+                StoreFile(f"{run_dir}/{name}", run.index_checksums.get(name))
+                for name in run.index_file_names()
+            )
+        if self.pages_runs_checksum is not None:
+            named.append(StoreFile(f"{INDEX_DIR}/{PAGES_RUNS_FILE}", list(self.pages_runs_checksum)))
+        return named
 
     def run_info(self, run_id: int) -> RunInfo:
         """Manifest entry of run ``run_id``."""

@@ -46,15 +46,16 @@ from repro.core.queries import find_racy_pairs
 from repro.core.serialization import node_key, parse_node_key
 from repro.errors import CorruptSegmentError, StoreError
 
+from repro.store import files
 from repro.store.cache import ReadScope
-from repro.store.format import INDEX_DIR
+from repro.store.format import (
+    BASELINES_DIR,
+    INDEX_DIR,
+    baseline_file_name,
+    parse_baseline_file_name,
+)
 from repro.store.query import StoreQueryEngine, diff_lineage, normalize_pages
 from repro.store.store import ProvenanceStore
-
-#: Subdirectory of ``index/`` holding persisted baselines.  The name does
-#: not match the run-directory pattern, so ``_sweep_orphans`` and fsck
-#: leave it alone by construction.
-BASELINES_DIR = "baselines"
 
 #: Baseline document format version (bumped on incompatible changes).
 BASELINE_VERSION = 1
@@ -181,23 +182,18 @@ class ProvenanceBaseline:
     # ------------------------------------------------------------------ #
 
     def path_in(self, store: ProvenanceStore) -> str:
-        return os.path.join(baselines_dir(store), f"{self.name}.json")
+        return os.path.join(baselines_dir(store), baseline_file_name(self.name))
 
     def save(self, store: ProvenanceStore) -> str:
-        """Persist under ``index/baselines/<name>.json`` (atomic rename)."""
-        directory = baselines_dir(store)
-        os.makedirs(directory, exist_ok=True)
+        """Persist under ``index/baselines/<name>.json`` (durable replace)."""
         target = self.path_in(store)
-        scratch = target + ".tmp"
-        with open(scratch, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, sort_keys=True, indent=2)
-            handle.write("\n")
-        os.replace(scratch, target)
+        document = json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        files.replace(target, document.encode("utf-8"))
         return target
 
     @classmethod
     def load(cls, store: ProvenanceStore, name: str) -> "ProvenanceBaseline":
-        path = os.path.join(baselines_dir(store), f"{name}.json")
+        path = os.path.join(baselines_dir(store), baseline_file_name(name))
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
@@ -217,11 +213,8 @@ def list_baselines(store: ProvenanceStore) -> List[str]:
     directory = baselines_dir(store)
     if not os.path.isdir(directory):
         return []
-    return sorted(
-        name[: -len(".json")]
-        for name in os.listdir(directory)
-        if name.endswith(".json") and not name.endswith(".tmp")
-    )
+    names = (parse_baseline_file_name(file_name) for file_name in os.listdir(directory))
+    return sorted(name for name in names if name is not None)
 
 
 def baseline_runs(store: ProvenanceStore) -> Set[int]:

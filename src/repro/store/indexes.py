@@ -47,6 +47,7 @@ from repro.core.serialization import node_key
 from repro.core.thunk import NodeId, SubComputation
 from repro.errors import StoreError
 
+from repro.store import files
 from repro.store.codecs import (
     CODE_TO_KIND,
     KIND_TO_CODE,
@@ -299,8 +300,8 @@ class StoreIndexes:
         """Drop the journal (after the ops were persisted or folded)."""
         self._pending = []
 
-    def save_delta(self, run_dir: str, generation: int) -> int:
-        """Write the pending ops as ``delta-<generation>.bin``; returns bytes.
+    def save_delta(self, run_dir: str, generation: int) -> List[int]:
+        """Write the pending ops as ``delta-<generation>.bin``; returns ``[size, crc]``.
 
         O(ops since the last flush), independent of the index size -- this
         is what turns a streaming sink's flush cost from O(run so far)
@@ -336,8 +337,8 @@ class StoreIndexes:
             run_dir, index_delta_file_name(generation), _FILE_KIND_DELTA, interner.strings, body
         )
 
-    def save_base(self, run_dir: str, generation: int) -> int:
-        """Write the full in-memory state as ``base-<generation>.bin``.
+    def save_base(self, run_dir: str, generation: int) -> List[int]:
+        """Write the full in-memory state as ``base-<generation>.bin``; returns ``[size, crc]``.
 
         Written when deltas are folded (compaction) and after a rebuild.
         """
@@ -388,19 +389,15 @@ class StoreIndexes:
     @staticmethod
     def _write_binary(
         run_dir: str, name: str, file_kind: int, strings: Sequence[str], body: bytes
-    ) -> int:
-        os.makedirs(run_dir, exist_ok=True)
+    ) -> List[int]:
+        # A generation is never reused: the file is written once, and
+        # nothing names it until the flush's commit records its checksum.
         out = bytearray(_INDEX_MAGIC)
         out.append(_INDEX_VERSION)
         out.append(file_kind)
         write_string_table(out, strings)
         out += body
-        path = os.path.join(run_dir, name)
-        scratch = path + ".tmp"
-        with open(scratch, "wb") as handle:
-            handle.write(out)
-        os.replace(scratch, path)
-        return len(out)
+        return files.write_once(os.path.join(run_dir, name), out)
 
     @staticmethod
     def _read_binary(run_dir: str, name: str, expect_kind: int) -> Tuple[List[str], bytes, int]:

@@ -4,15 +4,16 @@ Two complementary passes over one store directory:
 
 :func:`verify_store` (**fsck**) is the *structural* check -- cheap, stat
 -based, no payload reads.  It verifies that the manifest checkpoint, the
-segment log, and the files on disk agree: every referenced segment and
-index file exists with the size the manifest recorded, the cross-run page
-summary matches its recorded size, the log's tail is not torn, and no
-unreferenced ``seg-*``/``base-*``/``delta-*``/scratch files are leaking
-disk (the residue of a crash between new-files-write and manifest-commit
-in ``compact()``/``gc()``).  With ``repair=True`` the orphans are removed
--- that is the *only* mutation fsck performs; damage to referenced files
-is never "repaired" by deletion here (replica repair, or an index rebuild
-on next load, is the healing path).
+segment log, and the files on disk agree: every file the manifest names
+(:meth:`~repro.store.format.StoreManifest.files`: segments, index
+generations, the cross-run page summary) exists with the size the
+manifest recorded, the log's tail is not torn, and no orphan -- a file
+:func:`repro.store.files.orphans` says no commit names, such as the
+residue of a crash between writing new files and committing them -- is
+leaking disk.  With ``repair=True`` the orphans are removed -- that is the
+*only* mutation fsck performs; damage to referenced files is never
+"repaired" by deletion here (replica repair, or an index rebuild on next
+load, is the healing path).
 
 :func:`scrub` is the *deep* check -- it re-reads every referenced file
 from disk and re-computes its checksum against the manifest's recorded
@@ -39,28 +40,35 @@ from __future__ import annotations
 import os
 import time
 import zlib
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.errors import StoreError
 
+from repro.store import files
 from repro.store.format import (
     INDEX_DIR,
     MANIFEST_NAME,
     PAGES_RUNS_FILE,
     SEGMENT_LOG_NAME,
     SEGMENTS_DIR,
-    index_base_file_name,
-    index_delta_file_name,
     segment_file_name,
 )
-from repro.store.store import (
-    _COMPACT_SPILL_DIR,
-    _INDEX_BASE_RE,
-    _INDEX_DELTA_RE,
-    _RUN_DIR_RE,
-    _SEGMENT_FILE_RE,
-    ProvenanceStore,
-)
+from repro.store.store import ProvenanceStore
+
+#: Where the cross-run page summary sits (a non-segment, non-index file).
+_SUMMARY_REL = f"{INDEX_DIR}/{PAGES_RUNS_FILE}"
+
+#: fsck's problem kinds per class of named file: (missing, size mismatch,
+#: what a missing file means).
+_FSCK_KINDS = {
+    "segment": ("segment_missing", "segment_size_mismatch", "named by the manifest but absent"),
+    "index": (
+        "index_file_missing",
+        "index_size_mismatch",
+        "named by its run but absent (a torn delta; rebuilt from segments on next load)",
+    ),
+    "summary": ("pages_runs_missing", "pages_runs_size_mismatch", "recorded summary file is absent"),
+}
 
 #: Bytes read per chunk by the scrubber (also the throttle granularity).
 SCRUB_CHUNK_BYTES = 1 << 20
@@ -129,75 +137,27 @@ def verify_store(path: str, repair: bool = False) -> dict:
                         f"(a crashed append; the next flush truncates them)",
                     )
                 )
-        for info in manifest.segments:
-            report["checked"]["segments"] += 1
-            rel = os.path.join(SEGMENTS_DIR, info.file_name)
-            seg_path = os.path.join(path, rel)
-            if not os.path.exists(seg_path):
-                problems.append(
-                    _problem(
-                        "segment_missing",
-                        rel,
-                        f"segment {info.segment_id} is referenced by the "
-                        f"manifest but has no file",
-                    )
-                )
-                continue
-            size = os.path.getsize(seg_path)
-            if info.stored_bytes and size != info.stored_bytes:
-                problems.append(
-                    _problem(
-                        "segment_size_mismatch",
-                        rel,
-                        f"manifest records {info.stored_bytes} bytes, "
-                        f"file has {size}",
-                    )
-                )
-        for run in manifest.runs:
-            run_dir = store._run_index_dir(run.run_id)
-            rel_dir = os.path.relpath(run_dir, path)
-            expected = []
-            if run.index_base:
-                expected.append(index_base_file_name(run.index_base))
-            expected.extend(index_delta_file_name(gen) for gen in run.index_deltas)
-            for name in expected:
+        for named in manifest.files():
+            if named.segment_id is not None:
+                file_class = "segment"
+                report["checked"]["segments"] += 1
+            elif named.path == _SUMMARY_REL:
+                file_class = "summary"
+            else:
+                file_class = "index"
                 report["checked"]["index_files"] += 1
-                rel = os.path.join(rel_dir, name)
-                file_path = os.path.join(run_dir, name)
-                if not os.path.exists(file_path):
-                    problems.append(
-                        _problem(
-                            "index_file_missing",
-                            rel,
-                            f"run {run.run_id} references {name} "
-                            f"(a torn delta; rebuilt from segments on next load)",
-                        )
-                    )
-                    continue
-                pair = run.index_checksums.get(name)
-                if pair is not None and os.path.getsize(file_path) != pair[0]:
-                    problems.append(
-                        _problem(
-                            "index_size_mismatch",
-                            rel,
-                            f"manifest records {pair[0]} bytes, "
-                            f"file has {os.path.getsize(file_path)}",
-                        )
-                    )
-        if manifest.pages_runs_checksum is not None:
-            rel = os.path.join(INDEX_DIR, PAGES_RUNS_FILE)
-            summary_path = os.path.join(path, rel)
-            if not os.path.exists(summary_path):
-                problems.append(
-                    _problem("pages_runs_missing", rel, "recorded summary file is absent")
-                )
-            elif os.path.getsize(summary_path) != manifest.pages_runs_checksum[0]:
+            missing, mismatch, absent = _FSCK_KINDS[file_class]
+            try:
+                size = os.path.getsize(os.path.join(path, named.path))
+            except OSError:
+                problems.append(_problem(missing, named.path, absent))
+                continue
+            if named.checksum is not None and size != named.checksum[0]:
                 problems.append(
                     _problem(
-                        "pages_runs_size_mismatch",
-                        rel,
-                        f"manifest records {manifest.pages_runs_checksum[0]} bytes, "
-                        f"file has {os.path.getsize(summary_path)}",
+                        mismatch,
+                        named.path,
+                        f"manifest records {named.checksum[0]} bytes, file has {size}",
                     )
                 )
         report["quarantined"] = {
@@ -212,16 +172,17 @@ def verify_store(path: str, repair: bool = False) -> dict:
                     reason,
                 )
             )
-        orphans = _find_orphans(store)
+        orphans = files.orphans(path, manifest)
         report["orphans"] = orphans
         if repair:
+            files.remove(path, orphans)
             for rel in orphans:
-                if _remove_orphan(os.path.join(path, rel)):
-                    report["repaired"].append(rel)
-                else:
+                if os.path.lexists(os.path.join(path, rel)):
                     problems.append(
                         _problem("orphan_unremovable", rel, "could not remove orphan")
                     )
+                else:
+                    report["repaired"].append(rel)
         else:
             for rel in orphans:
                 problems.append(
@@ -234,73 +195,6 @@ def verify_store(path: str, repair: bool = False) -> dict:
                 )
     report["ok"] = not problems
     return report
-
-
-def _find_orphans(store: ProvenanceStore) -> List[str]:
-    """Store-relative paths of files the manifest does not reference.
-
-    Mirrors the criteria of ``ProvenanceStore._sweep_orphans`` (which
-    deletes silently from maintenance operations) but only *reports*, so
-    fsck can surface the leak a crashed ``compact()``/``gc()`` left
-    behind without mutating anything.
-    """
-    orphans: List[str] = []
-    path = store.path
-    referenced = set(store.manifest.segment_ids())
-    segments_dir = os.path.join(path, SEGMENTS_DIR)
-    if os.path.isdir(segments_dir):
-        for name in sorted(os.listdir(segments_dir)):
-            rel = os.path.join(SEGMENTS_DIR, name)
-            if name.endswith(".tmp"):
-                orphans.append(rel)
-                continue
-            match = _SEGMENT_FILE_RE.match(name)
-            if match is not None and int(match.group(1)) not in referenced:
-                orphans.append(rel)
-    index_dir = os.path.join(path, INDEX_DIR)
-    known_runs = set(store.run_ids())
-    if os.path.isdir(index_dir):
-        for name in sorted(os.listdir(index_dir)):
-            rel = os.path.join(INDEX_DIR, name)
-            match = _RUN_DIR_RE.match(name)
-            if match is None:
-                if name.endswith(".tmp"):
-                    orphans.append(rel)
-                continue
-            run_id = int(match.group(1))
-            if run_id not in known_runs:
-                orphans.append(rel)  # the whole stale run directory
-                continue
-            run_info = store.manifest.run_info(run_id)
-            run_dir = os.path.join(index_dir, name)
-            for file_name in sorted(os.listdir(run_dir)):
-                file_rel = os.path.join(rel, file_name)
-                base_match = _INDEX_BASE_RE.match(file_name)
-                delta_match = _INDEX_DELTA_RE.match(file_name)
-                stale = file_name.endswith(".tmp")
-                if base_match is not None:
-                    stale = int(base_match.group(1)) != run_info.index_base
-                elif delta_match is not None:
-                    stale = int(delta_match.group(1)) not in run_info.index_deltas
-                if stale:
-                    orphans.append(file_rel)
-    if os.path.isdir(os.path.join(path, _COMPACT_SPILL_DIR)):
-        orphans.append(_COMPACT_SPILL_DIR)
-    return orphans
-
-
-def _remove_orphan(target: str) -> bool:
-    """Remove one orphan file or (flat) directory; True on success."""
-    try:
-        if os.path.isdir(target):
-            for name in os.listdir(target):
-                os.remove(os.path.join(target, name))
-            os.rmdir(target)
-        else:
-            os.remove(target)
-    except OSError:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------- #
@@ -349,8 +243,8 @@ def scrub(
     Every segment, index base/delta, and the cross-run page summary is
     read back from disk (bypassing the decoded-segment cache, so warm
     readers keep their working set) and checked against the manifest's
-    recorded ``(size, crc)``; an index or summary file without a recorded
-    checksum counts as ``unverified``.  ``throttle_mb_per_s`` bounds the
+    recorded ``(size, crc)``; an index file without a recorded checksum
+    counts as ``unverified``.  ``throttle_mb_per_s`` bounds the
     read bandwidth.
 
     With ``quarantine=True`` (the default) every damaged segment is
@@ -376,71 +270,64 @@ def scrub(
     }
     throttle = _Throttle(throttle_mb_per_s)
     marks_changed = False
-    for info in list(store.manifest.segments):
-        rel = os.path.join(SEGMENTS_DIR, info.file_name)
-        seg_path = os.path.join(store.path, rel)
-        reason: Optional[str] = None
+    for named in store.manifest.files():
+        rel = named.path
         try:
-            data = _read_throttled(seg_path, throttle)
+            data = _read_throttled(os.path.join(store.path, rel), throttle)
+            error: Optional[OSError] = None
         except OSError as exc:
-            reason = f"unreadable: {exc}"
-            data = b""
+            data, error = b"", exc
+        found = [len(data), zlib.crc32(data) & 0xFFFFFFFF]
+        mismatch = named.checksum is not None and found != named.checksum
+        if named.segment_id is None:
+            # Index and summary files are never quarantined: a damaged
+            # index generation is rebuilt from the (ground-truth) segments
+            # on the next load, and the page summary is trusted only when
+            # its checksum matches -- scrub just reports them.
+            what = "cross-run page summary" if rel == _SUMMARY_REL else "index file"
+            if error is not None:
+                report["index_files"]["damaged"] += 1
+                report["damage"].append(_problem("file_unreadable", rel, f"{what}: {error}"))
+                continue
+            report["files_scanned"] += 1
+            report["bytes_verified"] += len(data)
+            if named.checksum is None:
+                report["index_files"]["unverified"] += 1
+            elif mismatch:
+                report["index_files"]["damaged"] += 1
+                report["damage"].append(
+                    _problem(
+                        "file_checksum_mismatch", rel, f"{what}: {_mismatch(named.checksum, found)}"
+                    )
+                )
+            else:
+                report["index_files"]["verified"] += 1
+            continue
+        segment_id = named.segment_id
         report["files_scanned"] += 1
         report["bytes_verified"] += len(data)
-        if reason is None:
-            actual = zlib.crc32(data) & 0xFFFFFFFF
-            if len(data) != info.stored_bytes or actual != info.crc:
-                reason = (
-                    f"file checksum mismatch: manifest records "
-                    f"{info.stored_bytes}B/0x{info.crc:08x}, "
-                    f"found {len(data)}B/0x{actual:08x}"
-                )
+        reason: Optional[str] = None
+        if error is not None:
+            reason = f"unreadable: {error}"
+        elif mismatch:
+            reason = f"file checksum mismatch: {_mismatch(named.checksum, found)}"
         if reason is not None:
             report["segments"]["damaged"] += 1
             report["damage"].append(
-                _problem("segment_damaged", rel, f"segment {info.segment_id}: {reason}")
+                _problem("segment_damaged", rel, f"segment {segment_id}: {reason}")
             )
-            if quarantine and not store.is_quarantined(info.segment_id):
-                store.manifest.quarantine(info.segment_id, reason)
+            if quarantine and not store.is_quarantined(segment_id):
+                store.manifest.quarantine(segment_id, reason)
                 marks_changed = True
-            if store.is_quarantined(info.segment_id):
-                report["quarantined"].append(info.segment_id)
+            if store.is_quarantined(segment_id):
+                report["quarantined"].append(segment_id)
         else:
-            if quarantine and store.is_quarantined(info.segment_id):
+            if quarantine and store.is_quarantined(segment_id):
                 # Repaired in place since it was marked: lift the mark.
-                store.manifest.clear_quarantine(info.segment_id)
-                report["unquarantined"].append(info.segment_id)
+                store.manifest.clear_quarantine(segment_id)
+                report["unquarantined"].append(segment_id)
                 marks_changed = True
             report["segments"]["verified"] += 1
-    for run in store.manifest.runs:
-        run_dir = store._run_index_dir(run.run_id)
-        rel_dir = os.path.relpath(run_dir, store.path)
-        expected = []
-        if run.index_base:
-            expected.append(index_base_file_name(run.index_base))
-        expected.extend(index_delta_file_name(gen) for gen in run.index_deltas)
-        for name in expected:
-            rel = os.path.join(rel_dir, name)
-            _scrub_plain_file(
-                store,
-                os.path.join(run_dir, name),
-                rel,
-                run.index_checksums.get(name),
-                report,
-                throttle,
-                f"run {run.run_id} index file",
-            )
-    if store.manifest.pages_runs_checksum is not None:
-        rel = os.path.join(INDEX_DIR, PAGES_RUNS_FILE)
-        _scrub_plain_file(
-            store,
-            os.path.join(store.path, rel),
-            rel,
-            store.manifest.pages_runs_checksum,
-            report,
-            throttle,
-            "cross-run page summary",
-        )
     if marks_changed and durable:
         store.flush(checkpoint=True)
     report["ok"] = not report["damage"]
@@ -452,43 +339,8 @@ def scrub(
     return report
 
 
-def _scrub_plain_file(
-    store: ProvenanceStore,
-    file_path: str,
-    rel: str,
-    recorded: Optional[List[int]],
-    report: dict,
-    throttle: _Throttle,
-    what: str,
-) -> None:
-    """Verify one non-segment file against its recorded ``[size, crc]``.
-
-    Index and summary files are never quarantined: a damaged index
-    generation is rebuilt from the (ground-truth) segments on the next
-    load, and the page summary is a non-authoritative cache -- scrub just
-    reports them.
-    """
-    try:
-        data = _read_throttled(file_path, throttle)
-    except OSError as exc:
-        report["index_files"]["damaged"] += 1
-        report["damage"].append(_problem("file_unreadable", rel, f"{what}: {exc}"))
-        return
-    report["files_scanned"] += 1
-    report["bytes_verified"] += len(data)
-    if recorded is None:
-        report["index_files"]["unverified"] += 1
-        return
-    actual = zlib.crc32(data) & 0xFFFFFFFF
-    if len(data) != recorded[0] or actual != recorded[1]:
-        report["index_files"]["damaged"] += 1
-        report["damage"].append(
-            _problem(
-                "file_checksum_mismatch",
-                rel,
-                f"{what}: manifest records {recorded[0]}B/0x{recorded[1]:08x}, "
-                f"found {len(data)}B/0x{actual:08x}",
-            )
-        )
-    else:
-        report["index_files"]["verified"] += 1
+def _mismatch(recorded: List[int], found: List[int]) -> str:
+    return (
+        f"manifest records {recorded[0]}B/0x{recorded[1]:08x}, "
+        f"found {found[0]}B/0x{found[1]:08x}"
+    )

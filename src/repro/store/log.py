@@ -39,6 +39,8 @@ from typing import Iterator, List, Optional
 
 from repro.errors import StoreError
 
+from repro.store import files
+
 #: Frame magic of one segment-log record.
 LOG_RECORD_MAGIC = b"ILOG"
 
@@ -210,19 +212,14 @@ class SegmentLog:
         frame = encode_log_record(payload)
         valid = self._valid_bytes or 0
         size = self.size_bytes()
-        if size > valid:
-            # A torn tail (or stale garbage) past the commit horizon: cut
-            # it before appending over it.
-            os.truncate(self.path, valid)
-        elif size < valid:
+        if size < valid:
             raise StoreError(
                 f"segment log {self.path} shrank below its commit horizon "
                 f"({size} < {valid} bytes); refusing to append"
             )
-        with open(self.path, "ab") as handle:
-            handle.write(frame)
-            handle.flush()
-            os.fsync(handle.fileno())
+        # A torn tail (or stale garbage) past the commit horizon is cut
+        # before the frame lands.
+        files.append(self.path, frame, valid)
         self._valid_bytes = valid + len(frame)
         self._records += 1
         return self._valid_bytes
@@ -230,13 +227,10 @@ class SegmentLog:
     def reset(self) -> None:
         """Truncate the log to empty (after a checkpoint committed).
 
-        Written as a fresh empty file through an atomic rename; a crash
-        before it leaves stale records behind, which replay skips by
-        sequence number -- the reset only reclaims space.
+        Written as a fresh empty file through :func:`files.replace`; a
+        crash before it leaves stale records behind, which replay skips
+        by sequence number -- the reset only reclaims space.
         """
-        scratch = self.path + ".tmp"
-        with open(scratch, "wb"):
-            pass
-        os.replace(scratch, self.path)
+        files.replace(self.path, b"")
         self._valid_bytes = 0
         self._records = 0

@@ -79,26 +79,15 @@ from repro.errors import (
 
 from repro.store.cache import DEFAULT_CACHE_BYTES, IndexPinner, ReadScope, SegmentCache
 from repro.store.format import (
-    INDEX_DIR,
     MANIFEST_NAME,
-    PAGES_RUNS_FILE,
     RUN_COMPLETE,
     SEGMENT_LOG_NAME,
-    SEGMENTS_DIR,
     file_size_crc,
-    index_base_file_name,
-    index_delta_file_name,
-    run_index_dir_name,
+    is_store_file,
 )
 from repro.store.query import StoreQueryEngine
 from repro.store.segment import EdgeTuple, decode_segment, encode_segment
-from repro.store.store import (
-    _INDEX_BASE_RE,
-    _INDEX_DELTA_RE,
-    _RUN_DIR_RE,
-    _SEGMENT_FILE_RE,
-    ProvenanceStore,
-)
+from repro.store.store import ProvenanceStore
 
 #: Ops the server answers (the protocol surface).
 SERVER_OPS = (
@@ -659,35 +648,21 @@ class StoreServer:
         This is the comparison unit of replica anti-entropy: a repairer
         diffs its local table against the primary's and fetches exactly
         the files whose checksum differs or that it lacks.  Paths are
-        store-relative with ``/`` separators (wire form).  Checksums come
-        from the manifest's own integrity columns where recorded (free)
-        and are computed from disk for an index or summary file without
-        one.  Quarantined segments are *omitted*: a damaged copy is not a
+        store-relative with ``/`` separators (wire form): the files
+        :meth:`~repro.store.format.StoreManifest.files` names.  Checksums
+        come from the manifest's own integrity columns where recorded
+        (free) and are computed from disk for an index file without one.
+        Quarantined segments are *omitted*: a damaged copy is not a
         repair source.
         """
         manifest = store.manifest
         files: Dict[str, List[int]] = {}
-        for info in manifest.segments:
-            if manifest.is_quarantined(info.segment_id):
+        for named in manifest.files():
+            if named.segment_id is not None and manifest.is_quarantined(named.segment_id):
                 continue
-            files[f"{SEGMENTS_DIR}/{info.file_name}"] = [info.stored_bytes, info.crc]
-        for run in manifest.runs:
-            run_dir = f"{INDEX_DIR}/{run_index_dir_name(run.run_id)}"
-            names: List[str] = []
-            if run.index_base:
-                names.append(index_base_file_name(run.index_base))
-            names.extend(index_delta_file_name(gen) for gen in run.index_deltas)
-            for name in names:
-                rel = f"{run_dir}/{name}"
-                pair = run.index_checksums.get(name)
-                files[rel] = (
-                    [int(pair[0]), int(pair[1])] if pair else self._stat_crc(rel)
-                )
-        pages_rel = f"{INDEX_DIR}/{PAGES_RUNS_FILE}"
-        if manifest.pages_runs_checksum is not None:
-            files[pages_rel] = [int(v) for v in manifest.pages_runs_checksum]
-        elif os.path.exists(os.path.join(self.store_path, INDEX_DIR, PAGES_RUNS_FILE)):
-            files[pages_rel] = self._stat_crc(pages_rel)
+            files[named.path] = (
+                list(named.checksum) if named.checksum else self._stat_crc(named.path)
+            )
         token = 0
         for rel in sorted(files):
             size, crc = files[rel]
@@ -712,44 +687,20 @@ class StoreServer:
         except OSError as exc:
             raise StoreError(f"cannot checksum store file {rel!r}: {exc}") from exc
 
-    @staticmethod
-    def _validate_repair_path(rel: str) -> Tuple[str, ...]:
-        """The store-relative paths ``fetch_file`` may serve, nothing else.
-
-        Structural allow-list -- the manifest, the segment log, segment
-        files, per-run index base/delta files, and the cross-run page
-        summary -- so a client can never name a path outside the store
-        directory (no separators beyond the two known levels, no ``..``).
-        """
-        parts = tuple(rel.split("/"))
-        if rel in (MANIFEST_NAME, SEGMENT_LOG_NAME):
-            return parts
-        if (
-            len(parts) == 2
-            and parts[0] == SEGMENTS_DIR
-            and _SEGMENT_FILE_RE.match(parts[1])
-        ):
-            return parts
-        if len(parts) == 2 and parts[0] == INDEX_DIR and parts[1] == PAGES_RUNS_FILE:
-            return parts
-        if (
-            len(parts) == 3
-            and parts[0] == INDEX_DIR
-            and _RUN_DIR_RE.match(parts[1])
-            and (_INDEX_BASE_RE.match(parts[2]) or _INDEX_DELTA_RE.match(parts[2]))
-        ):
-            return parts
-        raise StoreError(f"fetch_file path {rel!r} does not name a store file")
-
     def _fetch_file(self, store: ProvenanceStore, rel: str) -> dict:
         """Serve one store file's bytes (base64) for a repairing replica.
 
+        The path comes from a client, so only the store's structural names
+        pass (:func:`~repro.store.format.is_store_file`): the manifest,
+        the segment log, segments, index generations and the page
+        summary -- never ``..`` or a path outside the store directory.
         The repairer verifies the returned ``crc`` before installing the
         file, so a fetch racing a concurrent write on this server is
         detected (mismatch) rather than silently installed half-new.
         """
-        parts = self._validate_repair_path(rel)
-        target = os.path.join(self.store_path, *parts)
+        if not is_store_file(rel):
+            raise StoreError(f"fetch_file path {rel!r} does not name a store file")
+        target = os.path.join(self.store_path, *rel.split("/"))
         try:
             with open(target, "rb") as handle:
                 data = handle.read()

@@ -42,6 +42,8 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.errors import StoreError
 
+from repro.store import files
+
 #: Buckets of the page-hash space shards may claim ranges over.
 PAGE_HASH_BUCKETS = 1024
 
@@ -299,17 +301,12 @@ class ClusterManifest:
         }
 
     def save(self, path: Optional[str] = None) -> str:
-        """Write the manifest atomically; returns the path written."""
+        """Write the manifest (a durable replace); returns the path written."""
         target = path or self.path
         if target is None:
             raise StoreError("this cluster manifest has no path to save to")
-        parent = os.path.dirname(os.path.abspath(target))
-        os.makedirs(parent, exist_ok=True)
-        tmp = target + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, target)
+        document = json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        files.replace(target, document.encode("utf-8"))
         self.path = target
         return target
 

@@ -32,11 +32,11 @@ run's segments **streaming, segment by segment** into fewer, denser ones
 and folding the run's index deltas into a fresh base file) and
 :meth:`ProvenanceStore.gc` drops superseded runs and reclaims their disk
 space.  Both are crash-consistent through the store's single commit
-protocol: new files first, commit record last (temp file + atomic rename;
-maintenance always commits as a full manifest checkpoint), old files
-deleted only after the commit -- a crash at any point leaves the previous
-consistent generation in place, and unreferenced files are swept by the
-next maintenance operation.
+protocol: new files first, commit record last (maintenance always commits
+as a full manifest checkpoint), and only then is every file no commit
+names deleted -- a crash at any point leaves the previous consistent
+generation in place, and the leftovers are swept by the next maintenance
+operation.  Every write and delete goes through :mod:`repro.store.files`.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from __future__ import annotations
 import datetime as _datetime
 import json
 import os
-import re
 import threading
 import zlib
 from collections import defaultdict
@@ -63,8 +62,10 @@ from repro.core.serialization import (
 from repro.core.thunk import SubComputation
 from repro.errors import CorruptSegmentError, StoreError
 
+from repro.store import files
 from repro.store.cache import IndexPinner, ReadScope, SegmentCache
 from repro.store.format import (
+    COMPACT_SPILL_DIR,
     DEFAULT_CHECKPOINT_INTERVAL,
     DEFAULT_SEGMENT_NODES,
     INDEX_DIR,
@@ -78,7 +79,6 @@ from repro.store.format import (
     RunInfo,
     SegmentInfo,
     StoreManifest,
-    file_size_crc,
     index_base_file_name,
     index_delta_file_name,
     run_index_dir_name,
@@ -88,14 +88,6 @@ from repro.store.indexes import StoreIndexes
 from repro.store.log import SegmentLog
 from repro.store.segment import EdgeTuple, SegmentPayload, decode_segment, encode_segment
 
-_SEGMENT_FILE_RE = re.compile(r"^seg-(\d{8})\.seg$")
-_RUN_DIR_RE = re.compile(r"^run-(\d{8})$")
-_INDEX_BASE_RE = re.compile(r"^base-(\d{8})\.bin$")
-_INDEX_DELTA_RE = re.compile(r"^delta-(\d{8})\.bin$")
-
-#: Scratch directory compaction spills per-batch edges into (inside the
-#: store, so a crash leaves it visible to the next maintenance sweep).
-_COMPACT_SPILL_DIR = "tmp-compact"
 
 def _utc_now_iso() -> str:
     """Wall-clock timestamp recorded for freshly minted runs."""
@@ -487,36 +479,35 @@ class ProvenanceStore:
         cannot be expressed as an append: store creation, after
         compact/gc) the manifest is rewritten as a fresh checkpoint and
         the log is reset instead; pass ``checkpoint=True`` / ``False`` to
-        force either path.  Every file goes through a temp-file + atomic
-        rename, so a crash mid-flush leaves the previous consistent
-        generation in place.
+        force either path.
+
+        Segment and index files carry never-reused names, so they are
+        written once and become visible only through the commit that
+        records their checksums; the manifest and the page summary are
+        replaced durably under their fixed names (:mod:`repro.store.files`).
+        A crash mid-flush therefore leaves the previous consistent
+        generation in place, plus unreferenced files the next maintenance
+        operation sweeps.
         """
         for run_id, indexes in self.run_indexes.items():
             run_info = self.manifest.run_info(run_id)
+            if not (indexes.needs_base or indexes.has_pending):
+                continue
             run_dir = self._run_index_dir(run_id)
+            generation = run_info.next_index_gen
+            run_info.next_index_gen += 1
             if indexes.needs_base:
-                generation = run_info.next_index_gen
-                run_info.next_index_gen += 1
-                indexes.save_base(run_dir, generation)
+                checksum = indexes.save_base(run_dir, generation)
                 run_info.index_base = generation
                 run_info.index_deltas = []
-                base_name = index_base_file_name(generation)
-                run_info.record_index_checksum(
-                    base_name, *file_size_crc(os.path.join(run_dir, base_name))
-                )
+                run_info.record_index_checksum(index_base_file_name(generation), *checksum)
                 run_info.prune_index_checksums()
                 indexes.needs_base = False
-                indexes.clear_pending()
-            elif indexes.has_pending:
-                generation = run_info.next_index_gen
-                run_info.next_index_gen += 1
-                indexes.save_delta(run_dir, generation)
+            else:
+                checksum = indexes.save_delta(run_dir, generation)
                 run_info.index_deltas.append(generation)
-                delta_name = index_delta_file_name(generation)
-                run_info.record_index_checksum(
-                    delta_name, *file_size_crc(os.path.join(run_dir, delta_name))
-                )
-                indexes.clear_pending()
+                run_info.record_index_checksum(index_delta_file_name(generation), *checksum)
+            indexes.clear_pending()
         self._cover_loaded_runs_in_pages_summary()
         self._write_pages_runs_if_dirty()
         if checkpoint is None:
@@ -568,16 +559,12 @@ class ProvenanceStore:
         checkpoint's ``log_seq`` covers).
         """
         self.manifest.log_seq = self._log_next_seq - 1
-        manifest_path = os.path.join(self.path, MANIFEST_NAME)
-        scratch = manifest_path + ".tmp"
-        with open(scratch, "w", encoding="utf-8") as handle:
-            json.dump(self.manifest.to_dict(), handle, sort_keys=True, indent=2)
-            handle.flush()
-            # The rename below resets the log: without this fsync a power
-            # loss could durably empty the log while the checkpoint that
-            # folded it in evaporates from the page cache.
-            os.fsync(handle.fileno())
-        os.replace(scratch, manifest_path)
+        # Durable before the log reset below: otherwise a power loss could
+        # empty the log while the checkpoint that folded it in is lost.
+        files.replace(
+            os.path.join(self.path, MANIFEST_NAME),
+            json.dumps(self.manifest.to_dict(), sort_keys=True, indent=2).encode("utf-8"),
+        )
         self._manifest_on_disk = True
         self._logged_segment_count = len(self.manifest.segments)
         self._uncheckpointed_records = 0
@@ -591,37 +578,37 @@ class ProvenanceStore:
     def _load_pages_runs_once(self) -> Dict[int, Set[int]]:
         """Parse the on-disk summary (cheap: no per-run index loading).
 
-        Entries for runs the manifest does not know (a crash left the
-        summary a generation ahead) are dropped; runs the summary does not
-        cover are merged lazily from their indexes when needed.  For a
-        covered run the summary is always a superset of the committed
-        state (pages only ever grow within a run), so skipping based on it
-        never loses results.
+        The summary is trusted only when its bytes match the ``[size,
+        crc]`` the manifest recorded for it.  Any other file -- a hand
+        edit, a torn write, or one a crash renamed into place before the
+        commit that would have recorded it -- covers nothing, and the
+        next flush rewrites it; uncovered runs are merged lazily from
+        their own indexes when needed.  For a covered run the summary is
+        always a superset of the committed state (pages only ever grow
+        within a run), so skipping based on it never loses results.
         """
         if self._pages_runs is not None:
             return self._pages_runs
         pages: Dict[int, Set[int]] = {}
         covered: Set[int] = set()
-        known = set(self.run_ids())
-        path = os.path.join(self.path, INDEX_DIR, PAGES_RUNS_FILE)
-        if os.path.exists(path):
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    data = json.load(handle)
-                covered = {int(run_id) for run_id in data.get("runs", ())} & known
-                for page_text, run_list in data.get("pages", {}).items():
-                    runs = {int(run_id) for run_id in run_list} & covered
-                    if runs:
-                        pages[int(page_text)] = runs
-            except (ValueError, OSError, AttributeError, TypeError):
-                # The summary is a non-authoritative cache: any malformed
-                # shape (torn write, hand edit) degrades to "covers
-                # nothing" and runs are merged from their own indexes.
-                pages, covered = {}, set()
+        recorded = self.manifest.pages_runs_checksum
+        try:
+            with open(os.path.join(self.path, INDEX_DIR, PAGES_RUNS_FILE), "rb") as handle:
+                raw = handle.read()
+            actual = [len(raw), zlib.crc32(raw) & 0xFFFFFFFF]
+        except OSError:
+            actual = None
+        if actual is not None and actual == recorded:
+            data = json.loads(raw)
+            covered = {int(run_id) for run_id in data["runs"]} & set(self.run_ids())
+            for page_text, run_list in data["pages"].items():
+                runs = {int(run_id) for run_id in run_list} & covered
+                if runs:
+                    pages[int(page_text)] = runs
         self._pages_runs = pages
         self._pages_runs_covered = covered
         self._pages_runs_disk = set(covered)
-        self._pages_runs_force = False
+        self._pages_runs_force = actual != recorded
         return pages
 
     def _cover_run_in_pages_summary(self, run_id: int) -> None:
@@ -667,14 +654,10 @@ class ProvenanceStore:
                 if runs & want
             },
         }
-        index_dir = os.path.join(self.path, INDEX_DIR)
-        os.makedirs(index_dir, exist_ok=True)
-        path = os.path.join(index_dir, PAGES_RUNS_FILE)
-        scratch = path + ".tmp"
-        with open(scratch, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, sort_keys=True)
-        os.replace(scratch, path)
-        self.manifest.pages_runs_checksum = file_size_crc(path)
+        self.manifest.pages_runs_checksum = files.replace(
+            os.path.join(self.path, INDEX_DIR, PAGES_RUNS_FILE),
+            json.dumps(document, sort_keys=True).encode("utf-8"),
+        )
         self._pages_runs_disk = want
         self._pages_runs_force = False
 
@@ -794,8 +777,9 @@ class ProvenanceStore:
             batch_ids.add(node.node_id)
         segment_id = self.manifest.next_segment_id
         framed, raw_bytes = encode_segment(nodes, edges)
-        with open(os.path.join(self.path, SEGMENTS_DIR, segment_file_name(segment_id)), "wb") as handle:
-            handle.write(framed)
+        stored_bytes, crc = files.write_once(
+            os.path.join(self.path, SEGMENTS_DIR, segment_file_name(segment_id)), framed
+        )
         self.manifest.next_segment_id += 1
         for node in nodes:
             indexes.add_node(segment_id, node)
@@ -808,8 +792,8 @@ class ProvenanceStore:
                 nodes=len(nodes),
                 edges=len(edges),
                 raw_bytes=raw_bytes,
-                stored_bytes=len(framed),
-                crc=zlib.crc32(framed) & 0xFFFFFFFF,
+                stored_bytes=stored_bytes,
+                crc=crc,
             )
         )
         self.manifest.node_count += len(nodes)
@@ -1086,21 +1070,20 @@ class ProvenanceStore:
         peak), not the whole run.
 
         Crash-consistent: the new segments and the folded index base are
-        written under fresh ids/generations, the manifest is committed
-        atomically, and only then are the old files deleted.  A crash
-        before the commit leaves the old generation intact (the stray new
-        files are swept by the next maintenance call); a crash after it
-        leaves the new generation intact.
+        written under fresh ids/generations, the manifest checkpoint is
+        committed, and only then is every file no commit names deleted
+        (the old generation, the spill directory, and any earlier crash's
+        leftovers).  A crash before the commit leaves the old generation
+        intact (the stray new files are swept by the next maintenance
+        call); a crash after it leaves the new generation intact.
         """
         if segment_nodes <= 0:
             raise StoreError(f"segment_nodes must be positive, got {segment_nodes}")
         targets = [self.resolve_run(run)] if run is not None else self.run_ids()
         stats = MaintenanceStats(segments_before=self.manifest.segment_count)
-        old_ids: List[int] = []
         dirty = False
         for run_id in targets:
             superseded, peak = self._compact_run(run_id, segment_nodes)
-            old_ids.extend(superseded)
             stats.peak_resident_nodes = max(stats.peak_resident_nodes, peak)
             run_info = self.manifest.run_info(run_id)
             loaded = dict.get(self.run_indexes, run_id)
@@ -1118,7 +1101,7 @@ class ProvenanceStore:
             # express that (the log is append-only).
             self.flush(checkpoint=True)
             self._bump_generation()
-        stats.bytes_reclaimed = self._delete_segments(old_ids) + self._sweep_orphans()
+        stats.bytes_reclaimed = self._sweep_orphans()
         return stats
 
     def _bump_generation(self) -> None:
@@ -1159,100 +1142,99 @@ class ProvenanceStore:
             min(segment_nodes, len(in_order) - position * segment_nodes)
             for position in range(batch_count)
         ]
-        spill_dir = os.path.join(self.path, _COMPACT_SPILL_DIR)
-        self._remove_spill_dir()
+        # Spill files are scratch no commit names: plain writes, swept with
+        # their directory after the commit.  A batch's file is truncated by
+        # its first write, so a stale one from an earlier crash is never read.
+        spill_dir = os.path.join(self.path, COMPACT_SPILL_DIR)
         os.makedirs(spill_dir, exist_ok=True)
+        spilled: Set[int] = set()
         peak = 0
-        try:
-            # Pass 1: scatter every edge to its destination batch's spill
-            # file (an edge is co-located with its target node; edges whose
-            # target lives elsewhere fall back to the source's batch, then
-            # the first).
-            for info in infos:
-                payload = self._segment_uncached(info.segment_id)
-                peak = max(peak, len(payload.nodes))
-                lines_by_batch: Dict[int, List[str]] = defaultdict(list)
-                for edge in payload.edges:
-                    position = batch_of_node.get(edge[1], batch_of_node.get(edge[0], 0))
-                    lines_by_batch[position].append(
-                        json.dumps(
-                            edge_to_dict(
-                                edge[0], edge[1], {"kind": edge[2], **edge[3]},
-                                version=FORMAT_VERSION_V2,
-                            ),
-                            sort_keys=True,
-                        )
+        # Pass 1: scatter every edge to its destination batch's spill
+        # file (an edge is co-located with its target node; edges whose
+        # target lives elsewhere fall back to the source's batch, then
+        # the first).
+        for info in infos:
+            payload = self._segment_uncached(info.segment_id)
+            peak = max(peak, len(payload.nodes))
+            lines_by_batch: Dict[int, List[str]] = defaultdict(list)
+            for edge in payload.edges:
+                position = batch_of_node.get(edge[1], batch_of_node.get(edge[0], 0))
+                lines_by_batch[position].append(
+                    json.dumps(
+                        edge_to_dict(
+                            edge[0], edge[1], {"kind": edge[2], **edge[3]},
+                            version=FORMAT_VERSION_V2,
+                        ),
+                        sort_keys=True,
                     )
-                for position, lines in lines_by_batch.items():
-                    with open(
-                        os.path.join(spill_dir, f"batch-{position:08d}.jsonl"),
-                        "a",
-                        encoding="utf-8",
-                    ) as handle:
-                        handle.write("\n".join(lines) + "\n")
-            # Pass 2: stream nodes in the causal order, sealing each new
-            # segment as soon as its batch is complete.
-            new_index = StoreIndexes()
-            new_infos: List[SegmentInfo] = []
-            buffers: Dict[int, List[SubComputation]] = defaultdict(list)
-            emitted: Set[int] = set()
-
-            def emit(position: int) -> None:
-                batch = sorted(
-                    buffers.pop(position, []), key=lambda node: old_index.causal_key(node.node_id)
                 )
-                batch_edges: List[EdgeTuple] = []
+            for position, lines in lines_by_batch.items():
+                with open(
+                    os.path.join(spill_dir, f"batch-{position:08d}.jsonl"),
+                    "a" if position in spilled else "w",
+                    encoding="utf-8",
+                ) as handle:
+                    handle.write("\n".join(lines) + "\n")
+                spilled.add(position)
+        # Pass 2: stream nodes in the causal order, sealing each new
+        # segment as soon as its batch is complete.
+        new_index = StoreIndexes()
+        new_infos: List[SegmentInfo] = []
+        buffers: Dict[int, List[SubComputation]] = defaultdict(list)
+        emitted: Set[int] = set()
+
+        def emit(position: int) -> None:
+            batch = sorted(
+                buffers.pop(position, []), key=lambda node: old_index.causal_key(node.node_id)
+            )
+            batch_edges: List[EdgeTuple] = []
+            if position in spilled:
                 spill_path = os.path.join(spill_dir, f"batch-{position:08d}.jsonl")
-                if os.path.exists(spill_path):
-                    with open(spill_path, "r", encoding="utf-8") as handle:
-                        for line in handle:
-                            if line.strip():
-                                batch_edges.append(edge_from_dict(json.loads(line)))
-                segment_id = self.manifest.next_segment_id
-                self.manifest.next_segment_id += 1
-                framed, raw_bytes = encode_segment(batch, batch_edges)
-                path = os.path.join(self.path, SEGMENTS_DIR, segment_file_name(segment_id))
-                scratch = path + ".tmp"
-                with open(scratch, "wb") as handle:
-                    handle.write(framed)
-                os.replace(scratch, path)
-                for node in batch:
-                    new_index.add_node(segment_id, node)
-                for edge in batch_edges:
-                    new_index.add_edge(segment_id, edge)
-                new_infos.append(
-                    SegmentInfo(
-                        segment_id=segment_id,
-                        run=run_id,
-                        nodes=len(batch),
-                        edges=len(batch_edges),
-                        raw_bytes=raw_bytes,
-                        stored_bytes=len(framed),
-                        crc=zlib.crc32(framed) & 0xFFFFFFFF,
-                    )
+                with open(spill_path, "r", encoding="utf-8") as handle:
+                    for line in handle:
+                        if line.strip():
+                            batch_edges.append(edge_from_dict(json.loads(line)))
+            segment_id = self.manifest.next_segment_id
+            self.manifest.next_segment_id += 1
+            framed, raw_bytes = encode_segment(batch, batch_edges)
+            stored_bytes, crc = files.write_once(
+                os.path.join(self.path, SEGMENTS_DIR, segment_file_name(segment_id)), framed
+            )
+            for node in batch:
+                new_index.add_node(segment_id, node)
+            for edge in batch_edges:
+                new_index.add_edge(segment_id, edge)
+            new_infos.append(
+                SegmentInfo(
+                    segment_id=segment_id,
+                    run=run_id,
+                    nodes=len(batch),
+                    edges=len(batch_edges),
+                    raw_bytes=raw_bytes,
+                    stored_bytes=stored_bytes,
+                    crc=crc,
                 )
-                emitted.add(position)
+            )
+            emitted.add(position)
 
-            for info in infos:
-                payload = self._segment_uncached(info.segment_id)
-                for node in payload.nodes.values():
-                    buffers[batch_of_node[node.node_id]].append(node)
-                # The decoded payload's nodes now live in the buffers, so
-                # the buffered total *is* the resident node count.
-                peak = max(peak, sum(len(pending) for pending in buffers.values()))
-                for position in [
-                    position
-                    for position, pending in buffers.items()
-                    if len(pending) >= batch_sizes[position]
-                ]:
-                    emit(position)
-            for position in sorted(buffers):
+        for info in infos:
+            payload = self._segment_uncached(info.segment_id)
+            for node in payload.nodes.values():
+                buffers[batch_of_node[node.node_id]].append(node)
+            # The decoded payload's nodes now live in the buffers, so
+            # the buffered total *is* the resident node count.
+            peak = max(peak, sum(len(pending) for pending in buffers.values()))
+            for position in [
+                position
+                for position, pending in buffers.items()
+                if len(pending) >= batch_sizes[position]
+            ]:
                 emit(position)
-            for position in range(batch_count):
-                if position not in emitted:
-                    emit(position)  # nodeless batch (edge-only runs)
-        finally:
-            self._remove_spill_dir()
+        for position in sorted(buffers):
+            emit(position)
+        for position in range(batch_count):
+            if position not in emitted:
+                emit(position)  # nodeless batch (edge-only runs)
         new_index.clear_pending()
         new_index.needs_base = True
         superseded = [info.segment_id for info in infos]
@@ -1263,20 +1245,6 @@ class ProvenanceStore:
         # The superseded payloads are dropped by the generation bump in
         # compact() once the new manifest generation is committed.
         return superseded, peak
-
-    def _remove_spill_dir(self) -> None:
-        spill_dir = os.path.join(self.path, _COMPACT_SPILL_DIR)
-        if not os.path.isdir(spill_dir):
-            return
-        for name in os.listdir(spill_dir):
-            try:
-                os.remove(os.path.join(spill_dir, name))
-            except OSError:
-                continue
-        try:
-            os.rmdir(spill_dir)
-        except OSError:
-            pass
 
     def _run_fully_quarantined(self, run_id: int) -> bool:
         """True when every segment of ``run_id`` is quarantined.
@@ -1304,9 +1272,9 @@ class ProvenanceStore:
         removes it once the operator gives up on repair).
 
         Crash-consistent like :meth:`compact`: the shrunk manifest is
-        committed first, then the dropped runs' segment files and index
-        directories are deleted; unreferenced files left by an earlier
-        crash are swept as well.
+        committed first, then every file no commit names is deleted -- the
+        dropped runs' segments and index directories, and whatever an
+        earlier crash left behind.
         """
         if (keep_last is None) == (runs is None):
             raise StoreError("gc needs exactly one of keep_last= or runs=")
@@ -1327,12 +1295,9 @@ class ProvenanceStore:
         if not drop:
             stats.segments_after = stats.segments_before
             return stats
-        dropped_segments: List[int] = []
         self._load_pages_runs_once()
         for run_id in drop:
-            dropped_segments.extend(
-                info.segment_id for info in self.manifest.remove_run(run_id)
-            )
+            self.manifest.remove_run(run_id)
             self.run_indexes.pop(run_id, None)
             self._pages_runs_covered.discard(run_id)
         if self._pages_runs:
@@ -1353,112 +1318,21 @@ class ProvenanceStore:
         # shrinks the segment table, so it must be a checkpoint.
         self.flush(checkpoint=True)
         self._bump_generation()
-        stats.bytes_reclaimed = self._delete_segments(dropped_segments)
-        for run_id in drop:
-            self._delete_run_index_dir(run_id)
-        stats.bytes_reclaimed += self._sweep_orphans()
+        stats.bytes_reclaimed = self._sweep_orphans()
         return stats
 
-    def _delete_segments(self, segment_ids: Sequence[int]) -> int:
-        """Remove segment files; returns the bytes freed (missing files ok)."""
-        freed = 0
-        for segment_id in segment_ids:
-            path = os.path.join(self.path, SEGMENTS_DIR, segment_file_name(segment_id))
-            try:
-                freed += os.path.getsize(path)
-                os.remove(path)
-            except OSError:
-                continue
-        return freed
-
-    def _delete_run_index_dir(self, run_id: int) -> None:
-        run_dir = os.path.join(self.path, INDEX_DIR, run_index_dir_name(run_id))
-        if not os.path.isdir(run_dir):
-            return
-        for name in os.listdir(run_dir):
-            try:
-                os.remove(os.path.join(run_dir, name))
-            except OSError:
-                continue
-        try:
-            os.rmdir(run_dir)
-        except OSError:
-            pass
-
     def _sweep_orphans(self) -> int:
-        """Delete files the manifest does not reference; returns bytes freed.
+        """Delete every file the committed manifest does not name; returns bytes freed.
 
-        Covers segment files, index base/delta generations no run
-        references (superseded by a fold, or strays from a crashed
-        flush/compaction), crashed-rename scratch files, and stale
-        compaction spill directories.  Only maintenance
-        operations sweep (never :meth:`open`): :meth:`append_segment`
-        writes a segment file before the flush that names it, so a live
-        writer legitimately keeps segment files briefly ahead of the
-        manifest, and sweeping on every open would race it.  Running
-        compact/gc concurrently with an active ingest is documented as
-        unsupported.
+        See :func:`repro.store.files.orphans`.  Only maintenance
+        operations sweep, right after their commit (never :meth:`open`):
+        :meth:`append_segment` writes a segment file before the flush
+        that names it, so a live writer legitimately keeps segment files
+        briefly ahead of the manifest on disk, and sweeping on every open
+        would race it.  Running compact/gc concurrently with an active
+        ingest is documented as unsupported.
         """
-        freed = 0
-
-        def remove(path: str) -> int:
-            try:
-                size = os.path.getsize(path)
-                os.remove(path)
-                return size
-            except OSError:
-                return 0
-
-        referenced = set(self.manifest.segment_ids())
-        segments_dir = os.path.join(self.path, SEGMENTS_DIR)
-        if os.path.isdir(segments_dir):
-            for name in os.listdir(segments_dir):
-                if name.endswith(".tmp"):
-                    # Scratch left by a crash between write and rename;
-                    # maintenance is single-writer, so nothing races this.
-                    freed += remove(os.path.join(segments_dir, name))
-                    continue
-                match = _SEGMENT_FILE_RE.match(name)
-                if match is None or int(match.group(1)) in referenced:
-                    continue
-                freed += remove(os.path.join(segments_dir, name))
-        index_dir = os.path.join(self.path, INDEX_DIR)
-        known_runs = set(self.run_ids())
-        if os.path.isdir(index_dir):
-            for name in os.listdir(index_dir):
-                match = _RUN_DIR_RE.match(name)
-                if match is None:
-                    if name.endswith(".tmp"):  # crashed-rename scratch
-                        freed += remove(os.path.join(index_dir, name))
-                    continue
-                run_id = int(match.group(1))
-                if run_id not in known_runs:
-                    self._delete_run_index_dir(run_id)
-                    continue
-                freed += self._sweep_run_index_dir(run_id, os.path.join(index_dir, name))
-        self._remove_spill_dir()
-        return freed
-
-    def _sweep_run_index_dir(self, run_id: int, run_dir: str) -> int:
-        """Drop the index generations (and scratch files) one run no longer uses."""
-        run_info = self.manifest.run_info(run_id)
-        freed = 0
-        for name in os.listdir(run_dir):
-            path = os.path.join(run_dir, name)
-            base_match = _INDEX_BASE_RE.match(name)
-            delta_match = _INDEX_DELTA_RE.match(name)
-            stale = name.endswith(".tmp")  # crashed-rename scratch
-            if base_match is not None:
-                stale = int(base_match.group(1)) != run_info.index_base
-            elif delta_match is not None:
-                stale = int(delta_match.group(1)) not in run_info.index_deltas
-            if stale:
-                try:
-                    freed += os.path.getsize(path)
-                    os.remove(path)
-                except OSError:
-                    continue
-        return freed
+        return files.remove(self.path, files.orphans(self.path, self.manifest))
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -1467,7 +1341,7 @@ class ProvenanceStore:
     def run_index_delta_bytes(self, run_id: int) -> int:
         """On-disk size of the run's pending (un-folded) index delta files."""
         run_info = self.manifest.run_info(run_id)
-        run_dir = os.path.join(self.path, INDEX_DIR, run_index_dir_name(run_id))
+        run_dir = self._run_index_dir(run_id)
         total = 0
         for generation in run_info.index_deltas:
             try:

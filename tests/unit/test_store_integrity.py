@@ -36,6 +36,7 @@ from repro.store import (
     scrub,
     verify_store,
 )
+from repro.store import files
 from repro.store.__main__ import main as store_cli
 from repro.store.format import (
     INDEX_DIR,
@@ -178,12 +179,12 @@ class TestFsck:
             # Crash compact() after the manifest committed the new
             # generation but before the superseded files were deleted --
             # the orphan-leak window.
-            monkeypatch.setattr(
-                store,
-                "_delete_segments",
-                lambda ids: (_ for _ in ()).throw(RuntimeError("crash before delete")),
-            )
-            with pytest.raises(RuntimeError):
+            with monkeypatch.context() as patch, pytest.raises(RuntimeError):
+                patch.setattr(
+                    files,
+                    "remove",
+                    lambda root, rels: (_ for _ in ()).throw(RuntimeError("crash before delete")),
+                )
                 store.compact(segment_nodes=64)
         report = verify_store(store_dir)
         assert not report["ok"]

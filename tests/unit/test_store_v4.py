@@ -17,15 +17,19 @@ from repro.core.dependencies import derive_data_edges
 from repro.core.thunk import SubComputation
 from repro.core.vector_clock import VectorClock
 from repro.errors import StoreError
+from repro.inspector.api import run_with_provenance
 from repro.store import (
     STORE_FORMAT_VERSION,
     ProvenanceStore,
     StoreQueryEngine,
     StoreSink,
+    verify_store,
 )
 from repro.store.format import (
     INDEX_DIR,
+    MANIFEST_NAME,
     PAGES_RUNS_FILE,
+    SEGMENT_LOG_NAME,
     SEGMENT_MAGIC_PREFIX,
     index_base_file_name,
     index_delta_file_name,
@@ -216,22 +220,36 @@ class TestIndexDeltas:
         assert index_base_file_name(4321) not in os.listdir(run_dir)
 
     def test_crashed_rename_scratch_files_are_swept(self, tmp_path):
-        # A crash between write and os.replace leaves *.tmp scratch files;
-        # the next maintenance call must reclaim them everywhere.
+        # A crash between write and os.replace leaves *.tmp scratch files
+        # at any level: fsck must list every one as an orphan, and the
+        # next maintenance call must reclaim them everywhere.
         store_dir = str(tmp_path / "stream")
         store, sink = stream_run(store_dir)
         run_dir = os.path.join(store_dir, INDEX_DIR, run_index_dir_name(sink.run_id))
+        baselines = os.path.join(store_dir, INDEX_DIR, "baselines")
+        os.makedirs(baselines)
         strays = [
             os.path.join(store_dir, "segments", "seg-00000099.seg.tmp"),
             os.path.join(store_dir, INDEX_DIR, PAGES_RUNS_FILE + ".tmp"),
             os.path.join(run_dir, index_delta_file_name(99) + ".tmp"),
+            os.path.join(store_dir, MANIFEST_NAME + ".tmp"),
+            os.path.join(store_dir, SEGMENT_LOG_NAME + ".tmp"),
+            os.path.join(store_dir, MANIFEST_NAME + ".repair.tmp"),
+            os.path.join(baselines, "golden.json.tmp"),
         ]
-        for path in strays:
+        for path in strays + [os.path.join(baselines, "golden.json")]:
             with open(path, "wb") as handle:
                 handle.write(b"half-written")
+        report = verify_store(store_dir)
+        assert sorted(report["orphans"]) == sorted(
+            os.path.relpath(path, store_dir) for path in strays
+        )
+        assert {problem["kind"] for problem in report["problems"]} == {"orphan_file"}
         ProvenanceStore.open(store_dir).compact()
         for path in strays:
             assert not os.path.exists(path), path
+        assert os.listdir(baselines) == ["golden.json"]
+        assert verify_store(store_dir)["ok"]
 
     def test_compact_folds_deltas_and_reports_them(self, tmp_path):
         store_dir = str(tmp_path / "stream")
@@ -409,6 +427,40 @@ class TestPagesRunsSummary:
             json.dump(document, handle)
         store = ProvenanceStore.open(store_dir)
         assert store.runs_touching_pages([pages_a[0]]) == {1}
+
+    def test_parseable_edit_of_the_summary_is_not_trusted(self, tmp_path):
+        # A summary that still parses but is not the file whose checksum
+        # the manifest recorded (a hand edit, or one a crash renamed into
+        # place before the commit that records it) must cover nothing:
+        # trusted, it would hide a run that touched the page.
+        store_dir = str(tmp_path / "histogram")
+        for _ in range(2):
+            run_with_provenance("histogram", num_threads=2, size="small", store_path=store_dir)
+        with ProvenanceStore.open(store_dir) as store:
+            page = min(store.indexes_for(1).page_writers)
+            engine = StoreQueryEngine(store)
+            lineage = engine.lineage_across_runs([page])
+            taint = engine.taint_across_runs([page])
+        assert lineage[1] and lineage[2]
+        path = os.path.join(store_dir, INDEX_DIR, PAGES_RUNS_FILE)
+        with open(path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+        document["pages"][str(page)].remove(1)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(document, handle, sort_keys=True)
+        assert not verify_store(store_dir)["ok"]
+        with ProvenanceStore.open(store_dir) as store:
+            engine = StoreQueryEngine(store)
+            assert engine.lineage_across_runs([page]) == lineage
+            edited = engine.taint_across_runs([page])
+            for run_id in (1, 2):
+                assert edited[run_id].tainted_nodes == taint[run_id].tainted_nodes
+                assert edited[run_id].tainted_pages == taint[run_id].tainted_pages
+            # The next flush rewrites the summary, and fsck is clean again.
+            store.flush()
+        assert verify_store(store_dir)["ok"]
+        with ProvenanceStore.open(store_dir) as store:
+            assert StoreQueryEngine(store).lineage_across_runs([page]) == lineage
 
 
 # ---------------------------------------------------------------------- #
