@@ -53,9 +53,10 @@ stays bounded as runs grow.  Eight scenarios keep those claims honest:
   holds the maintenance-only p99 within 1.5x with zero reader errors
   and byte-identical answers.
 
-Every scenario appends its numbers to
-``benchmarks/results/BENCH_store.json`` so the perf trajectory is tracked
-across PRs.  Run under pytest (``pytest benchmarks/bench_store_queries.py``)
+Every scenario merges its numbers into
+``benchmarks/results/BENCH_store.json``, a run output like the figure
+reports beside it: the file is not committed, and CI uploads the one its
+``--smoke`` step writes as an artifact.  Run under pytest (``pytest benchmarks/bench_store_queries.py``)
 or standalone (``PYTHONPATH=src python benchmarks/bench_store_queries.py``,
 ``--smoke`` for CI-sized inputs).
 """

@@ -26,19 +26,20 @@ Three facts the derivation rests on:
 * **The lookup relies on ``clock[tid] == index + 1``**, which the tracker
   sets for every sub-computation it starts
   (:meth:`ProvenanceTracker._begin_subcomputation`).  With it, a writer
-  ``(u, i)`` happens-before a reader exactly when ``i + 1 <=
-  reader.clock[u]``, so one bisect per writing thread finds that thread's
-  latest eligible writer, and a candidate ``(u, i)`` is shadowed by
-  another writer ``w`` exactly when ``w.clock[u] >= i + 1``.
+  ``(u, i)`` happens-before a node ``n`` exactly when ``i + 1 <=
+  n.clock[u]``: one lookup tells whether a reader sees a writer, or whether
+  a new writer covers a page's frontier entry, and one bisect over a
+  thread's writer indices finds the latest writer of that thread a reader
+  sees.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import defaultdict
-from typing import Dict, List, Set, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
-from repro.core.cpg import ConcurrentProvenanceGraph, causal_key
+from repro.core.cpg import ConcurrentProvenanceGraph
 from repro.core.thunk import INPUT_TID, NodeId, SubComputation
 from repro.errors import ProvenanceError
 
@@ -48,13 +49,17 @@ def derive_data_edges(cpg: ConcurrentProvenanceGraph) -> int:
 
     The derivation walks the sub-computations in the causal order
     (:func:`~repro.core.cpg.causal_key`), a linear extension of the
-    vector-clock happens-before order.  For every page it keeps, per
-    writing thread, the ascending indices of that thread's writers seen so
-    far.  A writer ``(u, i)`` precedes a reader exactly when ``i + 1 <=
-    reader.clock[u]``, so one bisect per thread finds that thread's latest
-    writer preceding the reader.  Of those candidates (at most one per
-    thread), the ones that happen-before another candidate are shadowed;
-    the rest are the reader's sources.
+    vector-clock happens-before order, so a node is registered as a writer
+    only after every writer that happens-before it.  For every page it
+    keeps (:class:`_PageWriters`) each writing thread's writer indices, the
+    page's *frontier* (per thread, its latest writer while no registered
+    writer follows it) and, per writing thread, which other threads'
+    frontier entries its writers removed.  A reader's sources are the
+    frontier entries it sees, plus the latest writer it sees of each thread
+    reached from an unseen frontier entry through removals made by writers
+    it does not see; of those, the ones another one follows are shadowed.
+    The sources of one read come in the order their threads first wrote
+    the page, and the edges in the order of their first page.
 
     The virtual input node (when present) is the earliest writer of every
     input page: a reader of an input page gets an edge from it exactly when
@@ -71,59 +76,144 @@ def derive_data_edges(cpg: ConcurrentProvenanceGraph) -> int:
                 f"sub-computation {node.node_id} has clock component "
                 f"{node.clock.get(node.tid)} for its own thread, expected {node.index + 1}"
             )
-    nodes.sort(key=causal_key)
     input_node = cpg.input_node
     input_pages = cpg.subcomputation(input_node).write_set if input_node is not None else set()
+    subcomputation = cpg.subcomputation
 
-    # page -> writing thread -> ascending indices of its writers of the page
-    writers_by_page: Dict[int, Dict[int, List[int]]] = defaultdict(dict)
+    writers_by_page: Dict[int, _PageWriters] = {}
     # Pairs already linked (source, target) -> pages, to merge multi-page
     # dependencies into a single labelled edge.
     pending: Dict[Tuple[NodeId, NodeId], Set[int]] = defaultdict(set)
 
-    for node in nodes:
-        node_id = node.node_id
+    for node_id in cpg.topological_order():
+        if node_id[0] == INPUT_TID:
+            continue
+        node = subcomputation(node_id)
         # 1. resolve this node's reads against earlier writers
-        reader_clock = node.clock.as_dict()
+        seen = node.clock.get
         for page in sorted(node.read_set):
-            sources = _maximal_writers(cpg, writers_by_page.get(page, {}), reader_clock)
+            writers = writers_by_page.get(page)
+            sources = writers.sources(seen, subcomputation) if writers is not None else ()
             for source in sources:
-                pending[(source.node_id, node_id)].add(page)
+                pending[(source, node_id)].add(page)
             if not sources and page in input_pages:
                 pending[(input_node, node_id)].add(page)
         # 2. register this node's writes
         for page in node.write_set:
-            writers_by_page[page].setdefault(node.tid, []).append(node.index)
+            writers = writers_by_page.get(page)
+            if writers is None:
+                writers = writers_by_page[page] = _PageWriters()
+            writers.register(node)
 
     for (source, target), pages in pending.items():
         cpg.add_data_edge(source, target, pages)
     return len(pending)
 
 
-def _maximal_writers(
-    cpg: ConcurrentProvenanceGraph, by_thread: Dict[int, List[int]], reader_clock: Dict[int, int]
-) -> List[SubComputation]:
-    """Return the writers that precede the reader and that no other such writer follows.
+class _PageWriters:
+    """The writers of one page registered so far, arranged for reader lookups.
 
-    ``by_thread`` maps each thread to the ascending indices of its writers
-    of one page, registered so far; ``reader_clock`` is the reader's clock,
-    and a writer ``(u, i)`` precedes the reader exactly when ``i <
-    reader_clock[u]`` (the reader itself is not registered yet).  Every
-    writer of a thread that precedes the reader also precedes that
-    thread's latest such writer, so only those candidates (one per thread)
-    can be maximal.  ``chosen`` holds the maximal candidates seen so far;
-    any visiting order gives the same set.
+    Writers are registered in a linear extension of happens-before, so a
+    new writer follows no registered writer yet, and no registered writer
+    follows it.  ``frontier`` maps each thread to its latest writer while
+    no other registered writer follows that writer: the maximal writers,
+    one per thread at most.  A new writer replaces its own thread's entry
+    and removes every other entry it follows; ``removed[u]`` records, for
+    each thread ``v`` whose entry a writer of ``u`` removed, the latest such
+    writer's index, in ascending order of that index.
+
+    A reader's maximal writer ``(v, m)`` is the latest writer of ``v`` it
+    sees, and the walk reaches ``v``.  Either ``v``'s latest writer is in
+    the frontier (it is ``(v, m)``, or an unseen entry the walk starts
+    from), or a writer of another thread ``u`` removed it.  The reader does
+    not see that remover (else ``(v, m)`` would happen-before a writer it
+    sees), so ``removed[u][v]`` is at least ``seen(u)`` and exploring ``u``
+    reaches ``v``.  ``u``'s latest writer is unseen too and was registered
+    after ``v``'s, so the same argument applies to it, until the chain ends
+    at an unseen frontier entry.  Each thread is explored once per read, and
+    removals made by writers the reader sees are never visited.
     """
-    chosen: List[SubComputation] = []
-    for tid, indices in by_thread.items():
-        count = bisect_left(indices, reader_clock.get(tid, 0))
-        if not count:
-            continue
-        index = indices[count - 1]
-        if any(other.clock.get(tid) > index for other in chosen):
-            continue  # (tid, index) happens-before a chosen writer
-        writer = cpg.subcomputation((tid, index))
-        # Drop the chosen writers that happen-before the new one.
-        chosen = [other for other in chosen if writer.clock.get(other.tid) <= other.index]
-        chosen.append(writer)
-    return chosen
+
+    __slots__ = ("indices", "first_write", "frontier", "removed")
+
+    def __init__(self) -> None:
+        #: tid -> ascending indices of the thread's writers of the page
+        self.indices: Dict[int, List[int]] = {}
+        #: tid -> position of the thread's first write among the page's writing threads
+        self.first_write: Dict[int, int] = {}
+        #: tid -> index of the thread's latest writer, while no registered writer follows it
+        self.frontier: Dict[int, int] = {}
+        #: tid -> {other tid -> latest index of tid that removed other's frontier entry}
+        self.removed: Dict[int, Dict[int, int]] = {}
+
+    def register(self, writer: SubComputation) -> None:
+        """Register ``writer``, which follows no writer registered so far."""
+        tid, index = writer.tid, writer.index
+        indices = self.indices.get(tid)
+        if indices is None:
+            self.indices[tid] = [index]
+            self.first_write[tid] = len(self.first_write)
+        else:
+            indices.append(index)
+        frontier = self.frontier
+        frontier.pop(tid, None)
+        follows = writer.clock.get
+        covered = [other for other, other_index in frontier.items() if follows(other) > other_index]
+        if covered:
+            removed = self.removed.setdefault(tid, {})
+            for other in covered:
+                del frontier[other]
+                removed.pop(other, None)  # re-inserted last: ascending by index
+                removed[other] = index
+        frontier[tid] = index
+
+    def sources(
+        self, seen: Callable[[int], int], subcomputation: Callable[[NodeId], SubComputation]
+    ) -> List[NodeId]:
+        """The maximal writers a reader sees, in the order their threads first wrote the page.
+
+        ``seen`` is the reader's clock lookup: the reader sees ``(u, i)``
+        exactly when ``i < seen(u)``.  The reader itself is not registered
+        yet.
+        """
+        chosen: List[NodeId] = []
+        unseen: List[int] = []
+        for tid, index in self.frontier.items():
+            if seen(tid) > index:
+                chosen.append((tid, index))  # no registered writer follows it
+            else:
+                unseen.append(tid)
+        if unseen:
+            candidates = self._explore(unseen, seen)
+            every = chosen + candidates
+            for tid, index in candidates:
+                # (tid, index) happens-before another candidate: shadowed
+                if not any(
+                    subcomputation(other).clock.get(tid) > index for other in every if other[0] != tid
+                ):
+                    chosen.append((tid, index))
+        if len(chosen) > 1:
+            first_write = self.first_write
+            chosen.sort(key=lambda node_id: first_write[node_id[0]])
+        return chosen
+
+    def _explore(self, unseen: List[int], seen: Callable[[int], int]) -> List[NodeId]:
+        """Latest seen writer of each thread reached from the ``unseen`` frontier threads."""
+        visited = set(self.frontier)
+        candidates: List[NodeId] = []
+        while unseen:
+            tid = unseen.pop()
+            bound = seen(tid)
+            indices = self.indices[tid]
+            count = bisect_left(indices, bound)
+            if count:
+                candidates.append((tid, indices[count - 1]))
+            removed = self.removed.get(tid)
+            if removed:
+                for other, index in reversed(removed.items()):
+                    if index < bound:
+                        break  # removed by writers the reader sees
+                    if other not in visited:
+                        visited.add(other)
+                        unseen.append(other)
+        return candidates

@@ -7,8 +7,16 @@ vector clocks (:meth:`ConcurrentProvenanceGraph.happens_before`; the
 virtual input node is earliest), and no other writer of ``p`` that
 happens-before ``r`` follows ``w``.  :func:`definition_edges` is that
 definition, brute force.  Hypothesis drives the tracker through executions
-with mutexes, release-only and acquire-only objects, barrier rounds and
-spawned threads, and the derived edge set must equal the definition's.
+with mutexes, release-only and acquire-only objects, barrier rounds,
+spawned, exited and joined threads, and the derived edge set must equal
+the definition's.
+
+:func:`thread_scan_edges` is the derivation before the page frontier: one
+bisect per thread that ever wrote a page, for every read of it.  The
+derived edge *list* (source, target, pages, in the order the edges were
+added) must equal the scan's, on the Hypothesis draws and on every
+registry workload at 4 and 16 threads: the order fixes ``cpg_to_json``
+and the stored bytes, and a set comparison passes a reordering.
 
 :func:`scan_reference` is the earlier derivation: a walk in a topological
 order of the control + sync edges that scans every earlier writer of the
@@ -38,6 +46,7 @@ worklist's.
 import contextlib
 import graphlib
 import tempfile
+from bisect import bisect_left
 from collections import defaultdict
 
 import pytest
@@ -45,16 +54,18 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from repro.core.algorithm import ProvenanceTracker
-from repro.core.cpg import EdgeKind, happens_before
+from repro.core.cpg import EdgeKind, causal_key, happens_before
 from repro.core.dependencies import derive_data_edges
 from repro.core.queries import find_racy_pairs, propagate_taint, replay_taint, taint_candidates
-from repro.core.thunk import INPUT_NODE
+from repro.core.thunk import INPUT_NODE, INPUT_TID
 from repro.inspector.api import run_with_provenance
 from repro.store import ProvenanceStore, StoreQueryEngine, StoreSink
 from repro.store.query import TAINT_FLOOD_FRACTION
 from repro.workloads.registry import list_workloads
 
-MAX_THREADS = 6
+#: Thread ids a draw may start; exits and joins let later spawns outnumber
+#: the threads alive at once.
+MAX_THREADS = 8
 PAGES = 4
 INPUT_PAGES = {0, 1}
 MUTEX = 100
@@ -63,6 +74,7 @@ MUTEX = 100
 POST_ONLY, WAIT_ONLY, POST_AND_WAIT = 200, 201, 202
 BARRIER_BASE = 300
 START_TOKEN_BASE = 1000
+EXIT_TOKEN_BASE = 2000
 #: Small segments, so stored runs span several and the replay must order
 #: nodes across them.
 SEGMENT_NODES = 4
@@ -134,6 +146,44 @@ def scan_reference(cpg):
     return {(source, target, frozenset(pages)) for (source, target), pages in pending.items()}
 
 
+def thread_scan_edges(cpg):
+    """``[(source, target, pages)]`` from the per-thread scan, in the order it adds them.
+
+    The derivation before the page frontier.  It walks the nodes in the
+    causal order and keeps, per page, each writing thread's ascending writer
+    indices.  For every page a node reads it visits every thread that ever
+    wrote the page, in the order they first wrote it: one bisect finds the
+    thread's latest writer the reader sees, which is dropped when it
+    happens-before a writer chosen so far, and replaces the chosen writers
+    that happen-before it.
+    """
+    nodes = sorted((node for node in cpg.subcomputations() if node.tid != INPUT_TID), key=causal_key)
+    input_node = cpg.input_node
+    input_pages = cpg.subcomputation(input_node).write_set if input_node is not None else set()
+    writers_by_page = defaultdict(dict)
+    pending = defaultdict(set)
+    for node in nodes:
+        for page in sorted(node.read_set):
+            chosen = []
+            for tid, indices in writers_by_page[page].items():
+                count = bisect_left(indices, node.clock.get(tid))
+                if not count:
+                    continue
+                index = indices[count - 1]
+                if any(other.clock.get(tid) > index for other in chosen):
+                    continue
+                writer = cpg.subcomputation((tid, index))
+                chosen = [other for other in chosen if writer.clock.get(other.tid) <= other.index]
+                chosen.append(writer)
+            for source in chosen:
+                pending[(source.node_id, node.node_id)].add(page)
+            if not chosen and page in input_pages:
+                pending[(input_node, node.node_id)].add(page)
+        for page in node.write_set:
+            writers_by_page[page].setdefault(node.tid, []).append(node.index)
+    return [(source, target, frozenset(pages)) for (source, target), pages in pending.items()]
+
+
 def worklist_taint_candidates(indexes, source_pages, through_thread_state):
     """The nodes taint can reach in a stored run, by a page and node worklist.
 
@@ -181,9 +231,14 @@ def worklist_taint_candidates(indexes, source_pages, through_thread_state):
     return candidates
 
 
+def derived_edge_list(cpg):
+    """The data edges ``derive_data_edges`` added, as ``[(source, target, pages)]`` in order."""
+    return [(source, target, attrs["pages"]) for source, target, attrs in cpg.edges(EdgeKind.DATA)]
+
+
 def derived_edges(cpg):
     """The data edges ``derive_data_edges`` added, as ``{(source, target, pages)}``."""
-    return {(source, target, attrs["pages"]) for source, target, attrs in cpg.edges(EdgeKind.DATA)}
+    return set(derived_edge_list(cpg))
 
 
 # --------------------------------------------------------------------------- #
@@ -193,9 +248,12 @@ def derived_edges(cpg):
 #: Action kinds a thread takes in its turn, repeated to weight the draw:
 #: accesses make the dependencies, posts make threads' sync chains differ
 #: in length (what separates clock order from control + sync reachability).
-ACTIONS = ("access",) * 3 + ("post",) * 2 + ("lock", "unlock", "wait", "spawn")
+#: Exits and joins make finished threads whose writes a joiner's later
+#: writes shadow, the shape of a program that re-spawns its workers.
+ACTIONS = ("access",) * 3 + ("post",) * 2 + ("lock", "unlock", "wait", "spawn", "exit", "join")
 #: ``(kind, page, flag)``: ``flag`` is the access's ``is_write``, or picks
-#: the shared object over the post-only / wait-only one.
+#: the shared object over the post-only / wait-only one; a join takes the
+#: ``page``-th exited thread not joined yet (modulo their number).
 actions = st.tuples(st.sampled_from(ACTIONS), st.integers(0, PAGES - 1), st.booleans())
 
 
@@ -238,9 +296,12 @@ def record(execution, listener=None):
     """Replay an :func:`executions` draw on a tracker; return the finalized CPG.
 
     Threads ``1..initially_running`` start with no parent; a ``spawn``
-    starts the next thread through a start token.  Actions that are not
-    possible at their point (an unstarted thread, a mutex held by another
-    thread, no thread left to spawn) are skipped, so every draw is valid.
+    starts the next thread id through a start token.  An ``exit`` ends the
+    thread and releases its exit token, and a ``join`` acquires the token
+    of an exited thread, once per thread.  Actions that are not possible at
+    their point (an unstarted or exited thread, a mutex held by another
+    thread, no thread id left to spawn, no thread left to join, an exit
+    while holding the mutex) are skipped, so every draw is valid.
     ``listener`` (a :class:`StoreSink`, say) sees every published
     sub-computation.
     """
@@ -252,10 +313,12 @@ def record(execution, listener=None):
     running = list(range(1, initially_running + 1))
     for tid in running:
         tracker.on_thread_start(tid)
+    started = len(running)
+    joinable = []
     holder = None
 
     def turn(tid, kind, page, flag):
-        nonlocal holder
+        nonlocal holder, started
         if kind == "access":
             tracker.on_memory_access(tid, page, is_write=flag)
         elif kind == "lock" and holder is None:
@@ -268,11 +331,20 @@ def record(execution, listener=None):
             sync(tracker, tid, "sem_post", release=[POST_AND_WAIT if flag else POST_ONLY])
         elif kind == "wait":
             sync(tracker, tid, "sem_wait", acquire=[POST_AND_WAIT if flag else WAIT_ONLY])
-        elif kind == "spawn" and len(running) < threads:
-            child = len(running) + 1
+        elif kind == "spawn" and started < threads:
+            started += 1
+            child = started
             sync(tracker, tid, "thread_create", release=[START_TOKEN_BASE + child])
             tracker.on_thread_start(child, parent_tid=tid, start_object_id=START_TOKEN_BASE + child)
             running.append(child)
+        elif kind == "exit" and holder != tid:
+            tracker.on_thread_end(tid)
+            tracker.on_release(tid, EXIT_TOKEN_BASE + tid, "thread_exit")
+            running.remove(tid)
+            joinable.append(tid)
+        elif kind == "join" and joinable:
+            child = joinable.pop(page % len(joinable))
+            sync(tracker, tid, "thread_join", acquire=[EXIT_TOKEN_BASE + child])
 
     def take_turns(turns):
         for tid, actions_of_tid in enumerate(turns, start=1):
@@ -388,6 +460,14 @@ class TestDerivationOracle:
 
     @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None, max_examples=300)
     @given(executions())
+    def test_derived_edge_list_equals_the_thread_scan(self, execution):
+        cpg = record(execution)
+        expected = thread_scan_edges(cpg)
+        derive_data_edges(cpg)
+        assert derived_edge_list(cpg) == expected
+
+    @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None, max_examples=300)
+    @given(executions())
     def test_one_lookup_happens_before_equals_the_clock_order(self, execution):
         # ``happens_before`` answers tracker nodes with one clock lookup; on
         # every ordered pair (the input node included) it must agree with
@@ -477,3 +557,10 @@ class TestTaintOracle:
 def test_registry_workload_edges_equal_the_scan(workload):
     cpg = run_with_provenance(workload, 4, size="small").cpg
     assert derived_edges(cpg) == scan_reference(cpg)
+
+
+@pytest.mark.parametrize("threads", [4, 16])
+@pytest.mark.parametrize("workload", list_workloads())
+def test_registry_workload_edge_list_equals_the_thread_scan(workload, threads):
+    cpg = run_with_provenance(workload, threads, size="small").cpg
+    assert derived_edge_list(cpg) == thread_scan_edges(cpg)
