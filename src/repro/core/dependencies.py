@@ -39,7 +39,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from typing import Callable, Dict, List, Set, Tuple
 
-from repro.core.cpg import ConcurrentProvenanceGraph
+from repro.core.cpg import ConcurrentProvenanceGraph, EdgeKind
 from repro.core.thunk import INPUT_TID, NodeId, SubComputation
 from repro.errors import ProvenanceError
 
@@ -66,9 +66,16 @@ def derive_data_edges(cpg: ConcurrentProvenanceGraph) -> int:
     no other writer of that page happens-before the reader.
 
     Raises:
-        ProvenanceError: If a sub-computation's own clock component is not
-            ``index + 1`` (the graph was not built by the tracker).
+        ProvenanceError: If ``cpg`` already has data edges (a second
+            derivation would add every edge again), or if a
+            sub-computation's own clock component is not ``index + 1``
+            (the graph was not built by the tracker).
     """
+    if cpg.edge_count(EdgeKind.DATA):
+        raise ProvenanceError(
+            f"the graph already has {cpg.edge_count(EdgeKind.DATA)} data edges; "
+            f"derive_data_edges runs once per graph"
+        )
     nodes = [node for node in cpg.subcomputations() if node.tid != INPUT_TID]
     for node in nodes:
         if node.clock.get(node.tid) != node.index + 1:

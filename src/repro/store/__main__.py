@@ -935,8 +935,8 @@ def _cmd_cluster_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster_status(args: argparse.Namespace) -> int:
-    cluster = StoreCluster(args.cluster)
-    status = cluster.status()
+    with StoreCluster(args.cluster) as cluster:
+        status = cluster.status()
     if args.json:
         print(json.dumps(status, sort_keys=True, indent=2))
         return 0
@@ -969,9 +969,13 @@ def _cmd_cluster_query(args: argparse.Namespace) -> int:
     if args.compare is not None and args.taint:
         print("--compare diffs lineage; it does not combine with --taint", file=sys.stderr)
         return 2
-    cluster = StoreCluster(
+    with StoreCluster(
         args.cluster, on_shard_down="partial" if args.partial else "fail"
-    )
+    ) as cluster:
+        return _cluster_query(cluster, args)
+
+
+def _cluster_query(cluster: StoreCluster, args: argparse.Namespace) -> int:
     if args.compare is not None:
         diff = cluster.compare_lineage(args.compare[0], args.compare[1], args.pages)
         payload = {
@@ -1059,8 +1063,8 @@ def _cmd_cluster_query(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster_repair(args: argparse.Namespace) -> int:
-    cluster = StoreCluster(args.cluster)
-    report = cluster.repair(args.shard)
+    with StoreCluster(args.cluster) as cluster:
+        report = cluster.repair(args.shard)
     if args.json:
         print(json.dumps(report, sort_keys=True, indent=2))
         return 0

@@ -145,8 +145,9 @@ class StoreCluster:
         on_shard_down: ``"fail"`` (default) or ``"partial"`` -- see the
             module docstring.
         client_factory: Builds a client from an address; defaults to
-            ``StoreClient.from_url``.  Tests inject
-            :class:`InProcessShardClient` factories here.
+            ``StoreClient.from_url``, whose clients keep their connections
+            until :meth:`close` (or the end of a ``with`` block).  Tests
+            inject :class:`InProcessShardClient` factories here.
         client_options: Extra keyword arguments for the default factory
             (``timeout``, ``retries``, ``backoff`` ...).
     """
@@ -171,6 +172,9 @@ class StoreCluster:
         self._client_factory = client_factory or (
             lambda address: StoreClient.from_url(address, **options)
         )
+        #: Clients the default factory built are this router's to close;
+        #: an injected factory's clients belong to its caller.
+        self._owns_clients = client_factory is None
         self._clients: Dict[str, object] = {}
         self._lock = threading.Lock()
         #: Fan-out report of the most recent query (see module docstring).
@@ -182,6 +186,21 @@ class StoreCluster:
         self.repairs_run = 0
         self._repair_files = 0
         self._repair_bytes = 0
+
+    def close(self) -> None:
+        """Close the shard clients this router built (their kept connections)."""
+        if not self._owns_clients:
+            return
+        with self._lock:
+            clients, self._clients = list(self._clients.values()), {}
+        for client in clients:
+            client.close()
+
+    def __enter__(self) -> "StoreCluster":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
 
     # ------------------------------------------------------------------ #
     # Shard transport

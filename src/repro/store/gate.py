@@ -170,7 +170,8 @@ class ProvenanceBaseline:
                 None
                 if data.get("racy_pairs") is None
                 else _canonical_racy_pairs(
-                    (pair[0], pair[1], pair[2]) for pair in data["racy_pairs"]
+                    (parse_node_key(pair[0]), parse_node_key(pair[1]), pair[2])
+                    for pair in data["racy_pairs"]
                 )
             ),
             created_at=str(data.get("created_at", "")),

@@ -50,6 +50,19 @@ hits/misses attributable to that query alone (collected through a
 :class:`~repro.store.cache.ReadScope`, so concurrent queries do not bleed
 into each other's numbers).
 
+**Kept connections.**  A connection carries any number of requests, one
+at a time, and the server serves each connection on its own thread.
+:class:`StoreClient` keeps its connections open across requests, so a
+query pays neither a TCP connect nor a new server thread.  A connection
+returns to the client's idle list only after a whole reply line was read,
+and any failure closes it, so a late reply is never taken for the next
+request's answer.  Before reusing an idle connection the client polls it
+with a zero timeout: one that reads as readable was closed by the server
+(or holds stray bytes) and is replaced before anything is sent.
+:meth:`StoreServer.close` shuts down every connection still open, so a
+closed server answers nothing more.  A client that connects once per
+request is served the same.
+
 Use :class:`StoreClient` from Python, or ``python -m repro.store serve``
 from the command line.
 """
@@ -58,10 +71,13 @@ from __future__ import annotations
 
 import base64
 import binascii
+import contextlib
 import json
 import os
+import select
 import socket
 import socketserver
+import sys
 import threading
 import time
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -142,6 +158,10 @@ def _node_list(nodes: Iterable[tuple]) -> List[str]:
 class _RequestHandler(socketserver.StreamRequestHandler):
     """One connection: any number of newline-delimited JSON requests."""
 
+    # Replies are single writes a client waits on; Nagle's algorithm would
+    # hold the tail of a reply back until the client acknowledges the rest.
+    disable_nagle_algorithm = True
+
     def handle(self) -> None:
         server: "StoreServer" = self.server.store_server  # type: ignore[attr-defined]
         for line in self.rfile:
@@ -175,18 +195,72 @@ class _RequestHandler(socketserver.StreamRequestHandler):
                 # The acknowledgement is flushed *before* the listener
                 # stops, so a CLI client never loses the shutdown reply to
                 # the process exiting first.  Closing from this handler
-                # thread is safe: block_on_close is off, so server_close
-                # does not try to join the current thread.
+                # thread is safe: close() never joins the thread that
+                # calls it.
                 server.close()
                 break
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):
+    """One thread per connection; records the open ones so close() can break them."""
+
     allow_reuse_address = True
     daemon_threads = True
     # The shutdown op closes the server from inside a handler thread;
     # joining handler threads there would mean joining ourselves.
     block_on_close = False
+
+    def __init__(self, address: Tuple[str, int], handler) -> None:
+        super().__init__(address, handler)
+        self._connections_lock = threading.Lock()
+        #: Open connection -> the thread serving it.  Clients keep their
+        #: connections open across requests, so these outlive any request.
+        self._connections: Dict[socket.socket, threading.Thread] = {}
+
+    def process_request(self, request, client_address) -> None:
+        # Recorded on the accept thread before its handler starts: once
+        # serve_forever has returned, the table names every connection.
+        thread = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address), daemon=True
+        )
+        with self._connections_lock:
+            self._connections[request] = thread
+        thread.start()
+
+    def handle_error(self, request, client_address) -> None:
+        # A client that hung up, or a closing server that broke the
+        # connection, is not worth a traceback.
+        if not isinstance(sys.exc_info()[1], ConnectionError):
+            super().handle_error(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        # Under the lock, so close_connections never shuts down a socket
+        # whose descriptor this close has already released.
+        with self._connections_lock:
+            self._connections.pop(request, None)
+            super().shutdown_request(request)
+
+    @property
+    def open_connections(self) -> int:
+        with self._connections_lock:
+            return len(self._connections)
+
+    def close_connections(self) -> None:
+        """Break every open connection, then wait for the threads serving them.
+
+        Shutting a connection down ends its handler's read loop, so a
+        client's kept connection gets no answer from a closed server.  The
+        calling thread is not joined (the ``shutdown`` op closes the
+        server from its own handler).
+        """
+        with self._connections_lock:
+            serving = list(self._connections.items())
+            for conn, _ in serving:
+                with contextlib.suppress(OSError):
+                    conn.shutdown(socket.SHUT_RDWR)
+        for _, thread in serving:
+            if thread is not threading.current_thread():
+                thread.join(timeout=5)
 
 
 class StoreServer:
@@ -291,6 +365,9 @@ class StoreServer:
         self._tcp.store_server = self  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
         self._serving = False
+        #: Set by close(); ends watch streams that would otherwise wait
+        #: out their timeout on a closed server.
+        self._closing = threading.Event()
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -301,6 +378,11 @@ class StoreServer:
     def store(self) -> ProvenanceStore:
         """The current snapshot (swapped atomically by ``refresh``)."""
         return self._store
+
+    @property
+    def open_connections(self) -> int:
+        """Client connections open now (clients keep theirs between requests)."""
+        return self._tcp.open_connections
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -325,12 +407,17 @@ class StoreServer:
         self._tcp.serve_forever()
 
     def close(self) -> None:
-        """Stop accepting connections and release the socket.
+        """Stop accepting connections, then break the ones still open.
 
-        Safe on a server whose serve loop never ran (an in-process-only
-        server driven through :meth:`handle_request`): ``shutdown`` waits
-        on an event only ``serve_forever`` sets, so it is skipped then.
+        The listener closes first; then every connection a client kept
+        open is shut down, so a closed server answers nothing more, and
+        the threads serving them are joined (not the calling one: the
+        ``shutdown`` op closes the server from its own handler).  Safe on
+        a server whose serve loop never ran (an in-process-only server
+        driven through :meth:`handle_request`): ``shutdown`` waits on an
+        event only ``serve_forever`` sets, so it is skipped then.
         """
+        self._closing.set()
         if self._autopilot_daemon is not None:
             # Before the sockets: a mid-action autopilot cycle may call
             # refresh(), which must still find a live server.
@@ -338,6 +425,7 @@ class StoreServer:
         if self._serving:
             self._tcp.shutdown()
         self._tcp.server_close()
+        self._tcp.close_connections()
         if self._thread is not None:
             self._thread.join(timeout=5)
             self._thread = None
@@ -794,7 +882,8 @@ class StoreServer:
 
         Yields a response line whenever the watched run's progress
         changed since the last observation, and a final one (``done``)
-        when the run completes or ``timeout`` elapses.  Each poll tick is
+        when the run completes or ``timeout`` elapses; a server that
+        closes ends the stream without one.  Each poll tick is
         a cheap probe -- the follow-mode staleness check (a stat compare
         when nothing changed) plus manifest-only progress; the lineage
         query runs only when the progress tuple actually moved or the
@@ -825,7 +914,8 @@ class StoreServer:
                 return
             timed_out = time.time() >= deadline
             if probe == last and not timed_out:
-                time.sleep(interval)
+                if self._closing.wait(interval):
+                    return
                 continue
             response = self.handle_request(single)
             if not response.get("ok"):
@@ -845,9 +935,8 @@ class StoreServer:
             if observed != last or result["done"]:
                 last = observed
                 yield response
-            if result["done"]:
+            if result["done"] or self._closing.wait(interval):
                 return
-            time.sleep(interval)
 
     def server_stats(self) -> dict:
         """Server-wide counters: uptime, snapshot, cache, pinned indexes."""
@@ -885,13 +974,60 @@ class _SentRequestFailed(OSError):
     """The connection broke *after* the request may have reached the server."""
 
 
+#: Bytes asked of one ``recv`` while reading a reply line.
+_RECV_BYTES = 65536
+
+
+def _has_input(conn: socket.socket) -> bool:
+    """Whether ``conn`` reads as readable right now (a zero-timeout poll)."""
+    poller = select.poll()
+    poller.register(conn, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+def _read_reply(conn: socket.socket) -> bytes:
+    """Read one reply line from ``conn``, up to and including its ``\\n``.
+
+    The server sends nothing but the reply to the request it was sent, so
+    the line ends the last chunk received.  A close before the newline,
+    or bytes after it, break the exchange and raise.
+    """
+    chunks = []
+    while True:
+        chunk = conn.recv(_RECV_BYTES)
+        if not chunk:
+            raise ConnectionError(
+                "server closed the connection "
+                + ("mid-reply" if chunks else "without replying")
+            )
+        chunks.append(chunk)
+        if chunk.endswith(b"\n"):
+            return b"".join(chunks)
+        if b"\n" in chunk:
+            raise ConnectionError("server sent bytes past the end of its reply")
+
+
 class StoreClient:
     """Small blocking client for :class:`StoreServer`'s JSON-line protocol.
 
-    Each request opens its own connection, so one client instance may be
-    shared across threads (the hammer test does).  Responses with
-    ``ok: false`` raise :class:`~repro.errors.StoreError`; node lists come
-    back as ``(tid, index)`` tuples.
+    Responses with ``ok: false`` raise :class:`~repro.errors.StoreError`;
+    node lists come back as ``(tid, index)`` tuples.
+
+    **Kept connections.**  Requests travel over connections the client
+    keeps open, so a query pays no TCP connect and the server starts no
+    thread for it.  A request takes an idle connection or, when none is
+    idle, opens one (``TCP_NODELAY``); so one instance may be shared
+    across threads (the hammer tests do), and it never holds more
+    connections than it has had requests in flight at once.  A
+    connection goes back to the idle list only after a whole reply line
+    was read and parsed.  Any failure -- a timeout, a reset, a torn line,
+    a reply that does not parse -- closes it, so a late reply is never
+    read as the answer to the next request.  Before an idle connection
+    is reused it is polled with a zero timeout: one that reads as
+    readable was closed by the server (a crash, a restart, a
+    ``shutdown``) or holds stray bytes, so it is closed and another taken
+    before anything is sent.  :meth:`close` (or a ``with`` block) closes
+    the idle connections.
 
     Transient socket errors (refused/reset/timeout/closed-without-reply)
     are retried with capped exponential backoff; once ``retries`` are
@@ -904,7 +1040,7 @@ class StoreClient:
     Args:
         host: Server host.
         port: Server port.
-        timeout: Per-connection socket timeout in seconds.
+        timeout: Socket timeout in seconds, per connect and per read.
         retries: Extra attempts after the first failed one.
         backoff: Initial retry delay in seconds (doubles per retry).
         backoff_cap: Upper bound on the retry delay.
@@ -937,6 +1073,8 @@ class StoreClient:
         self.backoff = backoff
         self.backoff_cap = backoff_cap
         self.refresh_mode = refresh_mode
+        self._idle: List[socket.socket] = []
+        self._idle_lock = threading.Lock()
 
     @classmethod
     def from_url(cls, url: str, **kwargs) -> "StoreClient":
@@ -958,25 +1096,61 @@ class StoreClient:
             raise StoreError(f"malformed store url {url!r} (expected host:port)")
         return cls(host, int(port_text), **kwargs)
 
-    def _exchange(self, payload: bytes) -> bytes:
-        """One connection, one request, one reply line.
+    def close(self) -> None:
+        """Close the idle connections (a later request opens a new one)."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
 
-        Connect-phase failures propagate as plain ``OSError`` (nothing
-        was sent; always safe to retry); failures after the send are
-        wrapped in :class:`_SentRequestFailed` so the retry policy can
-        refuse to resend non-idempotent ops.
+    def __enter__(self) -> "StoreClient":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
+
+    def _connection(self) -> socket.socket:
+        """An idle connection the server has not closed, or a new one.
+
+        Connect failures propagate as plain ``OSError``: nothing was sent.
         """
+        while True:
+            with self._idle_lock:
+                if not self._idle:
+                    break
+                conn = self._idle.pop()
+            if not _has_input(conn):
+                return conn
+            conn.close()  # closed by the server, or stray bytes: never reuse it
         conn = socket.create_connection((self.host, self.port), timeout=self.timeout)
-        with conn:
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return conn
+
+    def _exchange(self, payload: bytes) -> dict:
+        """One request and its parsed reply, over a kept or a new connection.
+
+        Failures after the send are wrapped in :class:`_SentRequestFailed`
+        so the retry policy can refuse to resend non-idempotent ops.  Only
+        a whole, parsed reply returns the connection to the idle list;
+        any failure closes it.
+        """
+        conn = self._connection()
+        try:
             try:
                 conn.sendall(payload)
-                with conn.makefile("rb") as reader:
-                    line = reader.readline()
+                line = _read_reply(conn)
             except OSError as exc:
                 raise _SentRequestFailed(str(exc)) from exc
-        if not line:
-            raise _SentRequestFailed("server closed the connection without replying")
-        return line
+            try:
+                response = json.loads(line.decode("utf-8"))
+            except ValueError as exc:
+                raise StoreError(f"malformed server response: {exc}") from exc
+        except BaseException:
+            conn.close()
+            raise
+        with self._idle_lock:
+            self._idle.append(conn)
+        return response
 
     def request(self, op: str, **params) -> dict:
         """Send one request; returns the raw response object."""
@@ -995,7 +1169,7 @@ class StoreClient:
                 time.sleep(delay)
                 delay = min(delay * 2, self.backoff_cap)
             try:
-                line = self._exchange(payload)
+                response = self._exchange(payload)
             except _SentRequestFailed as exc:
                 # The request was sent: retrying a non-idempotent op could
                 # apply it twice -- surface the ambiguity immediately.
@@ -1009,10 +1183,6 @@ class StoreClient:
             except OSError as exc:
                 last_error = exc  # connect-phase: nothing sent, retry freely
             else:
-                try:
-                    response = json.loads(line.decode("utf-8"))
-                except ValueError as exc:
-                    raise StoreError(f"malformed server response: {exc}") from exc
                 if not response.get("ok"):
                     error = StoreError(str(response.get("error", "unknown server error")))
                     # Surface the server's stable error class to callers

@@ -187,6 +187,9 @@ class RemoteStoreSink:
         if segment_nodes <= 0:
             raise ValueError(f"segment_nodes must be positive, got {segment_nodes}")
         self.client = StoreClient.from_url(client) if isinstance(client, str) else client
+        #: A client built here from a URL is closed by ``finish``; a
+        #: client passed in belongs to the caller.
+        self._owns_client = isinstance(client, str)
         self.segment_nodes = segment_nodes
         self.workload = workload
         self.run_meta = dict(run_meta or {})
@@ -246,21 +249,26 @@ class RemoteStoreSink:
         go out as edge-only epochs grouped by the segment of their target
         node (tracked client-side from the ``append_epoch`` replies), and
         ``commit_run`` marks the run complete -- the server checkpoints.
+        A client the sink built from a URL is closed on the way out.
         """
         if self._finished:
             return
-        run_id = self._ensure_run()
-        self.commit_epoch()
-        if cpg is not None:
-            by_segment: Dict[int, List[EdgeTuple]] = defaultdict(list)
-            for source, target, attrs in cpg.edges(EdgeKind.DATA):
-                segment_id = self._segment_of.get(target, self._segment_of.get(source, -1))
-                by_segment[segment_id].append(
-                    (source, target, EdgeKind.DATA, {"pages": attrs.get("pages", frozenset())})
-                )
-            for segment_id in sorted(by_segment):
-                self.client.append_epoch(run_id, [], by_segment[segment_id])
-        meta = dict(run_meta or {})
-        meta.setdefault("epochs", self.epochs_committed)
-        self.client.commit_run(run_id, meta=meta)
-        self._finished = True
+        try:
+            run_id = self._ensure_run()
+            self.commit_epoch()
+            if cpg is not None:
+                by_segment: Dict[int, List[EdgeTuple]] = defaultdict(list)
+                for source, target, attrs in cpg.edges(EdgeKind.DATA):
+                    segment_id = self._segment_of.get(target, self._segment_of.get(source, -1))
+                    by_segment[segment_id].append(
+                        (source, target, EdgeKind.DATA, {"pages": attrs.get("pages", frozenset())})
+                    )
+                for segment_id in sorted(by_segment):
+                    self.client.append_epoch(run_id, [], by_segment[segment_id])
+            meta = dict(run_meta or {})
+            meta.setdefault("epochs", self.epochs_committed)
+            self.client.commit_run(run_id, meta=meta)
+            self._finished = True
+        finally:
+            if self._owns_client:
+                self.client.close()

@@ -26,6 +26,9 @@ all) and scripts the failure modes a client must survive --
 later one pass through -- the recovery script ("down, down, then back")
 that backoff-retry tests want.  Counters (``connections``, ``faulted``)
 record what actually happened so tests can assert the fault really fired.
+Clients keep their connections open across requests, so setting a
+faulting mode (or closing the proxy) also severs every connection the
+proxy is forwarding: a dead service does not keep answering on them.
 
 :func:`crashable_server` complements the proxy with process-level chaos:
 a store server that can be killed and brought back *on the same port*,
@@ -44,7 +47,7 @@ import socket
 import struct
 import threading
 import time
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional, Set, Tuple
 
 from repro.store.server import StoreServer
 
@@ -119,16 +122,17 @@ class ChaosProxy:
         delay: float = 0.2,
         half_close_bytes: int = 10,
     ) -> None:
-        if mode not in MODES:
-            raise ValueError(f"unknown chaos mode {mode!r} (known: {', '.join(MODES)})")
         self.target = target
-        self.mode = mode
         self.fault_budget = fault_budget
         self.delay = delay
         self.half_close_bytes = half_close_bytes
         self.connections = 0
         self.faulted = 0
         self._lock = threading.Lock()
+        #: Sockets of the connections being forwarded (client side and
+        #: upstream), for :meth:`_sever`.
+        self._forwarding: Set[socket.socket] = set()
+        self.mode = mode
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind(("127.0.0.1", 0))
@@ -141,6 +145,26 @@ class ChaosProxy:
     @property
     def address(self) -> Tuple[str, int]:
         return self._listener.getsockname()[:2]
+
+    @property
+    def mode(self) -> str:
+        return self._mode
+
+    @mode.setter
+    def mode(self, mode: str) -> None:
+        if mode not in MODES:
+            raise ValueError(f"unknown chaos mode {mode!r} (known: {', '.join(MODES)})")
+        with self._lock:
+            self._mode = mode
+        if mode != "pass":
+            self._sever()
+
+    def _sever(self) -> None:
+        """Break every forwarded connection, both ways."""
+        with self._lock:
+            for sock in self._forwarding:
+                with contextlib.suppress(OSError):
+                    sock.shutdown(socket.SHUT_RDWR)
 
     # ------------------------------------------------------------------ #
     # Connection handling
@@ -160,7 +184,7 @@ class ChaosProxy:
             index = self.connections
             self.connections += 1
             budget = self.fault_budget
-            mode = self.mode
+            mode = self._mode
             if mode != "pass" and (budget is None or index < budget):
                 self.faulted += 1
                 return mode
@@ -199,6 +223,8 @@ class ChaosProxy:
     def _forward(self, conn: socket.socket, response_limit: Optional[int]) -> None:
         """Pump bytes both ways; optionally cut the response short."""
         upstream = socket.create_connection(self.target, timeout=30)
+        with self._lock:
+            self._forwarding.update((conn, upstream))
 
         def pump_request() -> None:
             with contextlib.suppress(OSError):
@@ -235,8 +261,17 @@ class ChaosProxy:
                 else:
                     conn.sendall(chunk)
         finally:
+            with self._lock:
+                self._forwarding.difference_update((conn, upstream))
             with contextlib.suppress(OSError):
                 upstream.close()
+            # The response side is over.  Shutting the client's read side
+            # down wakes the request pump, blocked on a client that waits
+            # for the rest of its reply; closing alone would not wake it,
+            # and would hold a half_close reset back until the client's
+            # own timeout.
+            with contextlib.suppress(OSError):
+                conn.shutdown(socket.SHUT_RD)
         requester.join(timeout=5)
 
     # ------------------------------------------------------------------ #
@@ -247,7 +282,12 @@ class ChaosProxy:
         if not self._closed:
             self._closed = True
             self._close_event.set()
+            # Closing a listening socket does not wake a thread blocked in
+            # accept(); shutting it down does.
+            with contextlib.suppress(OSError):
+                self._listener.shutdown(socket.SHUT_RDWR)
             self._listener.close()
+            self._sever()
             self._thread.join(timeout=5)
 
     def __enter__(self) -> "ChaosProxy":

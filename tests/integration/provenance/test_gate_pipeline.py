@@ -204,7 +204,29 @@ class TestCheckCli:
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def racy_store(tmp_path_factory):
+    """A store holding one word_count-4 run, which has racy pairs."""
+    path = str(tmp_path_factory.mktemp("racy") / "store")
+    run_with_provenance("word_count", num_threads=4, size="small", seed=3, store_path=path)
+    return path
+
+
 class TestRacyPairGate:
+    def test_racy_baseline_roundtrips_through_disk(self, racy_store):
+        with ProvenanceStore.open(racy_store) as store:
+            blessed = bless_baseline(store, run=1, name="racy-rt")
+            assert blessed.racy_pairs
+            blessed.save(store)
+            loaded = ProvenanceBaseline.load(store, "racy-rt")
+            assert loaded.to_dict() == blessed.to_dict()
+
+    def test_cli_checks_a_racy_run_against_its_own_persisted_baseline(self, racy_store, capsys):
+        assert store_cli(["bless", racy_store, "--run", "1", "--name", "golden"]) == 0
+        capsys.readouterr()
+        assert store_cli(["check", racy_store, "--baseline", "golden", "--run", "1"]) == 0
+        assert "provenance matches" in capsys.readouterr().out
+
     def test_racy_pair_appearing_fails_the_gate(self, tmp_path):
         path = str(tmp_path / "racy-store")
         with ProvenanceStore.create(path) as store:

@@ -323,11 +323,14 @@ class TestDataDependencyDerivation:
         assert T1A in cpg.page_writers[100]
 
     def test_derive_is_idempotent_on_edge_count(self):
-        tracker, cpg = build_lock_example()
-        before = cpg.edge_count(EdgeKind.DATA)
-        # Deriving again adds duplicate edges (MultiDiGraph), so callers run
-        # it exactly once; this documents the contract.
-        assert before >= 2
+        # A second derivation would add every data edge again, so it is
+        # refused and leaves the graph as the first one did.
+        _, cpg = build_lock_example()
+        edges = cpg.edges()
+        assert cpg.edge_count(EdgeKind.DATA) >= 2
+        with pytest.raises(ProvenanceError, match="already has"):
+            derive_data_edges(cpg)
+        assert cpg.edges() == edges
 
 
 class TestQueries:

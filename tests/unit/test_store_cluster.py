@@ -297,6 +297,14 @@ class TestFailoverAndChaos:
                 served_by = cluster.last_fanout["shards"][0]
                 assert served_by["address"] == replica_url
                 assert served_by["failovers"] == 0
+                # Both replica answers came over one kept connection,
+                # which closing the router releases.
+                assert replica.open_connections == 1
+                cluster.close()
+                deadline = time.monotonic() + 10.0
+                while replica.open_connections and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert replica.open_connections == 0
         finally:
             replica.close()
 

@@ -8,6 +8,8 @@ surface: remote ingest through a writable server, follow-mode bounded
 staleness, live-tail ``watch`` streams, and the client's retry policy.
 """
 
+import contextlib
+import json
 import os
 import socket
 import tempfile
@@ -17,7 +19,7 @@ from collections import defaultdict
 
 import pytest
 
-from helpers.faults import ChaosProxy
+from helpers.faults import ChaosProxy, crashable_server
 
 from repro.core.algorithm import ProvenanceTracker
 from repro.core.cpg import EdgeKind
@@ -77,6 +79,7 @@ def served(tmp_path):
     host, port = server.start()
     client = StoreClient(host, port, timeout=10.0)
     yield cpg, store_dir, server, client
+    client.close()
     server.close()
 
 
@@ -344,7 +347,9 @@ class TestClientRetry:
     def test_reset_and_half_close_faults_are_retried_through(self):
         # A real server behind the proxy: the first connection dies with
         # a hard RST (or a half-delivered response); the retry passes
-        # through and must return the real answer.
+        # through and must return the real answer.  The fault must reach
+        # the client as a prompt reset: a retry that starts only when the
+        # client's 5 s timeout ends would test the timeout instead.
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "store")
             ProvenanceStore.create(path).ingest(build_cpg(), workload="chaos")
@@ -359,9 +364,15 @@ class TestClientRetry:
                         client = StoreClient(
                             host, port, timeout=5.0, retries=3, backoff=0.01
                         )
+                        start = time.monotonic()
                         assert client.ping() is True
+                        elapsed = time.monotonic() - start
                         assert proxy.faulted == 1
-                        assert proxy.connections >= 2
+                        assert proxy.connections == 2
+                        assert elapsed < 2.0, (
+                            f"{mode}: the retried ping took {elapsed:.3f}s, "
+                            f"so the client waited for its timeout"
+                        )
             finally:
                 server.close()
 
@@ -373,6 +384,95 @@ class TestClientRetry:
             StoreClient.from_url("http://box:80")
         with pytest.raises(StoreError, match="malformed store url"):
             StoreClient.from_url("no-port-here")
+
+
+# ---------------------------------------------------------------------- #
+# Kept connections
+# ---------------------------------------------------------------------- #
+
+
+class TestKeptConnections:
+    def test_requests_share_one_kept_connection(self, served):
+        _, _, server, _ = served
+        with ChaosProxy(target=server.address) as proxy:
+            with StoreClient(*proxy.address, timeout=10.0) as client:
+                for _ in range(50):
+                    assert client.ping() is True
+            assert proxy.connections == 1
+
+    def test_restarted_server_takes_ingest_on_a_fresh_connection(self, tmp_path):
+        # The crash breaks the client's kept connection; the client finds
+        # it closed before sending, so begin_run (never resent once sent)
+        # goes out on a new connection instead of failing fast.
+        store_dir = str(tmp_path / "store")
+        ProvenanceStore.create(store_dir)
+        with crashable_server(store_dir, writable=True) as crashable:
+            with StoreClient(*crashable.address, timeout=10.0, retries=0) as client:
+                assert client.begin_run(workload="before") == 1
+                crashable.crash()
+                crashable.restart()
+                assert client.begin_run(workload="after") == 2
+
+    def test_closed_server_answers_nothing_on_a_kept_connection(self, served):
+        _, _, server, _ = served
+        conn = socket.create_connection(server.address, timeout=5.0)
+        with conn, conn.makefile("rb") as reader:
+            conn.sendall(b'{"op": "ping"}\n')
+            assert json.loads(reader.readline())["result"] == {"pong": True}
+            assert server.open_connections == 1
+            server.close()
+            with contextlib.suppress(OSError):
+                conn.sendall(b'{"op": "ping"}\n')
+            assert reader.readline() == b""
+        assert server.open_connections == 0
+
+    def test_a_timed_out_reply_is_never_read_as_the_next_answer(self, served, monkeypatch):
+        # The server answers one info request only after the client gave
+        # up on it.  The timeout closed that connection, so the next
+        # request goes out on a new one and reads its own reply, not the
+        # late info reply.
+        _, _, server, _ = served
+        answer = server.handle_request
+        late = threading.Event()
+
+        def slow_info(request):
+            if request.get("op") == "info" and not late.is_set():
+                late.set()
+                time.sleep(0.6)
+            return answer(request)
+
+        monkeypatch.setattr(server, "handle_request", slow_info)
+        with ChaosProxy(target=server.address) as proxy:
+            with StoreClient(*proxy.address, timeout=0.2, retries=0) as client:
+                assert client.ping() is True
+                with pytest.raises(StoreUnreachableError, match="timed out"):
+                    client.info()
+                assert [run["id"] for run in client.runs()] == [1, 2]
+                assert client.ping() is True
+            assert proxy.connections == 2
+
+    def test_threads_sharing_a_client_open_at_most_one_connection_each(self, served):
+        cpg, _, server, _ = served
+        pages = sorted(cpg.subcomputation((1, 1)).write_set)
+        expected = lineage_of_pages(cpg, pages)
+        width = 4
+        start = threading.Barrier(width)
+        answers = []
+
+        def reader() -> None:
+            start.wait()
+            for _ in range(20):
+                answers.append(client.lineage(pages, run=1))
+
+        with ChaosProxy(target=server.address) as proxy:
+            with StoreClient(*proxy.address, timeout=10.0) as client:
+                threads = [threading.Thread(target=reader) for _ in range(width)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            assert 1 <= proxy.connections <= width
+        assert answers == [expected] * (width * 20)
 
 
 # ---------------------------------------------------------------------- #
