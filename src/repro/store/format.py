@@ -21,7 +21,9 @@ executions of the same program coexist.
 Segments are immutable once written; ingestion appends new segments, one
 small *index delta* file per flush, and one framed commit record to the
 append-only **segment log** (``segments.log``, see :mod:`repro.store.log`),
-so the per-flush cost is O(epoch), not O(#segments).  The manifest is a
+so the per-flush cost does not grow with the segment count.  It does grow
+with the run count: each record carries the whole run table, and each run
+completion rewrites the whole manifest (ROADMAP item 6).  The manifest is a
 periodic *checkpoint*: it carries ``log_seq``, the sequence number of the
 last log record folded into it, and opening a store replays the committed
 log tail (records with a higher sequence number) on top of the
@@ -546,7 +548,7 @@ class StoreManifest:
 
     @classmethod
     def from_dict(cls, data: dict) -> "StoreManifest":
-        """Parse a format-8 manifest document.
+        """Parse a manifest document of this build's format (:data:`STORE_FORMAT_VERSION`).
 
         Raises:
             StoreError: For a document of another kind or format version

@@ -3,7 +3,8 @@
 Rewriting ``MANIFEST.json`` on every flush would cost O(#segments) per
 flush.  Instead each flush appends one framed record to ``segments.log``;
 the manifest is a periodic *checkpoint* and opening the store replays the
-committed log tail on top of it.
+committed log tail on top of it.  A record still grows with the number of
+runs, since it carries the whole run table (ROADMAP item 6).
 
 **Record framing.**  Each record is::
 
@@ -13,11 +14,11 @@ committed log tail on top of it.
 
 The payload is one UTF-8 JSON object carrying a monotonically increasing
 ``seq`` plus the flush's manifest delta (the segment entries sealed since
-the last durable point, the full -- small -- run table, and the store
-counters).  The CRC and length make a torn tail *detectable*: replay
-stops at the first frame that is short, mis-tagged, corrupt, or fails to
-parse, and the next append truncates the file back to the last valid
-offset before writing.  That is the whole crash-recovery story of an
+the last durable point, the whole run table, and the store counters).
+The CRC and length make a torn tail *detectable*: replay stops at the
+first frame that is short, mis-tagged, corrupt, or fails to parse, and
+the next append truncates the file back to the last valid offset before
+writing.  That is the whole crash-recovery story of an
 append: either the record is complete (the flush committed) or it is a
 tear (the flush never happened; the segment files it would have named are
 orphans, swept by the next maintenance operation).

@@ -158,6 +158,11 @@ class StoredRun:
     comes from the healthy segments -- the single-store analogue of the
     cluster's partial fan-out with its ``missing_shards``.
 
+    A view lives for one query.  ``neighbours`` keeps each segment's edge
+    map for the view's life, so a walk asks the cache once per distinct
+    segment, not once per visited node.  It keeps edge maps, not payloads,
+    so node records stay under the cache's byte budget.
+
     Args:
         store: The store holding the run.
         run: The run id (already resolved).
@@ -174,6 +179,9 @@ class StoredRun:
         self.node_writes = self.indexes.node_writes
         self.causal_key = self.indexes.causal_key
         self.thread_nodes_from = self.indexes.thread_nodes_from
+        #: ``(segment id, forward)`` -> the segment's edges grouped by
+        #: source (``forward``) or target; ``None`` when it is damaged.
+        self._edge_maps: Dict[Tuple[int, bool], Optional[Dict[NodeId, list]]] = {}
 
     def check_nodes(self, node_ids: Iterable[NodeId]) -> None:
         """Raise :class:`~repro.errors.StoreError` for the first unknown id."""
@@ -196,12 +204,20 @@ class StoredRun:
     ) -> List[NodeId]:
         """Nodes across ``node_id``'s out-edges (``forward``) or in-edges of ``kinds``."""
         segments = self.indexes.out_segments(node_id) if forward else self.indexes.in_segments(node_id)
+        edge_maps = self._edge_maps
         found: List[NodeId] = []
         for segment_id in segments:
-            payload = self._segment_or_none(segment_id)
-            if payload is None:
+            try:
+                grouped = edge_maps[segment_id, forward]
+            except KeyError:
+                payload = self._segment_or_none(segment_id)
+                if payload is None:
+                    grouped = None
+                else:
+                    grouped = payload.edges_by_source if forward else payload.edges_by_target
+                edge_maps[segment_id, forward] = grouped
+            if grouped is None:
                 continue
-            grouped = payload.edges_by_source if forward else payload.edges_by_target
             for source, target, kind, _ in grouped.get(node_id, ()):
                 if kinds is None or kind in kinds:
                     found.append(target if forward else source)

@@ -135,6 +135,10 @@ INGEST_OPS = ("begin_run", "append_epoch", "commit_run")
 #: retry could apply them twice.  Read queries are idempotent.
 _NON_RETRYABLE_AFTER_SEND = frozenset(INGEST_OPS) | {"shutdown"}
 
+#: Seconds the serve loop waits for a connection before it checks for a
+#: shutdown request: :meth:`StoreServer.close` returns within about this.
+_SERVE_POLL_INTERVAL_S = 0.05
+
 
 def _parse_kinds(kinds: Optional[Iterable[str]]) -> Tuple[EdgeKind, ...]:
     if kinds is None:
@@ -394,7 +398,10 @@ class StoreServer:
         if self._autopilot_daemon is not None:
             self._autopilot_daemon.start()
         self._thread = threading.Thread(
-            target=self._tcp.serve_forever, name="store-server", daemon=True
+            target=self._tcp.serve_forever,
+            args=(_SERVE_POLL_INTERVAL_S,),
+            name="store-server",
+            daemon=True,
         )
         self._thread.start()
         return self.address
@@ -404,7 +411,7 @@ class StoreServer:
         self._serving = True
         if self._autopilot_daemon is not None:
             self._autopilot_daemon.start()
-        self._tcp.serve_forever()
+        self._tcp.serve_forever(_SERVE_POLL_INTERVAL_S)
 
     def close(self) -> None:
         """Stop accepting connections, then break the ones still open.

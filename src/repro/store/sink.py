@@ -51,8 +51,10 @@ class StoreSink:
         store: The destination store (may already hold other runs).
         segment_nodes: Epoch length -- sub-computations per sealed segment.
             Every sealed epoch is flushed: one O(epoch) index delta file
-            and one O(epoch) record appended to the segment log, so the
-            flush cost does not grow with the run or the store.
+            and one record appended to the segment log, so the flush cost
+            does not grow with the run.  It does grow with the store's
+            run count, because each record carries the whole run table,
+            and ``finish`` rewrites the whole manifest (ROADMAP item 6).
         workload: Workload name recorded in the minted run's manifest entry.
         run_meta: Initial run metadata (config, wall-clock args, ...);
             merged with whatever ``finish`` supplies.

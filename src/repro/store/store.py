@@ -473,13 +473,16 @@ class ProvenanceStore:
         since its last flush become one append-only ``delta-<gen>.bin``
         file (O(epoch)).  The commit point is then **one framed record
         appended to** ``segments.log`` -- the segments sealed since the
-        last durable point plus the (small) run table -- so a flush costs
-        O(epoch) regardless of how many segments the store holds.  Every
+        last durable point plus the whole run table -- so a flush does
+        not grow with the segment count, but it does grow with the run
+        count: every record serializes every run's entry.  Every
         ``checkpoint_interval`` appends (and whenever the in-memory state
         cannot be expressed as an append: store creation, after
-        compact/gc) the manifest is rewritten as a fresh checkpoint and
-        the log is reset instead; pass ``checkpoint=True`` / ``False`` to
-        force either path.
+        compact/gc) the manifest is rewritten whole as a fresh checkpoint
+        and the log is reset instead; pass ``checkpoint=True`` /
+        ``False`` to force either path.  Every run completion passes
+        ``True``, so it also rewrites the whole manifest.  Making the
+        commit independent of the run count is ROADMAP item 6.
 
         Segment and index files carry never-reused names, so they are
         written once and become visible only through the commit that
@@ -522,11 +525,12 @@ class ProvenanceStore:
             self._append_log_record()
 
     def _append_log_record(self) -> None:
-        """The O(epoch) commit: one record to ``segments.log``.
+        """The per-flush commit: one record to ``segments.log``.
 
-        Carries only the segment entries sealed since the last durable
-        point -- plus the full run table and store counters, which are
-        small and make every record self-validating on replay.
+        Carries the segment entries sealed since the last durable point
+        plus the whole run table and the store counters, which make every
+        record self-validating on replay.  The run table grows with the
+        store, so the record does too (ROADMAP item 6).
         """
         record = {
             "seq": self._log_next_seq,

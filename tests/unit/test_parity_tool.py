@@ -1,4 +1,5 @@
-"""``tools/parity.py``: records are stable, mask only ``created_at``, and differences show."""
+"""``tools/parity.py``: records are stable, mask only ``created_at``, answer digests
+follow the answers, and differences show."""
 
 import importlib.util
 import json
@@ -6,6 +7,7 @@ import pathlib
 import tempfile
 
 from repro.inspector.api import run_with_provenance
+from repro.store import ProvenanceStore
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -44,6 +46,24 @@ def test_store_files_mask_only_created_at():
         assert parity.differences(files, parity.store_files(late)) == [
             f"MANIFEST.json: {files['MANIFEST.json']!r} != {parity.store_files(late)['MANIFEST.json']!r}"
         ]
+
+
+def test_answer_digest_is_stable_and_changes_with_one_answer():
+    with tempfile.TemporaryDirectory() as root:
+        stream(root, "2020-01-01T00:00:00")
+        with ProvenanceStore.open(root) as store:
+            answers = parity.stored_answers(store)
+            assert parity.stored_answers(store) == answers  # warm repeat
+        with ProvenanceStore.open(root) as store:
+            assert parity.stored_answers(store) == answers  # cold reopen
+    assert sorted(answers) == [1, 2]
+    for kind in ("lineage", "taint", "backward", "forward"):
+        assert answers[1][kind], kind
+    first = parity.digest(answers)
+    assert len(first) == 64 and parity.digest(answers) == first
+    page, lineage = next(iter(answers[2]["lineage"].items()))
+    answers[2]["lineage"][page] = lineage[1:]
+    assert parity.digest(answers) != first
 
 
 def test_differences_name_nested_and_one_sided_entries():

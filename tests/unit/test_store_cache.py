@@ -5,7 +5,7 @@ byte budget changes access patterns but never answers, the budget is a
 hard ceiling, maintenance (``compact``/``gc``) invalidates instead of
 serving stale payloads, pinned index generations are reused across
 store opens, the resident-size estimate tracks what a decoded segment
-really holds, and lineage looks up each answer node's segments once.
+really holds, and a walk asks the cache once per distinct segment.
 """
 
 import gc
@@ -263,12 +263,22 @@ class TestReadScope:
         assert warm_scope.cache_hits > 0
 
 
+def lookups(scope: ReadScope) -> int:
+    """Cache lookups a query made: hits (waiters included) plus misses."""
+    return scope.cache_hits + scope.cache_misses
+
+
+def distinct_segments(nodes, segments_of) -> int:
+    """How many segments hold the edges the walk reads for ``nodes``."""
+    return len({segment for node in nodes for segment in segments_of(node)})
+
+
 class TestLineageWalkCost:
     def test_lineage_expands_each_answer_node_once(self, tmp_path):
         # The page every kmeans worker writes: 131 writers sharing most of
-        # their ancestry.  One walk from all of them looks up each answer
-        # node's in-edge segments once; a walk per writer re-walks the
-        # shared ancestry for every writer.
+        # their ancestry.  One walk from all of them expands each answer
+        # node once, and asks the cache once per segment holding their
+        # in-edges, not once per node that has edges there.
         store = ProvenanceStore.open(stored_run(tmp_path, "kmeans"))
         indexes = store.indexes
         page = max(indexes.page_writers, key=lambda p: len(indexes.page_writers[p]))
@@ -276,8 +286,26 @@ class TestLineageWalkCost:
         scope = ReadScope()
         answer = StoreQueryEngine(store, scope=scope).lineage_of_pages([page])
         assert answer >= set(indexes.writers_of_page(page))
-        bound = sum(len(indexes.in_segments(node)) for node in answer)
-        assert scope.cache_hits + scope.cache_misses <= bound
+        assert lookups(scope) <= distinct_segments(answer, indexes.in_segments)
+
+    def test_slices_ask_once_per_distinct_segment(self, tmp_path):
+        # A backward slice from the hot page's last writer and a forward
+        # slice from its first each reach over a hundred nodes whose
+        # edges live in ten segments.
+        store = ProvenanceStore.open(stored_run(tmp_path, "kmeans"))
+        indexes = store.indexes
+        page = max(indexes.page_writers, key=lambda p: len(indexes.page_writers[p]))
+        writers = sorted(indexes.page_writers[page], key=indexes.causal_key)
+        for start, forward, segments_of in (
+            (writers[-1], False, indexes.in_segments),
+            (writers[0], True, indexes.out_segments),
+        ):
+            scope = ReadScope()
+            engine = StoreQueryEngine(store, scope=scope)
+            slice_of = engine.forward_slice if forward else engine.backward_slice
+            answer = slice_of(start)
+            assert len(answer) > 20
+            assert lookups(scope) <= distinct_segments(answer, segments_of)
 
 
 def measured_decoded_bytes(raw: bytes):

@@ -15,6 +15,7 @@ import os
 import shutil
 import threading
 import zlib
+from collections import Counter
 
 import pytest
 
@@ -22,7 +23,10 @@ from helpers.clusters import build_multirun_store
 from helpers.executions import random_cpg
 from helpers.faults import ChaosProxy, delete_file, flip_bytes, truncate_file
 
+from repro.core.cpg import EdgeKind
+from repro.core.queries import backward_slice, lineage_of_pages
 from repro.errors import CorruptSegmentError, StoreError, StoreReadOnlyError
+from repro.inspector.api import run_with_provenance
 from repro.store import (
     ClusterManifest,
     ClusterService,
@@ -218,6 +222,85 @@ class TestFsck:
 # ---------------------------------------------------------------------- #
 
 
+class HealthyEdges:
+    """A run's edges outside one damaged segment, as a run view for walks.
+
+    What a walk that skips the damaged segment sees, built from the
+    segments' edge lists rather than the store's edge-segment index.
+    """
+
+    def __init__(self, store, run, damaged):
+        self.page_writers = store.indexes_for(run).page_writers
+        self.into = {}
+        for info in store.manifest.segments_of_run(run):
+            if info.segment_id != damaged:
+                for source, target, kind, _ in store.segment(info.segment_id).edges:
+                    self.into.setdefault(target, []).append((source, kind))
+
+    def check_nodes(self, node_ids):
+        pass
+
+    def neighbours(self, node_id, forward, kinds):
+        assert not forward
+        return [
+            source for source, kind in self.into.get(node_id, ())
+            if kinds is None or kind in kinds
+        ]
+
+
+def assert_walks_degrade(store_dir, run, pages):
+    """Damage the segment holding most of the lineage's data in-edges.
+
+    Lineage of ``pages`` and a backward slice across that segment then
+    skip it: each answer equals the walk over the other segments' edges,
+    the read scope names the segment, and each query asks the store for
+    every segment -- the damaged one included -- once.  Returns the
+    damaged segment's id.
+    """
+    with ProvenanceStore.open(store_dir) as store:
+        engine = StoreQueryEngine(store)
+        baseline = engine.lineage_of_pages(pages, run=run)
+        indexes = store.indexes_for(run)
+        data_in = [
+            (segment_id, node)
+            for node in baseline
+            for segment_id in indexes.in_segments(node)
+            for edge in store.segment(segment_id).edges_by_target.get(node, ())
+            if edge[2] is EdgeKind.DATA
+        ]
+        hot = Counter(segment_id for segment_id, _ in data_in).most_common(1)[0][0]
+        start = max((node for segment_id, node in data_in if segment_id == hot), key=indexes.causal_key)
+        healthy = HealthyEdges(store, run, hot)
+        expected = {
+            "lineage": lineage_of_pages(healthy, pages),
+            "slice": backward_slice(healthy, start),
+        }
+        # The damage shows in at least one answer.
+        assert expected != {"lineage": baseline, "slice": engine.backward_slice(start, run=run)}
+        info = store.manifest.segment_info(hot)
+    flip_bytes(segment_path(store_dir, info), -2)
+    with ProvenanceStore.open(store_dir) as store:
+        asked = Counter()
+        read = store.segment
+
+        def counted(segment_id, scope=None):
+            asked[segment_id] += 1
+            return read(segment_id, scope=scope)
+
+        store.segment = counted
+        for name, query in (
+            ("lineage", lambda engine: engine.lineage_of_pages(pages, run=run)),
+            ("slice", lambda engine: engine.backward_slice(start, run=run)),
+        ):
+            asked.clear()
+            scope = ReadScope()
+            assert query(StoreQueryEngine(store, scope=scope)) == expected[name], name
+            assert scope.degraded and hot in scope.quarantined_segments
+            assert scope.to_dict()["quarantined_segments"] == sorted(scope.quarantined_segments)
+            assert asked[hot] == 1 and max(asked.values()) == 1, (name, asked)
+    return hot
+
+
 class TestScrubAndQuarantine:
     def test_clean_scrub_verifies_everything(self, tmp_path):
         build_store(tmp_path / "store")
@@ -326,33 +409,24 @@ class TestScrubAndQuarantine:
             assert scrub(store)["ok"]
 
     def test_queries_degrade_instead_of_failing(self, tmp_path):
+        # Two inputs: a random run walked from pages 0-7, and a kmeans-4
+        # run walked from the page every worker writes.
+        kmeans_dir = str(tmp_path / "kmeans")
+        kmeans = run_with_provenance("kmeans", 4, size="small", store_path=kmeans_dir)
+        kmeans.store.close()
+        page_writers = kmeans.cpg.page_writers
+        hot_page = max(page_writers, key=lambda page: len(page_writers[page]))
+        assert_walks_degrade(kmeans_dir, kmeans.store_run_id, [hot_page])
+
         runs = build_store(tmp_path / "store", seeds=(11,))
         store_dir = str(tmp_path / "store")
+        hot = assert_walks_degrade(store_dir, runs[0], ALL_PAGES)
         with ProvenanceStore.open(store_dir) as store:
+            victim_nodes = [
+                node for node, segment in store.indexes_for(runs[0]).node_segments.items()
+                if segment == hot
+            ]
             engine = StoreQueryEngine(store)
-            baseline = engine.lineage_of_pages(ALL_PAGES, run=runs[0])
-            indexes = store.indexes_for(runs[0])
-            # Pick a segment the lineage walk actually reads: the first
-            # backward-expansion hop of some page writer.
-            hot = next(
-                segment_id
-                for page in ALL_PAGES
-                for writer in indexes.writers_of_page(page)
-                for segment_id in indexes.in_segments(writer)
-            )
-            victim_nodes = list(store.segment(hot).nodes)
-            info = store.manifest.segment_info(hot)
-        flip_bytes(segment_path(tmp_path / "store", info), -2)
-        with ProvenanceStore.open(store_dir) as store:
-            scope = ReadScope()
-            engine = StoreQueryEngine(store, scope=scope)
-            degraded = engine.lineage_of_pages(ALL_PAGES, run=runs[0])
-            assert degraded <= baseline  # skipped, never wrong or raised
-            assert scope.degraded
-            assert hot in scope.quarantined_segments
-            assert scope.to_dict()["quarantined_segments"] == sorted(
-                scope.quarantined_segments
-            )
             # Point lookups have no partial answer: typed error instead.
             with pytest.raises(CorruptSegmentError) as exc_info:
                 engine.subcomputation(victim_nodes[0], run=runs[0])

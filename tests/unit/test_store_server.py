@@ -157,6 +157,16 @@ class TestProtocol:
         assert stats["segment_cache"]["max_bytes"] > 0
         assert client.shutdown()["stopping"] is True
 
+    def test_an_idle_server_closes_promptly(self, tmp_path):
+        store_dir = str(tmp_path / "store")
+        ProvenanceStore.create(store_dir)
+        server = StoreServer(store_dir)
+        with StoreClient(*server.start(), timeout=10.0) as client:
+            assert client.ping() is True
+        started = time.monotonic()
+        server.close()
+        assert time.monotonic() - started < 0.25
+
 
 class TestSnapshotRefresh:
     def test_refresh_picks_up_new_runs_and_keeps_the_cache_warm(self, served):

@@ -8,10 +8,14 @@ counter and stored byte as it was.  ``record`` writes, as one JSON file:
   ``small``, seed 3), the SHA-256 of ``cpg_to_json`` of its graph and
   every ``RunStats`` field (switches, process creations, faults,
   instructions, the cost-model seconds);
-* ``store``: the SHA-256 of every file of a store into which two kmeans-16
-  runs (seeds 3 and 4) were streamed through the sink, with each run's
-  wall-clock ``created_at`` (and its copy in the run's ``meta``) masked in
-  ``MANIFEST.json``.
+* ``store``: for a store into which two kmeans-16 runs (seeds 3 and 4)
+  were streamed through the sink, ``files``, the SHA-256 of every file,
+  with each run's wall-clock ``created_at`` (and its copy in the run's
+  ``meta``) masked in ``MANIFEST.json``; and ``answers``, the SHA-256 of
+  the sorted answers of a fixed query set on both runs (lineage of each
+  page a program node wrote, taint from each written page, backward and
+  forward data slices from evenly spaced nodes), once on a reopened
+  handle (``cold``) and once on the writer's handle (``warm``).
 
 Record both commits and compare the files; every entry must be equal::
 
@@ -22,7 +26,7 @@ Record both commits and compare the files; every entry must be equal::
 
 ``--src`` puts another checkout's ``src/`` first on the import path, so
 one copy of this tool measures a tree that predates it; the default is
-this checkout's.  A record takes about 6 s of CPU.  ``compare`` prints each
+this checkout's.  A record takes about 5 s of CPU.  ``compare`` prints each
 differing entry and exits 1 if there is one.
 """
 
@@ -43,6 +47,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 THREADS = (4, 16)
 SEED = 3
 STORE_SEEDS = (3, 4)
+#: Start nodes per run for the slice answers, evenly spaced in node order.
+SLICE_STARTS = 32
 
 
 def graphs(workloads: Sequence[str], threads: Sequence[int] = THREADS, seed: int = SEED) -> Dict:
@@ -81,19 +87,56 @@ def store_files(root: str) -> Dict[str, str]:
     return dict(sorted(out.items()))
 
 
+def stored_answers(store) -> Dict[int, Dict]:
+    """The fixed query set's sorted answers on every run of ``store``, by run id."""
+    from repro.store import StoreQueryEngine
+
+    engine = StoreQueryEngine(store)
+    out = {}
+    for run in store.run_ids():
+        indexes = store.indexes_for(run)
+        written = sorted(indexes.page_writers)
+        nodes = indexes.nodes()
+        starts = nodes[:: max(1, len(nodes) // SLICE_STARTS)]
+        answers = {"lineage": {}, "taint": {}, "backward": {}, "forward": {}}
+        for page in written:
+            if any(tid >= 0 for tid, _ in indexes.page_writers[page]):
+                answers["lineage"][page] = sorted(engine.lineage_of_pages([page], run=run))
+            taint = engine.propagate_taint([page], run=run)
+            answers["taint"][page] = [sorted(taint.tainted_nodes), sorted(taint.tainted_pages)]
+        for node in starts:
+            name = f"{node[0]}:{node[1]}"
+            answers["backward"][name] = sorted(engine.backward_slice(node, run=run))
+            answers["forward"][name] = sorted(engine.forward_slice(node, run=run))
+        out[run] = answers
+    return out
+
+
+def digest(answers: Dict) -> str:
+    """SHA-256 of ``answers`` as canonical JSON."""
+    return hashlib.sha256(json.dumps(answers, sort_keys=True).encode()).hexdigest()
+
+
 def streamed_store(
     workload: str = "kmeans", threads: int = 16, seeds: Sequence[int] = STORE_SEEDS
-) -> Dict[str, str]:
-    """:func:`store_files` of a fresh store holding one sink-streamed run per seed."""
+) -> Dict[str, Dict[str, str]]:
+    """File hashes and answer digests of a fresh store holding one sink-streamed run per seed."""
     from repro.inspector.api import run_with_provenance
+    from repro.store import ProvenanceStore
 
     with tempfile.TemporaryDirectory() as root:
+        writer = None
         for seed in seeds:
-            result = run_with_provenance(
+            if writer is not None:
+                writer.close()
+            writer = run_with_provenance(
                 workload, num_threads=threads, size="small", seed=seed, store_path=root
-            )
-            result.store.close()
-        return store_files(root)
+            ).store
+        warm = digest(stored_answers(writer))
+        writer.close()
+        with ProvenanceStore.open(root) as store:
+            cold = digest(stored_answers(store))
+        return {"files": store_files(root), "answers": {"cold": cold, "warm": warm}}
 
 
 def record() -> Dict:
