@@ -84,7 +84,7 @@ def explain_memory_state(
     pages = {page_id(address, page_size) for address in addresses}
     writers = {node for page in pages for node in view.page_writers.get(page, ())}
     explanation = lineage_of_pages(view, pages)
-    order = sorted((node for node in explanation if node[0] >= 0), key=view.causal_key)
+    order = view.causal_order(node for node in explanation if node[0] >= 0)
     racy = [
         (a, b, conflict)
         for a, b, conflict in find_racy_pairs(view)

@@ -8,7 +8,8 @@ between write sets and read sets, ordered by happens-before).
 
 Every consumer that walks the graph in order -- data-edge derivation,
 taint, schedules, NUMA first touch, the store's ingest, compaction and
-taint replay -- uses one order, :func:`causal_key`.
+taint replay -- uses one order, :func:`causal_key`; the graph and a
+stored run's indexes both hand it out as ``causal_order()``.
 
 The graph is also a *run view* (see :mod:`repro.core.queries`): the
 queries and :func:`closure` read it through the same members a stored run
@@ -50,6 +51,16 @@ def causal_key(node: SubComputation) -> Tuple[int, NodeId]:
     keeps it as each node's rank.
     """
     return (node.clock.total(), node.node_id)
+
+
+def causal_positions(ranks: Dict[NodeId, int]) -> Dict[NodeId, int]:
+    """Node id -> its position in the causal order, from node id -> causal rank.
+
+    The keys iterate in that order.  Both run views keep this map and
+    sort by it, so an order costs one lookup per node, not a key tuple.
+    """
+    order = sorted(ranks, key=lambda node_id: (ranks[node_id], node_id))
+    return {node_id: position for position, node_id in enumerate(order)}
 
 
 def happens_before(first: SubComputation, second: SubComputation) -> bool:
@@ -109,11 +120,12 @@ class ConcurrentProvenanceGraph:
     time) by :mod:`repro.core.dependencies`.  Edges are kept in one list
     per kind and, for the walks, in per-node incoming and outgoing lists.
 
-    Adding a node also files it in the page maps, the per-thread index
-    list and a causal rank map, the way the store's ``StoreIndexes`` fills
-    its own.  The maps read the node's access sets and clock once, so
-    every path adds complete nodes: the tracker when a sub-computation
-    ends, :func:`~repro.core.serialization.cpg_from_dict`,
+    Adding a node also files it in the page maps, the read and write
+    maps, the per-thread index list and a causal rank map, the way the
+    store's ``StoreIndexes`` fills its own.  The maps read the node's
+    access sets and clock once, so every path adds complete nodes: the
+    tracker when a sub-computation ends,
+    :func:`~repro.core.serialization.cpg_from_dict`,
     ``ProvenanceStore.load_cpg`` and the process-granularity baseline.
     """
 
@@ -126,12 +138,17 @@ class ConcurrentProvenanceGraph:
         self.page_writers: Dict[int, List[NodeId]] = {}
         #: page -> node ids that read it, in the order they were added
         self.page_readers: Dict[int, List[NodeId]] = {}
+        #: node id -> sorted pages it read (absent if none)
+        self.node_reads: Dict[NodeId, Tuple[int, ...]] = {}
         #: node id -> sorted pages it wrote (absent if none)
         self.node_writes: Dict[NodeId, Tuple[int, ...]] = {}
         #: tid -> sorted sub-computation indexes of the thread
         self._thread_indexes: Dict[int, List[int]] = {}
         #: node id -> causal rank (the first part of its causal_key)
         self._rank: Dict[NodeId, int] = {}
+        #: node id -> position in the causal order, keys in that order;
+        #: built on first use, rebuilt once nodes were added
+        self._positions: Dict[NodeId, int] = {}
 
     # ------------------------------------------------------------------ #
     # Vertices
@@ -150,6 +167,8 @@ class ConcurrentProvenanceGraph:
         self._subcomputations[node_id] = node
         self._in[node_id] = []
         self._out[node_id] = []
+        if node.read_set:
+            self.node_reads[node_id] = tuple(sorted(node.read_set))
         if node.write_set:
             self.node_writes[node_id] = tuple(sorted(node.write_set))
         for page in node.write_set:
@@ -280,6 +299,14 @@ class ConcurrentProvenanceGraph:
         """:func:`causal_key` of the vertex ``node_id``, from the rank kept at insertion."""
         return (self._rank[node_id], node_id)
 
+    def causal_order(self, node_ids: Optional[Iterable[NodeId]] = None) -> List[NodeId]:
+        """``node_ids`` (every vertex when ``None``) in the causal order (:func:`causal_key`)."""
+        if len(self._positions) != len(self._rank):
+            self._positions = causal_positions(self._rank)
+        if node_ids is None:
+            return list(self._positions)
+        return sorted(node_ids, key=self._positions.__getitem__)
+
     def records(self, node_ids: Optional[Iterable[NodeId]] = None) -> Dict[NodeId, SubComputation]:
         """The sub-computations of ``node_ids`` (every vertex when ``None``)."""
         if node_ids is None:
@@ -315,7 +342,7 @@ class ConcurrentProvenanceGraph:
 
     def topological_order(self) -> List[NodeId]:
         """Every vertex in the causal order (:func:`causal_key`)."""
-        return sorted(self._subcomputations, key=self.causal_key)
+        return self.causal_order()
 
     def ancestors(self, *node_ids: NodeId, kinds: Optional[Sequence[EdgeKind]] = None) -> Set[NodeId]:
         """Every vertex from which any of ``node_ids`` is reachable through edges of ``kinds``."""

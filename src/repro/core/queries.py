@@ -19,8 +19,9 @@ provides:
   ``None``);
 * ``page_writers`` and ``page_readers`` -- page -> node ids that wrote /
   read it;
-* ``node_writes`` -- node id -> the pages it wrote (absent if none);
-* ``causal_key(node_id)`` -- the node's
+* ``node_reads`` and ``node_writes`` -- node id -> the pages it read /
+  wrote (absent if none);
+* ``causal_order(ids)`` -- ``ids`` (every node when ``None``) sorted by
   :func:`~repro.core.cpg.causal_key`;
 * ``thread_nodes_from(tid, index)`` -- node ids ``(tid, i)`` with
   ``i >= index``, in execution order;
@@ -28,8 +29,10 @@ provides:
   every node when ``ids`` is ``None``.  A stored run leaves out the nodes
   of a quarantined segment and records the segment in its read scope.
 
-The page maps and the thread lists answer from memory on both views;
-``neighbours`` and ``records`` are what a stored run reads segments for.
+The page maps, the read and write maps, the causal order and the thread
+lists answer from memory on both views, so taint reads no segment;
+``neighbours`` (slices, lineage) and ``records`` (racy pairs) are what a
+stored run reads segments for.
 """
 
 from __future__ import annotations
@@ -124,31 +127,36 @@ class TaintResult:
 
 
 def replay_taint(
-    ordered_nodes: Iterable[tuple],
+    view,
+    ordered_ids: Iterable[NodeId],
     source_pages: Iterable[int],
     through_thread_state: bool = False,
 ) -> TaintResult:
-    """Replay the page-level taint policy over ``(node_id, sub-computation)``
-    pairs in a linear extension of the happens-before order.
+    """Replay the page-level taint policy over ``ordered_ids``, a linear
+    extension of the happens-before order, from the view's read and write
+    maps.
 
     This is the single definition of the DIFT policy; :func:`propagate_taint`
     replays through it on every run view.
     """
+    node_reads = view.node_reads
+    node_writes = view.node_writes
     result = TaintResult(source_pages=set(source_pages))
-    result.tainted_pages = set(result.source_pages)
+    result.tainted_pages = tainted_pages = set(result.source_pages)
+    tainted_nodes = result.tainted_nodes
     tainted_threads: Set[int] = set()
-    for node_id, node in ordered_nodes:
-        if node.write_set and node.tid < 0:
+    for node_id in ordered_ids:
+        tid = node_id[0]
+        if tid < 0 and node_id in node_writes:
             # The virtual input node defines the sources; writing input
             # pages does not by itself taint the node.
             continue
-        tainted = not node.read_set.isdisjoint(result.tainted_pages)
-        if through_thread_state and node.tid in tainted_threads:
-            tainted = True
-        if tainted:
-            result.tainted_nodes.add(node_id)
-            result.tainted_pages |= node.write_set
-            tainted_threads.add(node.tid)
+        if (through_thread_state and tid in tainted_threads) or not tainted_pages.isdisjoint(
+            node_reads.get(node_id, ())
+        ):
+            tainted_nodes.add(node_id)
+            tainted_pages.update(node_writes.get(node_id, ()))
+            tainted_threads.add(tid)
     return result
 
 
@@ -216,8 +224,9 @@ def propagate_taint(
     The replay runs over :func:`taint_candidates` only: a node outside that
     closure can neither become tainted nor taint a page, so the result is
     the whole-run replay's, bit for bit.  When the closure floods, the
-    replay goes over every node (one sequential sweep of a stored run's
-    segments) and the result says ``flooded``.
+    replay goes over every node and the result says ``flooded``.  Either
+    way it reads the view's page, read and write maps and its causal
+    order, never a node record, so a stored run reads no segment.
 
     Args:
         view: The run view.
@@ -230,9 +239,7 @@ def propagate_taint(
     """
     sources = set(source_pages)
     candidates = taint_candidates(view, sources, through_thread_state)
-    records = view.records(candidates)
-    ordered = ((node_id, records[node_id]) for node_id in sorted(records, key=view.causal_key))
-    result = replay_taint(ordered, sources, through_thread_state=through_thread_state)
+    result = replay_taint(view, view.causal_order(candidates), sources, through_thread_state)
     result.flooded = candidates is None
     return result
 

@@ -94,7 +94,7 @@ def _require_intact(scope: ReadScope, run_id: int) -> None:
     """Raise :class:`CorruptSegmentError` if the gate's queries skipped a damaged segment.
 
     The store's queries degrade past one; a gate must not bless or judge
-    a partial lineage, taint or racy-pair answer.
+    a partial lineage or racy-pair answer (taint reads no segment).
     """
     if scope.quarantined_segments:
         segment_id = min(scope.quarantined_segments)

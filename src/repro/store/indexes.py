@@ -13,9 +13,9 @@ tuples (``"tid:index"`` strings belong to the wire format only):
 
 * **nodes** -- node id -> owning segment and causal rank.  The rank is
   the sum of the node's clock components, the first part of
-  :func:`~repro.core.cpg.causal_key`; taint replay and compaction sort by
-  :meth:`StoreIndexes.causal_key`, so every ingest path yields the same
-  order as the in-memory graph.
+  :func:`~repro.core.cpg.causal_key`; taint replay and compaction walk
+  :meth:`StoreIndexes.causal_order`, which sorts by it, so every ingest
+  path yields the same order as the in-memory graph.
 * **pages** -- page -> writer/reader node ids (the same maps the
   in-memory :class:`~repro.core.cpg.ConcurrentProvenanceGraph` keeps, so
   both are run views for :mod:`repro.core.queries`).
@@ -24,9 +24,11 @@ tuples (``"tid:index"`` strings belong to the wire format only):
   edges as ``(source, target, operation, segment)`` tuples.
 * **edges** -- node id -> segments holding its incoming / outgoing edges.
 
-The **write map** (node id -> pages it wrote, the inversion of the page
-writers) is in memory only: added nodes fill it, and a base load rebuilds
-it from the page writers it has just read.
+The **read and write maps** (node id -> pages it read / wrote, the
+inversions of the page readers and writers) are in memory only: added
+nodes fill them, and a base load rebuilds them from the page maps it has
+just read.  With them and the causal order, taint replays from the
+indexes alone.
 
 Persistence is **append-only**: every
 :meth:`~StoreIndexes.add_node` / :meth:`~StoreIndexes.add_edge` call is
@@ -42,7 +44,7 @@ from __future__ import annotations
 import os
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.cpg import EdgeKind, causal_key
+from repro.core.cpg import EdgeKind, causal_key, causal_positions
 from repro.core.serialization import node_key
 from repro.core.thunk import NodeId, SubComputation
 from repro.errors import StoreError
@@ -109,6 +111,15 @@ def _read_node_id(data, pos: int) -> Tuple[NodeId, int]:
     return (tid, index), pos
 
 
+def _inverted(page_map: Dict[int, List[NodeId]]) -> Dict[NodeId, Tuple[int, ...]]:
+    """Node id -> the pages whose entry in ``page_map`` lists it."""
+    pages_of: Dict[NodeId, List[int]] = {}
+    for page, node_ids in page_map.items():
+        for node_id in node_ids:
+            pages_of.setdefault(node_id, []).append(page)
+    return {node_id: tuple(pages) for node_id, pages in pages_of.items()}
+
+
 class StoreIndexes:
     """All secondary indexes of one run, with load/save and query helpers."""
 
@@ -121,8 +132,13 @@ class StoreIndexes:
         self.page_writers: Dict[int, List[NodeId]] = {}
         #: page -> node ids that read it
         self.page_readers: Dict[int, List[NodeId]] = {}
+        #: node id -> pages it read (in memory only; absent if none)
+        self.node_reads: Dict[NodeId, Tuple[int, ...]] = {}
         #: node id -> pages it wrote (in memory only; absent if none)
         self.node_writes: Dict[NodeId, Tuple[int, ...]] = {}
+        #: node id -> position in the causal order, keys in that order
+        #: (in memory only; built on first use, rebuilt once nodes were added)
+        self._positions: Dict[NodeId, int] = {}
         #: tid -> sorted sub-computation indexes of the thread
         self.thread_indexes: Dict[int, List[int]] = {}
         #: tid -> segments holding the thread's nodes
@@ -179,6 +195,8 @@ class StoreIndexes:
             raise StoreError(f"node {node_key(node_id)} ingested twice")
         self.node_segments[node_id] = segment_id
         self.node_rank[node_id] = rank
+        if read_pages:
+            self.node_reads[node_id] = tuple(read_pages)
         if write_pages:
             self.node_writes[node_id] = tuple(write_pages)
         for page in write_pages:
@@ -226,12 +244,13 @@ class StoreIndexes:
         except KeyError as exc:
             raise StoreError(f"no sub-computation {node_id} in the store") from exc
 
-    def causal_key(self, node_id: NodeId) -> Tuple[int, NodeId]:
-        """``(rank, node id)``: :func:`repro.core.cpg.causal_key` from the index."""
-        try:
-            return (self.node_rank[node_id], node_id)
-        except KeyError as exc:
-            raise StoreError(f"no sub-computation {node_id} in the store") from exc
+    def causal_order(self, node_ids: Optional[Iterable[NodeId]] = None) -> List[NodeId]:
+        """``node_ids`` (every node when ``None``) in the causal order, from the ranks."""
+        if len(self._positions) != len(self.node_rank):
+            self._positions = causal_positions(self.node_rank)
+        if node_ids is None:
+            return list(self._positions)
+        return sorted(node_ids, key=self._positions.__getitem__)
 
     def writers_of_page(self, page: int) -> List[NodeId]:
         """Node ids whose write set contains ``page`` (a fresh list)."""
@@ -455,12 +474,9 @@ class StoreIndexes:
                         node_id, pos = _read_node_id(data, pos)
                         node_ids.append(node_id)
                     family[page] = node_ids
-            # The write map is not persisted: invert the page writers once.
-            written: Dict[NodeId, List[int]] = {}
-            for page, node_ids in self.page_writers.items():
-                for node_id in node_ids:
-                    written.setdefault(node_id, []).append(page)
-            self.node_writes = {node_id: tuple(page_list) for node_id, page_list in written.items()}
+            # The read and write maps are not persisted: invert the page maps once.
+            self.node_reads = _inverted(self.page_readers)
+            self.node_writes = _inverted(self.page_writers)
             threads, pos = read_uvarint(data, pos)
             for _ in range(threads):
                 tid, pos = read_svarint(data, pos)

@@ -19,17 +19,16 @@ run, and :meth:`StoreQueryEngine.compare_lineage` diffs the lineage of a
 page between two runs -- the longitudinal "what changed between yesterday's
 run and today's" query the multi-run store exists for.
 
-A stored run's page maps, write map, causal key and thread lists are its
-:class:`~repro.store.indexes.StoreIndexes`, all in memory.  Its
-``neighbours`` walk the edge-segment index (node -> segments holding its
-in-/out-edges), so a slice or lineage confined to one corner of the graph
-touches only the segments of that corner.  Its ``records`` read each
-needed segment once: taint replays over the candidate closure
-(:func:`~repro.core.queries.taint_candidates`, computed from the indexes
-with no segment I/O) and reads only the candidates' segments, falling
-back to one sequential sweep of the run's segments when the closure
-floods -- the optimal access pattern for an answer that spans the run.
-Racy pairs read only the segments that hold candidate nodes.
+A stored run's page maps, read and write maps, causal order and thread
+lists are its :class:`~repro.store.indexes.StoreIndexes`, all in memory.
+Taint needs nothing else: it replays over the candidate closure
+(:func:`~repro.core.queries.taint_candidates`), or over every node when
+the closure floods, in the cached causal order, and reads no segment.
+Its ``neighbours`` walk the edge-segment index (node -> segments holding
+its in-/out-edges), so a slice or lineage confined to one corner of the
+graph touches only the segments of that corner.  Its ``records`` read
+each needed segment once; racy pairs read only the segments that hold
+candidate nodes.
 
 Every segment read goes through the store's byte-budgeted decoded-segment
 cache (:mod:`repro.store.cache`), so repeated queries on a warm engine --
@@ -149,11 +148,12 @@ class LineageDiff:
 class StoredRun:
     """One stored run as a run view (see :mod:`repro.core.queries`).
 
-    The page maps, write map, causal key and thread lists are the run's
-    :class:`~repro.store.indexes.StoreIndexes`; edges and node records
-    come from the run's segments, read through the store's decoded-segment
-    cache.  Set-valued answers degrade instead of aborting: a quarantined
-    or corrupt segment is skipped, the skip is recorded in ``scope``
+    The page maps, read and write maps, causal order and thread lists are
+    the run's :class:`~repro.store.indexes.StoreIndexes`, so taint reads
+    no segment and never degrades.  Edges and node records come from the
+    run's segments, read through the store's decoded-segment cache.
+    Set-valued answers degrade instead of aborting: a quarantined or
+    corrupt segment is skipped, the skip is recorded in ``scope``
     (``degraded`` / ``quarantined_segments``), and the rest of the answer
     comes from the healthy segments -- the single-store analogue of the
     cluster's partial fan-out with its ``missing_shards``.
@@ -176,8 +176,9 @@ class StoredRun:
         self.indexes = store.indexes_for(run)
         self.page_writers = self.indexes.page_writers
         self.page_readers = self.indexes.page_readers
+        self.node_reads = self.indexes.node_reads
         self.node_writes = self.indexes.node_writes
-        self.causal_key = self.indexes.causal_key
+        self.causal_order = self.indexes.causal_order
         self.thread_nodes_from = self.indexes.thread_nodes_from
         #: ``(segment id, forward)`` -> the segment's edges grouped by
         #: source (``forward``) or target; ``None`` when it is damaged.
@@ -264,9 +265,9 @@ class StoreQueryEngine:
     ) -> None:
         self.store = store
         self.scope = scope
-        #: How the last ``propagate_taint`` ran: ``"indexed"`` (closure
-        #: from the indexes) or ``"sweep"`` (segment-scan flood
-        #: fallback).  ``taint_across_runs`` answers touched runs in
+        #: How the last ``propagate_taint`` ran: ``"indexed"`` (over the
+        #: candidate closure) or ``"sweep"`` (over every node, once the
+        #: closure floods).  ``taint_across_runs`` answers touched runs in
         #: run-id order, so afterwards it holds the mode of the highest
         #: touched run, and it is left unchanged when no run is touched.
         self.last_taint_mode: Optional[str] = None
@@ -398,12 +399,12 @@ class StoreQueryEngine:
         through_thread_state: bool = False,
         run: Optional[int] = None,
     ) -> TaintResult:
-        """Page-granularity taint propagation, replayed out of core.
+        """Page-granularity taint propagation, replayed from the run's indexes.
 
         :func:`repro.core.queries.propagate_taint` on the stored run: the
-        replay reads only the candidate closure's segments, or sweeps the
-        run's segments once when the closure floods (see
-        :attr:`last_taint_mode`).
+        replay goes over the candidate closure, or over every node when
+        the closure floods (see :attr:`last_taint_mode`), and reads no
+        segment either way.
         """
         result = queries.propagate_taint(self.run_view(run), source_pages, through_thread_state)
         self.last_taint_mode = "sweep" if result.flooded else "indexed"

@@ -1137,7 +1137,7 @@ class ProvenanceStore:
         old_index = self.run_indexes[run_id]
         # Batch assignment from the (small, in-memory) node index alone:
         # node payloads are never materialized run-wide.
-        in_order = sorted(old_index.nodes(), key=old_index.causal_key)
+        in_order = old_index.causal_order()
         batch_of_node = {
             node_id: position // segment_nodes for position, node_id in enumerate(in_order)
         }
@@ -1188,9 +1188,8 @@ class ProvenanceStore:
         emitted: Set[int] = set()
 
         def emit(position: int) -> None:
-            batch = sorted(
-                buffers.pop(position, []), key=lambda node: old_index.causal_key(node.node_id)
-            )
+            pending = {node.node_id: node for node in buffers.pop(position, [])}
+            batch = [pending[node_id] for node_id in old_index.causal_order(pending)]
             batch_edges: List[EdgeTuple] = []
             if position in spilled:
                 spill_path = os.path.join(spill_dir, f"batch-{position:08d}.jsonl")

@@ -26,14 +26,15 @@ that walk can resolve a reader before a writer that happens-before it; the
 pinned barrier execution below is such a case.  On the shipped workloads
 the two derivations agree, which the registry test checks.
 
-Taint replays the page policy in the causal order.  Over the same
-executions it must be closed under data edges, equal a replay in a random
-linear extension of happens-before when no conflicting pair is
-concurrent, and give the same answer in memory, on an ``ingest`` store
-and on a store a sink streamed while the execution was recorded.  Every
-path replays only a candidate closure, so a replay of the policy over
-every node of the graph in the causal order is the reference for all of
-them, racy draws included.
+Taint replays the page policy in the causal order, from the view's read
+and write maps.  Over the same executions it must be closed under data
+edges, equal a replay in a random linear extension of happens-before when
+no conflicting pair is concurrent, and give the same answer in memory, on
+an ``ingest`` store and on a store a sink streamed while the execution
+was recorded.  :func:`record_replay` is the replay before taint read the
+maps: the policy over every node's own record, in :func:`causal_key`
+order.  It is the reference for every path, racy draws included, and the
+maps' replay must equal it on the causal order and on the extension.
 
 Both the graph and the stores answer taint from a candidate closure
 computed over the page maps in set-level rounds.
@@ -432,6 +433,28 @@ def recorded_in_stores(record_with):
         yield cpg, taint, closures
 
 
+def record_replay(records, source_pages, through_thread_state):
+    """``(tainted nodes, tainted pages)`` of the page policy over ``(node id, record)`` pairs.
+
+    The replay as it read node records, before the views' read and write
+    maps: a node is tainted when its read set meets a tainted page (or,
+    with ``through_thread_state``, its thread was tainted before), and its
+    write set then becomes tainted.  The input node only defines sources.
+    """
+    tainted_nodes, tainted_pages, tainted_threads = set(), set(source_pages), set()
+    for node_id, node in records:
+        if node.write_set and node.tid < 0:
+            continue
+        tainted = not node.read_set.isdisjoint(tainted_pages)
+        if through_thread_state and node.tid in tainted_threads:
+            tainted = True
+        if tainted:
+            tainted_nodes.add(node_id)
+            tainted_pages |= node.write_set
+            tainted_threads.add(node.tid)
+    return tainted_nodes, tainted_pages
+
+
 def random_linear_extension(cpg, rng):
     """A linear extension of :func:`precedes` over every vertex, drawn with ``rng``."""
     nodes = cpg.nodes()
@@ -516,26 +539,26 @@ class TestTaintOracle:
         ):
             race_free = not find_racy_pairs(cpg)
             event("race-free" if race_free else "racy")
-            extension = random_linear_extension(cpg, rng) if race_free else None
+            causal = sorted(cpg.nodes(), key=lambda node: causal_key(cpg.subcomputation(node)))
+            assert cpg.causal_order() == causal
+            orders = [causal]
+            if race_free:
+                orders.append(random_linear_extension(cpg, rng))
             for page in range(PAGES):
                 for through_thread_state in (False, True):
                     answers = taint([page], through_thread_state)
                     nodes, pages = answers["memory"]
-                    whole = replay_taint(
-                        ((node, cpg.subcomputation(node)) for node in cpg.topological_order()),
-                        [page],
-                        through_thread_state,
-                    )
-                    assert (whole.tainted_nodes, whole.tainted_pages) == (nodes, pages)
                     for source, target, _ in cpg.edges(EdgeKind.DATA):
                         assert source not in nodes or target in nodes
-                    if extension is not None:
-                        replayed = replay_taint(
-                            ((node, cpg.subcomputation(node)) for node in extension),
+                    for order in orders:
+                        reference = record_replay(
+                            ((node, cpg.subcomputation(node)) for node in order),
                             [page],
                             through_thread_state,
                         )
-                        assert (replayed.tainted_nodes, replayed.tainted_pages) == (nodes, pages)
+                        assert reference == (nodes, pages)
+                        replayed = replay_taint(cpg, order, [page], through_thread_state)
+                        assert (replayed.tainted_nodes, replayed.tainted_pages) == reference
                     assert answers["sink"] == answers["ingest"] == answers["memory"]
 
     @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None, max_examples=300)

@@ -57,12 +57,25 @@ def test_answer_digest_is_stable_and_changes_with_one_answer():
         with ProvenanceStore.open(root) as store:
             assert parity.stored_answers(store) == answers  # cold reopen
     assert sorted(answers) == [1, 2]
-    for kind in ("lineage", "taint", "backward", "forward"):
+    for kind in ("lineage", "taint", "taint_thread_state", "backward", "forward"):
         assert answers[1][kind], kind
+    assert answers[1]["taint_input"][2] == "sweep"  # the input pages flood the run
     first = parity.digest(answers)
     assert len(first) == 64 and parity.digest(answers) == first
     page, lineage = next(iter(answers[2]["lineage"].items()))
     answers[2]["lineage"][page] = lineage[1:]
+    assert parity.digest(answers) != first
+
+
+def test_answer_digest_changes_with_one_thread_state_taint_answer():
+    with tempfile.TemporaryDirectory() as root:
+        stream(root, "2020-01-01T00:00:00")
+        with ProvenanceStore.open(root) as store:
+            answers = parity.stored_answers(store)
+    first = parity.digest(answers)
+    page, (nodes, pages) = next(iter(answers[1]["taint_thread_state"].items()))
+    assert nodes
+    answers[1]["taint_thread_state"][page] = [nodes[:-1], pages]
     assert parity.digest(answers) != first
 
 

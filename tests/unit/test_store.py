@@ -372,9 +372,9 @@ class TestStoreQueryEngine:
         assert result == backward_slice(cpg, target)
         assert 0 < engine.segments_loaded < total
 
-    def test_localized_taint_reads_fewer_segments_than_store_holds(self, tmp_path):
-        # Taint seeded at a page only the lock chain touches stays within
-        # that chain, so the replay must not decode unrelated segments.
+    def test_localized_taint_reads_no_segment(self, tmp_path):
+        # Taint seeded at a page only the lock chain touches replays from
+        # the run's indexes alone, so it decodes no segment at all.
         cpg = build_example_cpg()
         store = ProvenanceStore.create(str(tmp_path / "store"))
         store.ingest(cpg, segment_nodes=2)
@@ -386,7 +386,8 @@ class TestStoreQueryEngine:
         reference = propagate_taint(cpg, [10])
         assert mine.tainted_nodes == reference.tainted_nodes
         assert mine.tainted_pages == reference.tainted_pages
-        assert 0 < engine.segments_loaded < total
+        assert engine.last_taint_mode == "indexed"
+        assert engine.segments_loaded == 0
 
     def test_unknown_node_raises(self, stored):
         _, store = stored

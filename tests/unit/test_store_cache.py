@@ -295,7 +295,7 @@ class TestLineageWalkCost:
         store = ProvenanceStore.open(stored_run(tmp_path, "kmeans"))
         indexes = store.indexes
         page = max(indexes.page_writers, key=lambda p: len(indexes.page_writers[p]))
-        writers = sorted(indexes.page_writers[page], key=indexes.causal_key)
+        writers = indexes.causal_order(indexes.page_writers[page])
         for start, forward, segments_of in (
             (writers[-1], False, indexes.in_segments),
             (writers[0], True, indexes.out_segments),

@@ -269,7 +269,7 @@ def assert_walks_degrade(store_dir, run, pages):
             if edge[2] is EdgeKind.DATA
         ]
         hot = Counter(segment_id for segment_id, _ in data_in).most_common(1)[0][0]
-        start = max((node for segment_id, node in data_in if segment_id == hot), key=indexes.causal_key)
+        start = indexes.causal_order(node for segment_id, node in data_in if segment_id == hot)[-1]
         healthy = HealthyEdges(store, run, hot)
         expected = {
             "lineage": lineage_of_pages(healthy, pages),

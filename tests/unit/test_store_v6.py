@@ -2,8 +2,8 @@
 
 Covers the read path on top of the existing store suites: segments are
 zlib-compressed on disk, cold misses are single-flight (a stampede of
-readers -- raw segment reads or whole flooding taint queries -- decodes
-each segment exactly once), ``close()`` releases nothing and leaves the
+readers -- raw segment reads or whole-run record reads -- decodes each
+segment exactly once), ``close()`` releases nothing and leaves the
 handle usable, and a missing segment file is a loud :class:`StoreError`.
 """
 
@@ -150,19 +150,23 @@ class TestSingleFlight:
         barrier = threading.Barrier(threads)
 
         def flood(_):
+            # Flooding taint replays from the indexes; the stampede is the
+            # whole-run read its sweep used to make, next to it.
             engine = StoreQueryEngine(store)
             barrier.wait(timeout=30)
+            records = engine.run_view().records()
             result = engine.propagate_taint(seed)
-            return engine.last_taint_mode, result
+            return engine.last_taint_mode, result, records
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             answers = list(pool.map(flood, range(threads)))
         assert store.read_stats.segments_read == segment_count
         assert store.cache.stats.coalesced > 0
-        for mode, result in answers:
+        for mode, result, records in answers:
             assert mode == "sweep"  # input taint floods the run
             assert result.tainted_nodes == reference.tainted_nodes
             assert result.tainted_pages == reference.tainted_pages
+            assert records.keys() == set(cpg.nodes())
 
     def test_waiters_see_the_owners_error(self):
         cache = SegmentCache(max_bytes=1 << 20)

@@ -1,24 +1,31 @@
-"""The store's write map on every path that fills a run's indexes.
+"""The read and write maps and the causal order on every path that fills a run view.
 
-:attr:`StoreIndexes.node_writes` (node id -> pages it wrote) is the
-inversion of the page-writer family, kept in memory only; the taint
-closure reads it instead of inverting the writer index per query.  Every
-path that builds a run's indexes must fill it: a sink stream, ``ingest``,
-a writable server's ``append_epoch``, a reopen that replays deltas, a
+:attr:`StoreIndexes.node_reads` and :attr:`StoreIndexes.node_writes`
+(node id -> pages it read / wrote) are the inversions of the page-reader
+and page-writer families, kept in memory only; taint reads them, and
+:meth:`StoreIndexes.causal_order`, instead of node records.  Every path
+that builds a run's indexes must fill them: a sink stream, ``ingest``, a
+writable server's ``append_epoch``, a reopen that replays deltas, a
 reopen after ``compact`` (the base file is the only source), a rebuild
 after a torn index generation, and a second handle served by an
-:class:`IndexPinner`.  On each, the map must equal the inversion and the
-run's write sets, and store taint from every written page, in both modes,
-must equal the in-memory answer.  kmeans writes about one page per node;
-canneal's nodes write a dozen or more each.
+:class:`IndexPinner`.  On each, the maps must equal the inversions and
+the run's read and write sets, the causal order must equal the graph's,
+and store taint from every written page, in both modes, must equal the
+in-memory answer.  kmeans writes about one page per node; canneal's nodes
+write a dozen or more each.
 
 The in-memory graph keeps the same maps (``page_writers``,
-``page_readers``, ``node_writes``) and a per-thread index list, filled as
-nodes are added, so the queries run on either.  On every path that builds
-a graph -- the tracker, ``cpg_from_dict``, ``load_cpg`` and the
-process-granularity collapse -- they must equal the inversion of the
-nodes' read and write sets, and for a stored run they must equal the
-run's index maps.
+``page_readers``, ``node_reads``, ``node_writes``), a per-thread index
+list and the causal order, filled as nodes are added, so the queries run
+on either.  On every path that builds a graph -- the tracker,
+``cpg_from_dict``, ``load_cpg`` and the process-granularity collapse --
+they must equal the inversion of the nodes' read and write sets, and for
+a stored run they must equal the run's index maps.
+
+Both views cache the causal order as a position map built on first use.
+A sink-streamed run queried on the writer's handle after its first flush
+and again after ``finish`` must answer taint over the nodes present each
+time, so a map built mid-stream is rebuilt once nodes were added.
 """
 
 import os
@@ -28,10 +35,11 @@ from collections import defaultdict
 import pytest
 
 from repro.baselines.process_prov import collapse_to_process_granularity
+from repro.core.cpg import ConcurrentProvenanceGraph, causal_key
 from repro.core.queries import propagate_taint
 from repro.core.serialization import cpg_from_dict, cpg_to_dict
 from repro.inspector.api import run_with_provenance
-from repro.store import ProvenanceStore, StoreQueryEngine, StoreServer
+from repro.store import ProvenanceStore, StoreQueryEngine, StoreServer, StoreSink
 from repro.store.cache import IndexPinner
 from repro.store.format import INDEX_DIR, index_delta_file_name, run_index_dir_name
 
@@ -53,22 +61,30 @@ def copy_store(traced, tmp_path):
     return copy
 
 
-def inverted_writers(indexes):
-    written = defaultdict(set)
-    for page, writers in indexes.page_writers.items():
-        for node_id in writers:
-            written[node_id].add(page)
-    return dict(written)
+def inverted(page_map):
+    """Node id -> the set of pages whose entry in ``page_map`` lists it."""
+    pages_of = defaultdict(set)
+    for page, node_ids in page_map.items():
+        for node_id in node_ids:
+            pages_of[node_id].add(page)
+    return dict(pages_of)
 
 
-def assert_write_map_and_taint(store, run, cpg):
+def assert_maps_and_taint(store, run, cpg):
     indexes = store.indexes_for(run)
-    assert all(type(pages) is tuple for pages in indexes.node_writes.values())
-    written = {node_id: set(pages) for node_id, pages in indexes.node_writes.items()}
-    assert written == inverted_writers(indexes)
-    assert written == {
-        node.node_id: set(node.write_set) for node in cpg.subcomputations() if node.write_set
-    }
+    for node_map, page_map, access in (
+        (indexes.node_reads, indexes.page_readers, "read_set"),
+        (indexes.node_writes, indexes.page_writers, "write_set"),
+    ):
+        assert all(type(pages) is tuple for pages in node_map.values())
+        as_sets = {node_id: set(pages) for node_id, pages in node_map.items()}
+        assert as_sets == inverted(page_map)
+        assert as_sets == {
+            node.node_id: set(getattr(node, access))
+            for node in cpg.subcomputations()
+            if getattr(node, access)
+        }
+    assert indexes.causal_order() == cpg.causal_order()
     engine = StoreQueryEngine(store)
     for page in indexes.page_writers:
         for through_thread_state in (False, True):
@@ -81,13 +97,13 @@ def assert_write_map_and_taint(store, run, cpg):
 
 
 def test_sink_stream(traced):
-    assert_write_map_and_taint(traced.store, traced.store_run_id, traced.cpg)
+    assert_maps_and_taint(traced.store, traced.store_run_id, traced.cpg)
 
 
 def test_ingest(traced, tmp_path):
     store = ProvenanceStore.create(str(tmp_path / "ingest"))
     store.ingest(traced.cpg)
-    assert_write_map_and_taint(store, store.run_ids()[-1], traced.cpg)
+    assert_maps_and_taint(store, store.run_ids()[-1], traced.cpg)
 
 
 def test_writable_server_append_epoch(traced, tmp_path):
@@ -100,7 +116,7 @@ def test_writable_server_append_epoch(traced, tmp_path):
             traced.workload, THREADS, size="small", store_url=f"store://{host}:{port}"
         )
         # The writer handle's indexes were filled epoch by epoch.
-        assert_write_map_and_taint(server._writer, remote.store_run_id, remote.cpg)
+        assert_maps_and_taint(server._writer, remote.store_run_id, remote.cpg)
     finally:
         server.close()
 
@@ -109,7 +125,7 @@ def test_reopen_replays_deltas(traced):
     store = ProvenanceStore.open(traced.store.path)
     info = store.manifest.run_info(traced.store_run_id)
     assert info.index_base == 0 and info.index_deltas
-    assert_write_map_and_taint(store, traced.store_run_id, traced.cpg)
+    assert_maps_and_taint(store, traced.store_run_id, traced.cpg)
 
 
 def compacted_copy(traced, tmp_path):
@@ -123,7 +139,7 @@ def compacted_copy(traced, tmp_path):
 
 def test_reopen_after_compact_loads_the_base_only(traced, tmp_path):
     store = ProvenanceStore.open(compacted_copy(traced, tmp_path))
-    assert_write_map_and_taint(store, traced.store_run_id, traced.cpg)
+    assert_maps_and_taint(store, traced.store_run_id, traced.cpg)
 
 
 def test_rebuild_after_torn_generation(traced, tmp_path):
@@ -139,7 +155,7 @@ def test_rebuild_after_torn_generation(traced, tmp_path):
         handle.write(data[: len(data) // 2])
     store = ProvenanceStore.open(store_dir)
     assert store.indexes_for(run).needs_base  # rebuilt from the segments
-    assert_write_map_and_taint(store, run, traced.cpg)
+    assert_maps_and_taint(store, run, traced.cpg)
 
 
 def test_second_handle_served_by_the_pinner(traced, tmp_path):
@@ -149,7 +165,7 @@ def test_second_handle_served_by_the_pinner(traced, tmp_path):
     first = ProvenanceStore.open(store_dir, index_pinner=pinner).indexes_for(run)
     second = ProvenanceStore.open(store_dir, index_pinner=pinner)
     assert second.indexes_for(run) is first and pinner.stats.hits == 1
-    assert_write_map_and_taint(second, run, traced.cpg)
+    assert_maps_and_taint(second, run, traced.cpg)
 
 
 def assert_graph_maps(cpg):
@@ -167,11 +183,17 @@ def assert_graph_maps(cpg):
     assert {page: sorted(ids) for page, ids in cpg.page_readers.items()} == {
         page: sorted(ids) for page, ids in readers.items()
     }
+    assert cpg.node_reads == {
+        node.node_id: tuple(sorted(node.read_set))
+        for node in cpg.subcomputations()
+        if node.read_set
+    }
     assert cpg.node_writes == {
         node.node_id: tuple(sorted(node.write_set))
         for node in cpg.subcomputations()
         if node.write_set
     }
+    assert cpg.causal_order() == [node.node_id for node in sorted(cpg.subcomputations(), key=causal_key)]
     for tid, node_ids in threads.items():
         assert cpg.thread_nodes(tid) == sorted(node_ids)
         assert cpg.thread_nodes_from(tid, 1) == sorted(node_ids)[1:]
@@ -194,7 +216,51 @@ def test_graph_maps_equal_the_stored_run_indexes(traced):
         assert {page: sorted(ids) for page, ids in graph_map.items()} == {
             page: sorted(ids) for page, ids in index_map.items()
         }
+    assert cpg.node_reads == indexes.node_reads
     assert cpg.node_writes == indexes.node_writes
+    assert cpg.causal_order() == indexes.causal_order()
     assert {node_id[0] for node_id in cpg.nodes()} == set(indexes.thread_indexes)
     for tid in indexes.thread_indexes:
         assert cpg.thread_nodes(tid) == indexes.thread_nodes_from(tid, 0)
+
+
+def assert_taint_over_present_nodes(store, run, graph):
+    """Stored taint equals the replay over ``graph``, the nodes the run holds so far."""
+    indexes = store.indexes_for(run)
+    assert set(indexes.causal_order()) == set(graph.nodes())
+    input_pages = [page for node_id, pages in graph.node_writes.items() if node_id[0] < 0 for page in pages]
+    queries = [([page], mode) for page in graph.page_writers for mode in (False, True)]
+    queries.append((input_pages, False))
+    engine = StoreQueryEngine(store)
+    for sources, through_thread_state in queries:
+        stored = engine.propagate_taint(sources, through_thread_state, run=run)
+        expected = propagate_taint(graph, sources, through_thread_state)
+        assert (stored.tainted_nodes, stored.tainted_pages) == (
+            expected.tainted_nodes,
+            expected.tainted_pages,
+        ), (sources, through_thread_state)
+
+
+def test_a_causal_order_built_mid_stream_is_rebuilt(traced, tmp_path):
+    # The graph's nodes in the order the tracker published them.  Taint
+    # reads no edge, so the stream carries the nodes alone.
+    published = list(traced.cpg.subcomputations())
+    first = len(published) // 3
+    store = ProvenanceStore.create(str(tmp_path / "stream"))
+    sink = StoreSink(store, segment_nodes=first)
+    present = ConcurrentProvenanceGraph()
+    for node in published[: first + 1]:
+        sink.subcomputation_published(node, [])
+    assert sink.epochs_committed == 1
+    for node in published[:first]:
+        present.add_subcomputation(node)
+    # Both views build their position maps over the first epoch here ...
+    assert_taint_over_present_nodes(store, sink.run_id, present)
+    for node in published[first + 1 :]:
+        sink.subcomputation_published(node, [])
+    sink.finish()
+    for node in published[first:]:
+        present.add_subcomputation(node)
+    # ... and must rebuild them over the whole run here.
+    assert_taint_over_present_nodes(store, sink.run_id, present)
+    assert len(store.indexes_for(sink.run_id).causal_order()) == len(published)

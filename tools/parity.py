@@ -13,7 +13,9 @@ counter and stored byte as it was.  ``record`` writes, as one JSON file:
   with each run's wall-clock ``created_at`` (and its copy in the run's
   ``meta``) masked in ``MANIFEST.json``; and ``answers``, the SHA-256 of
   the sorted answers of a fixed query set on both runs (lineage of each
-  page a program node wrote, taint from each written page, backward and
+  page a program node wrote; taint from each written page, page-carried
+  and with ``through_thread_state``; one taint from the input node's
+  pages, which floods the run, with the engine's taint mode; backward and
   forward data slices from evenly spaced nodes), once on a reopened
   handle (``cold``) and once on the writer's handle (``warm``).
 
@@ -98,12 +100,28 @@ def stored_answers(store) -> Dict[int, Dict]:
         written = sorted(indexes.page_writers)
         nodes = indexes.nodes()
         starts = nodes[:: max(1, len(nodes) // SLICE_STARTS)]
-        answers = {"lineage": {}, "taint": {}, "backward": {}, "forward": {}}
+        answers = {
+            "lineage": {},
+            "taint": {},
+            "taint_thread_state": {},
+            "backward": {},
+            "forward": {},
+        }
         for page in written:
             if any(tid >= 0 for tid, _ in indexes.page_writers[page]):
                 answers["lineage"][page] = sorted(engine.lineage_of_pages([page], run=run))
-            taint = engine.propagate_taint([page], run=run)
-            answers["taint"][page] = [sorted(taint.tainted_nodes), sorted(taint.tainted_pages)]
+            for kind, through_thread_state in (("taint", False), ("taint_thread_state", True)):
+                taint = engine.propagate_taint([page], through_thread_state, run=run)
+                answers[kind][page] = [sorted(taint.tainted_nodes), sorted(taint.tainted_pages)]
+        input_pages = [
+            page for page in written if any(tid < 0 for tid, _ in indexes.page_writers[page])
+        ]
+        flood = engine.propagate_taint(input_pages, run=run)
+        answers["taint_input"] = [
+            sorted(flood.tainted_nodes),
+            sorted(flood.tainted_pages),
+            engine.last_taint_mode,
+        ]
         for node in starts:
             name = f"{node[0]}:{node[1]}"
             answers["backward"][name] = sorted(engine.backward_slice(node, run=run))
