@@ -67,8 +67,8 @@ def run_with_provenance(
         store_url: Address of a writable store server (``host:port`` or
             ``store://host:port``, started with
             ``python -m repro.store serve --writable``) to stream the run
-            to over TCP instead -- epochs travel through
-            :class:`~repro.store.sink.RemoteStoreSink`, and the traced
+            to over TCP instead -- the :class:`~repro.store.sink.StoreSink`
+            ships each epoch to the server, and the traced
             process needs no filesystem access to the store.  Mutually
             exclusive with ``store_path``.
         run_meta: Extra metadata recorded with the store's run entry (e.g.

@@ -20,7 +20,7 @@ from repro.inspector.interpose import InspectorBackend, OutputRecord
 from repro.inspector.stats import RunStats
 from repro.perf.events import PerfData
 from repro.store.format import DEFAULT_SEGMENT_NODES
-from repro.store.sink import RemoteStoreSink, StoreSink
+from repro.store.sink import StoreSink
 from repro.store.store import ProvenanceStore
 from repro.threads.program import ProgramAPI
 from repro.threads.runtime import SimRuntime
@@ -142,21 +142,14 @@ class InspectorSession:
         base = backend.load_input(spec.payload)
         descriptor = InputDescriptor(base=base, size=len(spec.payload), meta=spec.meta)
         runtime = SimRuntime(scheduler=make_scheduler(self.config), backend=backend)
-        sink: Optional[Union[StoreSink, RemoteStoreSink]] = None
-        if self.store is not None:
+        destination = self.store if self.store is not None else self.store_url
+        sink: Optional[StoreSink] = None
+        if destination is not None:
             sink = StoreSink(
-                self.store,
+                destination,
                 segment_nodes=self.store_segment_nodes,
                 workload=workload.name,
-                run_meta=dict(run_meta or {}),
-            )
-            sink.attach(backend.tracker)
-        elif self.store_url is not None:
-            sink = RemoteStoreSink(
-                self.store_url,
-                segment_nodes=self.store_segment_nodes,
-                workload=workload.name,
-                run_meta=dict(run_meta or {}),
+                run_meta=run_meta,
             )
             sink.attach(backend.tracker)
 

@@ -23,10 +23,12 @@ between these two runs".  It provides:
   taint propagation that load only the index-selected subgraph, within a
   run, across all runs, or diffed between two runs
   (:meth:`~repro.store.query.StoreQueryEngine.compare_lineage`);
-* :class:`~repro.store.sink.StoreSink` /
-  :class:`~repro.store.sink.RemoteStoreSink` -- incremental ingestion of
-  a running execution, one segment per epoch, one run per sink, into a
-  local directory or over TCP to a writable server;
+* :class:`~repro.store.sink.StoreSink` -- incremental ingestion of a
+  running execution, one segment per epoch, one run per sink, into a
+  local store or over TCP to a writable server, through the same four
+  store calls (``new_run``, ``append_segment``, ``flush``,
+  ``complete_run``) either way (``RemoteStoreSink`` is a second name
+  for it);
 * :mod:`repro.store.cache` -- the hot read path: a byte-budgeted LRU of
   decoded segments (:class:`~repro.store.cache.SegmentCache`) and pinned
   per-run index generations (:class:`~repro.store.cache.IndexPinner`);

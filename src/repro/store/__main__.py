@@ -62,12 +62,12 @@ store holds, making the out-of-core behaviour visible.
 decoded-segment cache + pinned indexes resident and answers the same
 queries over newline-delimited JSON on TCP
 (:mod:`repro.store.server`); with ``--writable`` it additionally accepts
-remote ingest (``begin_run``/``append_epoch``/``commit_run`` -- what
-:class:`~repro.store.sink.RemoteStoreSink` speaks).  ``watch`` tails a
-page set's lineage against a running server, printing an update whenever
-the watched run grows.  The ``cluster`` family operates on a sharded
-deployment described by a ``cluster.json`` manifest
-(:mod:`repro.store.shard`): ``cluster serve`` hosts every shard (and
+remote ingest (``begin_run``/``append_epoch``/``commit_run`` -- what a
+:class:`~repro.store.sink.StoreSink` given a server URL speaks).
+``watch`` tails a page set's lineage against a running server, printing
+an update whenever the watched run grows.  The ``cluster`` family
+operates on a sharded deployment described by a ``cluster.json``
+manifest (:mod:`repro.store.shard`): ``cluster serve`` hosts every shard (and
 replica) that has a local store path, ``cluster status`` probes shard
 liveness and run placement, and ``cluster query`` scatter-gathers
 lineage/taint/compare queries through a

@@ -5,7 +5,7 @@ The gate (:mod:`repro.store.gate`) and autopilot
 *many* runs; this module manufactures them.  :func:`run_fleet` replays
 randomized-but-deterministic workload variants through the ordinary
 tracing pipeline (:func:`repro.inspector.api.run_with_provenance`) into
-one store, at configurable concurrency, through either sink:
+one store, at configurable concurrency, to either destination:
 
 * **local** -- a shared :class:`~repro.store.store.ProvenanceStore`
   handle.  Because concurrent sinks on one handle would race its
@@ -13,8 +13,8 @@ one store, at configurable concurrency, through either sink:
   loopback writable :class:`~repro.store.server.StoreServer` and streams
   through it (the server's write lock serializes epochs); a
   ``concurrency == 1`` fleet writes the handle directly.
-* **remote** -- any ``host:port`` of a writable server
-  (:class:`~repro.store.sink.RemoteStoreSink` under the hood), which is
+* **remote** -- any ``host:port`` of a writable server (the same
+  :class:`~repro.store.sink.StoreSink`, pointed at the URL), which is
   how a soak hammers a live deployment.
 
 Variants are drawn from a seeded RNG (:attr:`FleetSpec.fleet_seed`), so

@@ -256,10 +256,6 @@ class StoreIndexes:
         """Node ids whose write set contains ``page`` (a fresh list)."""
         return list(self.page_writers.get(page, ()))
 
-    def readers_of_page(self, page: int) -> List[NodeId]:
-        """Node ids whose read set contains ``page`` (a fresh list)."""
-        return list(self.page_readers.get(page, ()))
-
     def pages_touched(self) -> Set[int]:
         """Every page some stored node read or wrote (the cross-run summary)."""
         return set(self.page_writers) | set(self.page_readers)

@@ -865,12 +865,9 @@ class StoreServer:
                     "edges": len(payload.edges),
                 }
             # commit_run
-            info = writer.manifest.run_info(run_id)
-            info.meta.update(dict(request.get("meta") or {}))
-            info.meta.setdefault("epochs", self._ingests[run_id]["epochs"])
-            info.status = RUN_COMPLETE
-            # Run completion checkpoints (same policy as a local ingest).
-            writer.flush(checkpoint=True)
+            meta = dict(request.get("meta") or {})
+            meta.setdefault("epochs", self._ingests[run_id]["epochs"])
+            info = writer.complete_run(run_id, meta)
             del self._ingests[run_id]
             return {
                 "run": run_id,

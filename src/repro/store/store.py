@@ -693,26 +693,38 @@ class ProvenanceStore:
         """Every run id in the store, in mint order."""
         return self.manifest.run_ids()
 
-    def new_run(
-        self,
-        workload: str = "",
-        meta: Optional[dict] = None,
-        created_at: Optional[str] = None,
-    ) -> int:
+    def new_run(self, workload: str = "", meta: Optional[dict] = None) -> int:
         """Mint a fresh run (the namespace of one traced execution).
 
         The run id is recorded in the manifest together with the workload
         name and wall-clock/config metadata; it becomes durable at the next
-        :meth:`flush`.  Callers can pass their own ``created_at`` timestamp
-        (the session does); it defaults to the current UTC time.
+        :meth:`flush`.  The run's ``created_at`` is ``meta["created_at"]``
+        when the caller supplies one, else the current UTC time.
         """
+        meta = meta or {}
         run = self.manifest.mint_run(
             workload=workload,
-            created_at=created_at if created_at is not None else _utc_now_iso(),
+            created_at=str(meta["created_at"]) if "created_at" in meta else _utc_now_iso(),
             meta=meta,
         )
         self.run_indexes[run.run_id] = StoreIndexes()
         return run.run_id
+
+    def complete_run(self, run: int, meta: Optional[dict] = None) -> RunInfo:
+        """Merge ``meta`` into ``run``'s entry, mark it complete, and checkpoint.
+
+        An empty workload name is filled from the merged metadata's
+        ``workload``.  Run completion is a checkpoint: the manifest alone
+        then names every segment of the finished run (no replay needed to
+        read it).
+        """
+        info = self.manifest.run_info(run)
+        info.meta.update(meta or {})
+        if not info.workload and "workload" in info.meta:
+            info.workload = str(info.meta["workload"])
+        info.status = RUN_COMPLETE
+        self.flush(checkpoint=True)
+        return info
 
     def resolve_run(self, run: Optional[int] = None) -> int:
         """Resolve ``run`` to a run id, defaulting to the store's only run.
@@ -779,27 +791,9 @@ class ProvenanceStore:
                     f"each traced run is its own namespace; mint a new run instead"
                 )
             batch_ids.add(node.node_id)
-        segment_id = self.manifest.next_segment_id
-        framed, raw_bytes = encode_segment(nodes, edges)
-        stored_bytes, crc = files.write_once(
-            os.path.join(self.path, SEGMENTS_DIR, segment_file_name(segment_id)), framed
-        )
-        self.manifest.next_segment_id += 1
-        for node in nodes:
-            indexes.add_node(segment_id, node)
-        for edge in edges:
-            indexes.add_edge(segment_id, edge)
-        self.manifest.segments.append(
-            SegmentInfo(
-                segment_id=segment_id,
-                run=run_id,
-                nodes=len(nodes),
-                edges=len(edges),
-                raw_bytes=raw_bytes,
-                stored_bytes=stored_bytes,
-                crc=crc,
-            )
-        )
+        info = self._write_segment(run_id, nodes, edges, indexes)
+        segment_id = info.segment_id
+        self.manifest.segments.append(info)
         self.manifest.node_count += len(nodes)
         self.manifest.edge_count += len(edges)
         run_info.nodes += len(nodes)
@@ -821,6 +815,38 @@ class ProvenanceStore:
         )
         return segment_id
 
+    def _write_segment(
+        self,
+        run_id: int,
+        nodes: Sequence[SubComputation],
+        edges: Sequence[EdgeTuple],
+        indexes: StoreIndexes,
+    ) -> SegmentInfo:
+        """Write ``nodes`` + ``edges`` as the next segment id and index them.
+
+        Returns the segment's manifest entry; the caller adds it to the
+        manifest.
+        """
+        segment_id = self.manifest.next_segment_id
+        framed, raw_bytes = encode_segment(nodes, edges)
+        stored_bytes, crc = files.write_once(
+            os.path.join(self.path, SEGMENTS_DIR, segment_file_name(segment_id)), framed
+        )
+        self.manifest.next_segment_id += 1
+        for node in nodes:
+            indexes.add_node(segment_id, node)
+        for edge in edges:
+            indexes.add_edge(segment_id, edge)
+        return SegmentInfo(
+            segment_id=segment_id,
+            run=run_id,
+            nodes=len(nodes),
+            edges=len(edges),
+            raw_bytes=raw_bytes,
+            stored_bytes=stored_bytes,
+            crc=crc,
+        )
+
     def ingest(
         self,
         cpg: ConcurrentProvenanceGraph,
@@ -836,12 +862,7 @@ class ProvenanceStore:
         """
         if segment_nodes <= 0:
             raise StoreError(f"segment_nodes must be positive, got {segment_nodes}")
-        meta = dict(run_meta or {})
-        run_id = self.new_run(
-            workload=workload or str(meta.get("workload", "")),
-            meta=meta,
-            created_at=str(meta["created_at"]) if "created_at" in meta else None,
-        )
+        run_id = self.new_run(workload=workload, meta=run_meta)
         order = cpg.topological_order()
         edges_by_target: Dict[object, List[EdgeTuple]] = defaultdict(list)
         for source, target, attrs in cpg.edges():
@@ -857,10 +878,7 @@ class ProvenanceStore:
                 edges.extend(edges_by_target.get(node_id, ()))
             self.append_segment(nodes, edges, run=run_id)
             segments_written += 1
-        self.manifest.run_info(run_id).status = RUN_COMPLETE
-        # Run completion is a natural checkpoint: the manifest on disk
-        # names every segment of the finished run without a replay.
-        self.flush(checkpoint=True)
+        self.complete_run(run_id)
         return segments_written
 
     def ingest_json_file(
@@ -1197,27 +1215,7 @@ class ProvenanceStore:
                     for line in handle:
                         if line.strip():
                             batch_edges.append(edge_from_dict(json.loads(line)))
-            segment_id = self.manifest.next_segment_id
-            self.manifest.next_segment_id += 1
-            framed, raw_bytes = encode_segment(batch, batch_edges)
-            stored_bytes, crc = files.write_once(
-                os.path.join(self.path, SEGMENTS_DIR, segment_file_name(segment_id)), framed
-            )
-            for node in batch:
-                new_index.add_node(segment_id, node)
-            for edge in batch_edges:
-                new_index.add_edge(segment_id, edge)
-            new_infos.append(
-                SegmentInfo(
-                    segment_id=segment_id,
-                    run=run_id,
-                    nodes=len(batch),
-                    edges=len(batch_edges),
-                    raw_bytes=raw_bytes,
-                    stored_bytes=stored_bytes,
-                    crc=crc,
-                )
-            )
+            new_infos.append(self._write_segment(run_id, batch, batch_edges, new_index))
             emitted.add(position)
 
         for info in infos:

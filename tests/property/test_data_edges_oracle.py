@@ -214,7 +214,7 @@ def worklist_taint_candidates(indexes, source_pages, through_thread_state):
     while page_frontier or node_frontier:
         while page_frontier:
             page = page_frontier.pop()
-            for reader in indexes.readers_of_page(page):
+            for reader in indexes.page_readers.get(page, ()):
                 add_node(reader)
         while node_frontier:
             node_id = node_frontier.pop()

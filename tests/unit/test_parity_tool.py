@@ -79,6 +79,16 @@ def test_answer_digest_changes_with_one_thread_state_taint_answer():
     assert parity.digest(answers) != first
 
 
+def test_record_holds_a_server_fed_store_with_the_sink_fed_answers(monkeypatch):
+    served = parity.served_store("histogram", threads=4)
+    assert "MANIFEST.json" in served["files"] and len(served["files"]) > 1
+    assert served["answers"] == parity.streamed_store("histogram", threads=4)["answers"]["cold"]
+    monkeypatch.setattr(parity, "graphs", lambda workloads: {})
+    monkeypatch.setattr(parity, "streamed_store", lambda: "streamed")
+    monkeypatch.setattr(parity, "served_store", lambda: "served")
+    assert parity.record() == {"graphs": {}, "store": "streamed", "served_store": "served"}
+
+
 def test_differences_name_nested_and_one_sided_entries():
     first = {"graphs": {"a-4": {"cpg": "x", "stats": {"switches": 1}}}, "store": {"f": "1"}}
     second = {"graphs": {"a-4": {"cpg": "x", "stats": {"switches": 2}}}, "store": {"g": "1"}}

@@ -17,7 +17,11 @@ counter and stored byte as it was.  ``record`` writes, as one JSON file:
   and with ``through_thread_state``; one taint from the input node's
   pages, which floods the run, with the engine's taint mode; backward and
   forward data slices from evenly spaced nodes), once on a reopened
-  handle (``cold``) and once on the writer's handle (``warm``).
+  handle (``cold``) and once on the writer's handle (``warm``);
+* ``served_store``: the same two runs fed through ``store_url`` into an
+  in-process writable store server, its ``files`` hashed and masked the
+  same way, and ``answers``, the same query set's digest on a handle
+  reopened after the server closed.
 
 Record both commits and compare the files; every entry must be equal::
 
@@ -28,7 +32,7 @@ Record both commits and compare the files; every entry must be equal::
 
 ``--src`` puts another checkout's ``src/`` first on the import path, so
 one copy of this tool measures a tree that predates it; the default is
-this checkout's.  A record takes about 5 s of CPU.  ``compare`` prints each
+this checkout's.  A record takes about 7 s of CPU.  ``compare`` prints each
 differing entry and exits 1 if there is one.
 """
 
@@ -157,11 +161,39 @@ def streamed_store(
         return {"files": store_files(root), "answers": {"cold": cold, "warm": warm}}
 
 
+def served_store(
+    workload: str = "kmeans", threads: int = 16, seeds: Sequence[int] = STORE_SEEDS
+) -> Dict[str, object]:
+    """File hashes and answer digest of a fresh store fed one run per seed through a server."""
+    from repro.inspector.api import run_with_provenance
+    from repro.store import ProvenanceStore, StoreServer
+
+    with tempfile.TemporaryDirectory() as root:
+        ProvenanceStore.create(root).close()
+        server = StoreServer(root, writable=True)
+        host, port = server.start()
+        try:
+            for seed in seeds:
+                run_with_provenance(
+                    workload, num_threads=threads, size="small", seed=seed,
+                    store_url=f"{host}:{port}",
+                )
+        finally:
+            server.close()
+        with ProvenanceStore.open(root) as store:
+            answers = digest(stored_answers(store))
+        return {"files": store_files(root), "answers": answers}
+
+
 def record() -> Dict:
-    """The full record: every registry configuration and the kmeans-16 store."""
+    """The full record: every registry configuration and both kmeans-16 stores."""
     from repro.workloads.registry import list_workloads
 
-    return {"graphs": graphs(list_workloads()), "store": streamed_store()}
+    return {
+        "graphs": graphs(list_workloads()),
+        "store": streamed_store(),
+        "served_store": served_store(),
+    }
 
 
 def differences(first: Dict, second: Dict, prefix: str = "") -> List[str]:
